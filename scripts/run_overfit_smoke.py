@@ -17,13 +17,11 @@ import numpy as np
 from dosediff import diffusion as D
 from dosediff import phantom as P
 from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
-from dosediff.optim import adam_step
 from dosediff.render import write_pgm, write_ppm_diff
-from dosediff.tensor import backward, no_grad
-from dosediff.train import lr_at
+from dosediff.train import fit_step, lr_at, sample_case
 
 
-def parse_args():
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--size", type=int, default=16)
@@ -33,11 +31,11 @@ def parse_args():
     ap.add_argument("--t-steps", type=int, default=50)
     ap.add_argument("--fusion", default="attn-last2")
     ap.add_argument("--out", default="runs/overfit_smoke")
-    return ap.parse_args()
+    return ap.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -60,11 +58,8 @@ def main():
         log.write("step,loss,lr\n")
         for step in range(args.steps):
             lr = lr_at(step, args.steps, args.lr, 0.5)
-            loss = D.training_step(model, (dose, cond), sched, rng)
-            value = float(loss.data)
+            value = fit_step(model, (dose, cond), sched, rng, lr)
             losses.append(value)
-            grads = backward(loss, model.store)
-            adam_step(model.store, grads, lr)
             log.write(f"{step},{value!r},{lr!r}\n")
             if step % max(1, args.steps // 10) == 0:
                 print(f"step {step:5d}  loss {value:.4f}  ({time.time() - t0:.0f}s)")
@@ -74,14 +69,8 @@ def main():
 
     maes = []
     for i, s in enumerate(samples):
-        with no_grad():
-            stack = model.encode_structure(cond[i:i + 1])
-        x = D.sample_loop(model, stack, sched,
-                          np.random.default_rng(np.random.PCG64(1234 + i)),
-                          shape=(1, 1, args.size, args.size))
-        pred_norm = np.clip(x[0, 0], -1, 1)
-        maes.append(float(np.abs(pred_norm - dose[i, 0]).mean()))
-        pred = P.denormalize_dose(pred_norm)
+        pred = sample_case(model, sched, s, 1234 + i)
+        maes.append(float(np.abs(P.normalize_dose(pred) - dose[i, 0]).mean()))
         write_pgm(out / f"case{i}_pred.pgm", pred)
         write_pgm(out / f"case{i}_truth.pgm", s.dose.astype(np.float64))
         write_ppm_diff(out / f"case{i}_diff.ppm", pred - s.dose.astype(np.float64))

@@ -10,8 +10,8 @@ Layout (little-endian):
 
 from __future__ import annotations
 
+import itertools
 import json
-import struct
 from dataclasses import dataclass
 from typing import Dict
 
@@ -19,10 +19,11 @@ import numpy as np
 
 from .config import RunConfig, config_from_dict, config_to_dict
 from .optim import ParamStore
-from .phantom import BadMagicError, TruncatedFileError, VersionError
+from .phantom import Container, pack_text
 
 CKPT_MAGIC = b"SPCK"
 CKPT_VERSION = 1
+CKPT_FILE = Container(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
 
 
 @dataclass
@@ -47,50 +48,29 @@ def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
         "params": [{"name": n, "shape": list(store[n].shape)} for n in names],
         "opt_steps": {n: store.steps[n] for n in names},
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC + struct.pack("<HI", CKPT_VERSION, len(blob)) + blob)
-        for n in names:
-            f.write(np.ascontiguousarray(store[n].data, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(store.m[n], dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(store.v[n], dtype="<f8").tobytes())
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    CKPT_FILE.write(path, itertools.chain([pack_text(text)], (
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for n in names for a in (store[n].data, store.m[n], store.v[n]))))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 10:
-        raise TruncatedFileError(f"checkpoint too short ({len(buf)} bytes)")
-    if buf[:4] != CKPT_MAGIC:
-        raise BadMagicError(f"bad checkpoint magic {buf[:4]!r}")
-    version, jsize = struct.unpack("<HI", buf[4:10])
-    if version != CKPT_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    if len(buf) < 10 + jsize:
-        raise TruncatedFileError("truncated checkpoint header")
-    header = json.loads(buf[10:10 + jsize].decode("utf-8"))
-    cfg = config_from_dict(header["config"])
-    params: Dict[str, np.ndarray] = {}
-    m: Dict[str, np.ndarray] = {}
-    v: Dict[str, np.ndarray] = {}
-    off = 10 + jsize
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        for target in (params, m, v):
-            if off + nbytes > len(buf):
-                raise TruncatedFileError(f"truncated tensor data for {entry['name']!r}")
-            target[entry["name"]] = np.frombuffer(
-                buf[off:off + nbytes], dtype="<f8").reshape(shape).copy()
-            off += nbytes
-    return Checkpoint(
-        config=cfg,
-        step=int(header["step"]),
-        rng_state=header["rng_state"],
-        params=params, m=m, v=v,
-        opt_steps={k: int(x) for k, x in header["opt_steps"].items()},
-    )
+    with CKPT_FILE.read(path) as cur:
+        header = json.loads(cur.text("header"))
+        cfg = config_from_dict(header["config"])
+        tensors: Dict[str, Dict[str, np.ndarray]] = {"params": {}, "m": {}, "v": {}}
+        for entry in header["params"]:
+            for target in tensors.values():
+                target[entry["name"]] = cur.array(
+                    tuple(entry["shape"]), "<f8", f"tensor data for {entry['name']!r}")
+        ckpt = Checkpoint(
+            config=cfg,
+            step=int(header["step"]),
+            rng_state=header["rng_state"],
+            opt_steps={k: int(x) for k, x in header["opt_steps"].items()},
+            **tensors,
+        )
+    return ckpt
 
 
 def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:

@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TR.DataError, P.SampleFormatError, FileNotFoundError) as e:
+    except (TR.DataError, P.SampleFormatError, M.EmptyMaskError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except TR.NumericFailure as e:

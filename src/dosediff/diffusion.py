@@ -156,16 +156,13 @@ def training_step(model, batch, s: NoiseSchedule, rng: np.random.Generator) -> T
     return mse_loss(eps_hat, Tensor(db.eps))
 
 
-def sample_loop(model, condition, s: NoiseSchedule, seed, shape=None) -> np.ndarray:
-    """Full reverse pass from pure noise to a normalized dose map.
+def sample_loop(model, condition, s: NoiseSchedule, seed, shape) -> np.ndarray:
+    """Full reverse pass from pure noise of ``shape`` to a normalized dose map.
 
     ``seed`` is either an integer or a numpy Generator; outputs are
-    deterministic given the seed. ``shape`` defaults to the model's
-    output shape inferred from the condition when omitted.
+    deterministic given the seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if shape is None:
-        shape = model.output_shape(condition)
     x = rng.standard_normal(shape)
     with no_grad():
         for t in range(s.T, 0, -1):

@@ -452,9 +452,6 @@ class DoseModel:
     def __call__(self, x_t, t, cond) -> Tensor:
         return self.predict_noise(x_t, t, cond)
 
-    def output_shape(self, cond: ConditionStack) -> tuple:
-        return (cond.y.shape[0], 1, self.cfg.image_size, self.cfg.image_size)
-
     # -- introspection -----------------------------------------------------
 
     def parameter_groups(self) -> dict:

@@ -19,10 +19,14 @@ O field written as 0).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -253,28 +257,105 @@ def generate_phantom(seed: int, size: int = 64, oar_count: int = 3,
 
 
 # ---------------------------------------------------------------------------
-# file I/O
+# binary container (sample files, dose maps and checkpoints)
 
 
-def _encode_meta(meta: Dict[str, str]) -> bytes:
-    lines = "".join(f"{k}={v}\n" for k, v in sorted(meta.items()))
-    blob = lines.encode("utf-8")
+class Cursor:
+    """Bounded reads over the body of one container file."""
+
+    def __init__(self, buf: bytes, what: str):
+        self.view, self.off, self.what = memoryview(buf), 0, what
+
+    def take(self, n: int, part: str) -> memoryview:
+        if n < 0:
+            raise SampleFormatError(f"negative length {n} for {self.what} {part}")
+        if self.off + n > len(self.view):
+            raise TruncatedFileError(f"truncated {self.what} while reading {part} "
+                                     f"(need {n} bytes at offset {self.off}, "
+                                     f"have {len(self.view)})")
+        self.off += n
+        return self.view[self.off - n:self.off]
+
+    def unpack(self, fmt: str, part: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), part))
+
+    def text(self, part: str) -> str:
+        """A u32 length followed by that many bytes of UTF-8."""
+        (n,) = self.unpack("<I", f"{part} length")
+        return str(self.take(n, part), "utf-8")
+
+    def array(self, shape: Sequence[int], dtype: str, part: str) -> np.ndarray:
+        """A writable copy of the next row-major array of ``shape``."""
+        count = math.prod(shape)
+        raw = self.take(count * np.dtype(dtype).itemsize, part)
+        return np.frombuffer(raw, dtype=dtype, count=count).reshape(shape).copy()
+
+
+def pack_text(text: str) -> bytes:
+    blob = text.encode("utf-8")
     return struct.pack("<I", len(blob)) + blob
 
 
-def _read_exact(buf: bytes, offset: int, n: int, what: str) -> Tuple[bytes, int]:
-    if offset + n > len(buf):
-        raise TruncatedFileError(f"truncated payload while reading {what} "
-                                 f"(need {n} bytes at offset {offset}, have {len(buf)})")
-    return buf[offset:offset + n], offset + n
+@dataclass(frozen=True)
+class Container:
+    """One binary file layout: magic | u16 version | body.
+
+    Reading checks the magic, the version and every length, rejects
+    trailing bytes, and turns any failure to decode the body into a
+    SampleFormatError. Writing goes to a temporary file in the target
+    directory that replaces the target only once it is complete.
+    """
+
+    magic: bytes
+    version: int
+    what: str
+
+    @contextmanager
+    def read(self, path) -> Iterator[Cursor]:
+        cur = Cursor(Path(path).read_bytes(), self.what)
+        magic = cur.take(len(self.magic), "magic")
+        if magic != self.magic:
+            raise BadMagicError(f"bad {self.what} magic {bytes(magic)!r}, "
+                                f"expected {self.magic!r}")
+        (version,) = cur.unpack("<H", "version")
+        if version != self.version:
+            raise VersionError(f"unsupported {self.what} version {version:#x}")
+        try:
+            yield cur
+        except SampleFormatError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError, struct.error) as e:
+            raise SampleFormatError(f"malformed {self.what} {path}: "
+                                    f"{type(e).__name__}: {e}") from None
+        if cur.off != len(cur.view):
+            raise SampleFormatError(f"{len(cur.view) - cur.off} trailing bytes after "
+                                    f"the {self.what} in {path}")
+
+    def write(self, path, parts: Iterable[bytes]) -> None:
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.write(self.magic + struct.pack("<H", self.version))
+                for part in parts:
+                    f.write(part)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
-def _decode_meta(buf: bytes, offset: int) -> Dict[str, str]:
-    raw, offset = _read_exact(buf, offset, 4, "metadata length")
-    (n,) = struct.unpack("<I", raw)
-    blob, _ = _read_exact(buf, offset, n, "metadata block")
+SAMPLE_FILE = Container(MAGIC, FORMAT_VERSION, "sample")
+DOSE_MAP_FILE = Container(MAGIC, FORMAT_VERSION | DOSE_ONLY_FLAG, "dose map")
+
+
+def _encode_meta(meta: Dict[str, str]) -> bytes:
+    return pack_text("".join(f"{k}={v}\n" for k, v in sorted(meta.items())))
+
+
+def _decode_meta(text: str) -> Dict[str, str]:
     meta = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in text.splitlines():
         if line:
             k, _, v = line.partition("=")
             meta[k] = v
@@ -283,61 +364,40 @@ def _decode_meta(buf: bytes, offset: int) -> Dict[str, str]:
 
 def write_sample(path, s: PhantomSample) -> None:
     h, w = s.ct.shape
-    chans = [s.ct.astype(np.float32), s.ptv.astype(np.float32)]
-    chans += [s.oars[i].astype(np.float32) for i in range(s.oar_count)]
-    chans.append(s.dose.astype(np.float32))
-    header = MAGIC + struct.pack("<HHHH", FORMAT_VERSION, h, w, s.oar_count)
-    payload = b"".join(np.ascontiguousarray(c).astype("<f4").tobytes() for c in chans)
-    with open(path, "wb") as f:
-        f.write(header + payload + _encode_meta(s.meta))
+    chans = [s.ct, s.ptv] + [s.oars[i] for i in range(s.oar_count)] + [s.dose]
+    SAMPLE_FILE.write(path, [
+        struct.pack("<HHH", h, w, s.oar_count),
+        b"".join(np.ascontiguousarray(c, dtype="<f4").tobytes() for c in chans),
+        _encode_meta(s.meta),
+    ])
 
 
 def read_sample(path) -> PhantomSample:
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic, off = _read_exact(buf, 0, 4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    raw, off = _read_exact(buf, off, 8, "header")
-    version, h, w, o = struct.unpack("<HHHH", raw)
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported sample version {version:#x}")
-    n_chan = 2 + o + 1
-    plane = h * w * 4
-    raw, off = _read_exact(buf, off, n_chan * plane, "channel data")
-    data = np.frombuffer(raw, dtype="<f4").reshape(n_chan, h, w)
-    meta = _decode_meta(buf, off)
-    return PhantomSample(
-        ct=data[0].copy(),
-        ptv=data[1] == 1.0,
-        oars=(data[2:2 + o] == 1.0).copy(),
-        dose=data[2 + o].copy(),
-        meta=meta,
-    )
+    with SAMPLE_FILE.read(path) as cur:
+        h, w, o = cur.unpack("<HHH", "header")
+        data = cur.array((2 + o + 1, h, w), "<f4", "channel data")
+        meta = _decode_meta(cur.text("metadata"))
+    return PhantomSample(ct=data[0], ptv=data[1] == 1.0, oars=data[2:2 + o] == 1.0,
+                         dose=data[2 + o], meta=meta)
 
 
 def write_dose_map(path, dose: np.ndarray, meta: Dict[str, str] | None = None) -> None:
     """Dose-only variant of the sample format (predictions)."""
     d = np.asarray(dose, dtype=np.float32)
     h, w = d.shape
-    header = MAGIC + struct.pack("<HHHH", FORMAT_VERSION | DOSE_ONLY_FLAG, h, w, 0)
-    with open(path, "wb") as f:
-        f.write(header + np.ascontiguousarray(d).astype("<f4").tobytes()
-                + _encode_meta(meta or {}))
+    DOSE_MAP_FILE.write(path, [
+        struct.pack("<HHH", h, w, 0),
+        np.ascontiguousarray(d, dtype="<f4").tobytes(),
+        _encode_meta(meta or {}),
+    ])
 
 
 def read_dose_map(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic, off = _read_exact(buf, 0, 4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    raw, off = _read_exact(buf, off, 8, "header")
-    version, h, w, _o = struct.unpack("<HHHH", raw)
-    if version != (FORMAT_VERSION | DOSE_ONLY_FLAG):
-        raise VersionError(f"not a dose-only file (version {version:#x})")
-    raw, off = _read_exact(buf, off, h * w * 4, "dose channel")
-    return np.frombuffer(raw, dtype="<f4").reshape(h, w).copy()
+    with DOSE_MAP_FILE.read(path) as cur:
+        h, w, _o = cur.unpack("<HHH", "header")
+        dose = cur.array((h, w), "<f4", "dose channel")
+        cur.text("metadata")
+    return dose
 
 
 # ---------------------------------------------------------------------------

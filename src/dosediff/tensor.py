@@ -474,102 +474,26 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 # dispatcher
 
 
-def _op_add(inputs, attrs):
-    return add(inputs[0], inputs[1])
-
-
-def _op_sub(inputs, attrs):
-    return sub(inputs[0], inputs[1])
-
-
-def _op_mul(inputs, attrs):
-    return mul(inputs[0], inputs[1])
-
-
-def _op_smul(inputs, attrs):
-    return smul(inputs[0], attrs["value"])
-
-
-def _op_matmul(inputs, attrs):
-    return matmul(inputs[0], inputs[1])
-
-
-def _op_conv2d(inputs, attrs):
-    return conv2d(inputs[0], inputs[1], attrs.get("stride", 1), attrs.get("padding", 0))
-
-
-def _op_upsample2(inputs, attrs):
-    return upsample2(inputs[0])
-
-
-def _op_reshape(inputs, attrs):
-    return _reshape(inputs[0], tuple(attrs["shape"]))
-
-
-def _op_permute(inputs, attrs):
-    return _permute(inputs[0], tuple(attrs["axes"]))
-
-
-def _op_concat(inputs, attrs):
-    return concat(inputs, attrs["axis"])
-
-
-def _op_slice(inputs, attrs):
-    return slice_(inputs[0], attrs["starts"], attrs["stops"])
-
-
-def _op_roll(inputs, attrs):
-    return roll(inputs[0], attrs["shifts"], attrs["axes"])
-
-
-def _op_softmax(inputs, attrs):
-    return softmax(inputs[0], attrs.get("axis", -1))
-
-
-def _op_relu(inputs, attrs):
-    return relu(inputs[0])
-
-
-def _op_gelu(inputs, attrs):
-    return gelu(inputs[0])
-
-
-def _op_layer_norm(inputs, attrs):
-    return layer_norm(inputs[0], inputs[1], inputs[2], attrs.get("eps", 1e-5))
-
-
-def _op_mean(inputs, attrs):
-    return _mean(inputs[0], attrs.get("axis"))
-
-
-def _op_sum(inputs, attrs):
-    return _sum(inputs[0], attrs.get("axis"))
-
-
-def _op_mse(inputs, attrs):
-    return mse_loss(inputs[0], inputs[1])
-
-
 _OPS = {
-    "add": _op_add,
-    "sub": _op_sub,
-    "elementwise-mul": _op_mul,
-    "scalar-mul": _op_smul,
-    "matmul": _op_matmul,
-    "conv2d": _op_conv2d,
-    "upsample-nearest2": _op_upsample2,
-    "reshape": _op_reshape,
-    "permute": _op_permute,
-    "concat": _op_concat,
-    "slice": _op_slice,
-    "roll": _op_roll,
-    "softmax": _op_softmax,
-    "relu": _op_relu,
-    "gelu": _op_gelu,
-    "layer-norm": _op_layer_norm,
-    "mean": _op_mean,
-    "sum": _op_sum,
-    "mse-loss": _op_mse,
+    "add": add,
+    "sub": sub,
+    "elementwise-mul": mul,
+    "scalar-mul": smul,
+    "matmul": matmul,
+    "conv2d": conv2d,
+    "upsample-nearest2": upsample2,
+    "reshape": _reshape,
+    "permute": _permute,
+    "concat": lambda *tensors, axis: concat(tensors, axis),
+    "slice": slice_,
+    "roll": roll,
+    "softmax": softmax,
+    "relu": relu,
+    "gelu": gelu,
+    "layer-norm": layer_norm,
+    "mean": _mean,
+    "sum": _sum,
+    "mse-loss": mse_loss,
 }
 
 OP_NAMES = tuple(_OPS)
@@ -581,7 +505,7 @@ def forward_op(kind: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None
         fn = _OPS[kind]
     except KeyError:
         raise UnknownOpError(f"unknown op kind: {kind!r}") from None
-    return fn(list(inputs), attrs or {})
+    return fn(*inputs, **(attrs or {}))
 
 
 # ---------------------------------------------------------------------------

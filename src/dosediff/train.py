@@ -91,6 +91,22 @@ def generate_dataset(cfg: RunConfig, out_dir) -> P.DatasetSplit:
 # trainer
 
 
+def fit_step(model: DoseModel, batch, schedule: D.NoiseSchedule, rng: np.random.Generator,
+             lr: float, betas: Tuple[float, float] = (0.9, 0.999)) -> float:
+    """One optimization step on ``batch`` = (x0, condition); returns the loss.
+
+    Corrupts x0 and predicts the noise (``diffusion.training_step``), then
+    backpropagates and applies Adam. A non-finite loss raises
+    NumericFailure before any parameter changes.
+    """
+    loss = D.training_step(model, batch, schedule, rng)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise NumericFailure(f"non-finite loss {value}")
+    adam_step(model.store, backward(loss, model.store), lr, betas)
+    return value
+
+
 @dataclass
 class TrainResult:
     losses: List[float]
@@ -145,14 +161,11 @@ class Trainer:
             log.write("step,loss,lr\n")
             for step in range(self.start_step, end_step):
                 lr = lr_at(step, total, cfg.train.lr, cfg.train.decay_start_frac)
-                x0, cond = self._batch()
-                loss = D.training_step(self.model, (x0, cond), self.schedule, self.rng)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise NumericFailure(f"non-finite loss {value} at step {step}")
-                grads = backward(loss, self.model.store)
-                adam_step(self.model.store, grads, lr,
-                          (cfg.train.beta1, cfg.train.beta2))
+                try:
+                    value = fit_step(self.model, self._batch(), self.schedule, self.rng,
+                                     lr, (cfg.train.beta1, cfg.train.beta2))
+                except NumericFailure as e:
+                    raise NumericFailure(f"{e} at step {step}") from None
                 losses.append(value)
                 log.write(f"{step},{value!r},{lr!r}\n")
                 every = cfg.train.checkpoint_every

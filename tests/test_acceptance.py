@@ -21,8 +21,9 @@ from dosediff.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from dosediff.cli import main as cli_main
 from dosediff.gradcheck import finite_diff_check, finite_diff_scalar_fn
 from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
-from dosediff.optim import ParamStore, adam_step
+from dosediff.optim import ParamStore
 from dosediff.tensor import OP_NAMES, Tensor, backward, mse_loss, no_grad
+from dosediff.train import fit_step, lr_at, sample_case
 
 from op_points import op_point
 from test_networks import top_grad_coords
@@ -209,26 +210,16 @@ def test_criterion_5_overfit_smoke():
         model = DoseModel(cfg, 0)
         rng = np.random.default_rng(np.random.PCG64(0))
 
-        from dosediff.train import lr_at
-        losses = []
-        for step in range(2000):
-            loss = D.training_step(model, (dose, cond), sched, rng)
-            losses.append(float(loss.data))
-            grads = backward(loss, model.store)
-            adam_step(model.store, grads, lr_at(step, 2000, 2e-3, 0.5))
+        losses = [fit_step(model, (dose, cond), sched, rng, lr_at(step, 2000, 2e-3, 0.5))
+                  for step in range(2000)]
 
         step0 = losses[0]
         tail = float(np.mean(losses[-50:]))
         assert step0 / tail >= 10.0, f"loss only fell {step0 / tail:.1f}x"
 
-        maes = []
-        for i in range(4):
-            with no_grad():
-                stack = model.encode_structure(cond[i:i + 1])
-            out = D.sample_loop(model, stack, sched,
-                                np.random.default_rng(np.random.PCG64(1234 + i)),
-                                shape=(1, 1, 16, 16))
-            maes.append(float(np.abs(np.clip(out[0, 0], -1, 1) - dose[i, 0]).mean()))
+        maes = [float(np.abs(P.normalize_dose(sample_case(model, sched, s, 1234 + i))
+                             - dose[i, 0]).mean())
+                for i, s in enumerate(samples)]
         mean_mae = float(np.mean(maes))
         assert mean_mae <= 0.15, f"normalized-dose MAE {mean_mae:.3f} > 0.15"
         print(f"    overfit detail: loss {step0:.3f} -> {tail:.4f} "

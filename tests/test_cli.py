@@ -8,6 +8,8 @@ from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
 from dosediff.networks import DoseModel
 
+from test_config_checkpoint import drop_config, rewrite_checkpoint_header
+
 
 CFG = {
     "model": {
@@ -271,3 +273,27 @@ class TestExitCodes:
         save_checkpoint(poisoned, cfg2, model.store, ck.step, rng)
         assert run(["train", "--resume", poisoned, "--data", data,
                     "--out", tmp / "boom"]) == 4
+
+    @pytest.mark.parametrize("edit", [lambda h: b"{not json", drop_config],
+                             ids=["invalid-json", "no-config"])
+    def test_malformed_checkpoint_is_3(self, trained, edit, capsys):
+        tmp, cfg, data, ckpt = trained
+        bad = rewrite_checkpoint_header(ckpt, tmp / "bad.bin", edit)
+        capsys.readouterr()
+        assert run(["sample", "--checkpoint", bad, "--data", data,
+                    "--cases", "sample_00000", "--out", tmp / "s"]) == 3
+        assert run(["train", "--resume", bad, "--data", data,
+                    "--out", tmp / "t"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("data error:") for e in err)
+
+    def test_empty_mask_in_eval_is_3(self, tmp_path, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2)
+        s.ptv[:] = False
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", s.dose)
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        assert capsys.readouterr().err.startswith("data error:")

@@ -1,12 +1,18 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dosediff import phantom as P
 from dosediff.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from dosediff.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config, save_config)
 from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
 from dosediff.optim import adam_step
-from dosediff.phantom import BadMagicError, TruncatedFileError
+from dosediff.phantom import BadMagicError, SampleFormatError, TruncatedFileError
 
 
 def tiny_run_config():
@@ -23,6 +29,22 @@ def tiny_run_config():
         "out_dir": "runs/t",
     }
     return config_from_dict(d)
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its JSON header replaced by
+    ``edit(header_bytes)``; the tensor payload is kept as is."""
+    buf = src.read_bytes()
+    (n,) = struct.unpack("<I", buf[6:10])
+    header = edit(buf[10:10 + n])
+    dst.write_bytes(buf[:6] + struct.pack("<I", len(header)) + header + buf[10 + n:])
+    return dst
+
+
+def drop_config(header: bytes) -> bytes:
+    d = json.loads(header)
+    del d["config"]
+    return json.dumps(d).encode("utf-8")
 
 
 class TestConfig:
@@ -135,3 +157,61 @@ class TestCheckpoint:
         other = DoseModel(other_cfg, 0)
         with pytest.raises(ValueError):
             restore_into(other.store, load_checkpoint(p))
+
+    @pytest.mark.parametrize("edit", [lambda h: b"{not json", lambda h: b"[]", drop_config,
+                                      lambda h: h.replace(b'"step":1', b'"step":"x"')],
+                             ids=["invalid-json", "not-an-object", "no-config", "bad-step"])
+    def test_malformed_header(self, tmp_path, edit):
+        cfg, model, rng = self.build()
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, cfg, model.store, 1, rng)
+        bad = rewrite_checkpoint_header(p, tmp_path / "bad.bin", edit)
+        with pytest.raises(SampleFormatError):
+            load_checkpoint(bad)
+
+    def test_trailing_bytes(self, tmp_path):
+        cfg, model, rng = self.build()
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, cfg, model.store, 1, rng)
+        long = tmp_path / "long.bin"
+        long.write_bytes(p.read_bytes() + b"\0" * 8)
+        with pytest.raises(SampleFormatError, match="trailing"):
+            load_checkpoint(long)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        cfg, model, rng = self.build()
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, cfg, model.store, 1, rng)
+        before = p.read_bytes()
+        last = model.store.names()[-1]
+        model.store.v[last] = "not a tensor"  # fails after the other tensors are written
+        with pytest.raises(ValueError):
+            save_checkpoint(p, cfg, model.store, 2, rng)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("valid")
+    sample = P.generate_phantom(5, size=16, oar_count=2)
+    P.write_sample(d / "s.spdp", sample)
+    P.write_dose_map(d / "d.spdp", sample.dose, meta={"case": "x"})
+    cfg = tiny_run_config()
+    save_checkpoint(d / "c.bin", cfg, DoseModel(cfg.model, cfg.seed).store, 0,
+                    np.random.default_rng(0))
+    return d, {"sample": (d / "s.spdp", P.read_sample),
+               "dose map": (d / "d.spdp", P.read_dose_map),
+               "checkpoint": (d / "c.bin", load_checkpoint)}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_truncation_is_truncated_file_error(valid_files, data):
+    d, kinds = valid_files
+    path, reader = kinds[data.draw(st.sampled_from(sorted(kinds)))]
+    blob = path.read_bytes()
+    cut = d / "cut.bin"
+    cut.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(TruncatedFileError):
+        reader(cut)

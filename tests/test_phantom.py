@@ -146,6 +146,39 @@ class TestSampleIO:
         with pytest.raises(P.VersionError):
             P.read_sample(path)
 
+    def test_trailing_bytes(self, sample, tmp_path):
+        P.write_sample(tmp_path / "s.spdp", sample)
+        P.write_dose_map(tmp_path / "d.spdp", sample.dose)
+        for name, reader in (("s.spdp", P.read_sample), ("d.spdp", P.read_dose_map)):
+            bad = tmp_path / f"long_{name}"
+            bad.write_bytes((tmp_path / name).read_bytes() + b"\0")
+            with pytest.raises(P.SampleFormatError, match="trailing"):
+                reader(bad)
+
+    def test_non_utf8_metadata(self, sample, tmp_path):
+        path = tmp_path / "s.spdp"
+        P.write_sample(path, sample)
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 0xFF  # last byte of the metadata text
+        bad = tmp_path / "bad.spdp"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(P.SampleFormatError):
+            P.read_sample(bad)
+
+    def test_failed_write_keeps_previous_file(self, sample, tmp_path):
+        path = tmp_path / "s.spdp"
+        P.write_sample(path, sample)
+        before = path.read_bytes()
+
+        def parts():
+            yield b"\0" * 64
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            P.SAMPLE_FILE.write(path, parts())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestNormalize:
     def test_affine_endpoints(self):

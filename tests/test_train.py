@@ -4,7 +4,7 @@ import pytest
 from dosediff.checkpoint import load_checkpoint
 from dosediff.config import config_from_dict
 from dosediff.networks import FusionStrategy
-from dosediff.train import (DataError, Trainer, fusion_ablation_matrix,
+from dosediff.train import (DataError, Trainer, fit_step, fusion_ablation_matrix,
                             generate_dataset, load_split, lr_at, sample_case)
 
 
@@ -77,12 +77,9 @@ class TestTrainer:
 
     def test_200_steps_on_4_samples_reduces_loss(self):
         """Smoke-run oracle: short training on 4 tiny phantoms cuts the loss."""
-        import numpy as np
         from dosediff import diffusion as D
         from dosediff import phantom as P
         from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
-        from dosediff.optim import adam_step
-        from dosediff.tensor import backward
 
         cfg = ModelConfig(image_size=16, oar_count=3, base_channels=4,
                           stage_multipliers=(1, 2, 4, 8), window=2, heads=2,
@@ -93,12 +90,8 @@ class TestTrainer:
         sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
         model = DoseModel(cfg, 0)
         rng = np.random.default_rng(np.random.PCG64(0))
-        losses = []
-        for step in range(200):
-            loss = D.training_step(model, (dose, cond), sched, rng)
-            losses.append(float(loss.data))
-            adam_step(model.store, backward(loss, model.store),
-                      lr_at(step, 200, 2e-3, 0.5))
+        losses = [fit_step(model, (dose, cond), sched, rng, lr_at(step, 200, 2e-3, 0.5))
+                  for step in range(200)]
         assert np.mean(losses[-10:]) < losses[0]
 
     def test_resume_is_bit_exact(self, dataset, tmp_path):
@@ -170,3 +163,20 @@ class TestAblationMatrix:
         assert first == second  # bit-exact reruns
         for _, mae, dvh, hi in first:
             assert np.isfinite(mae) and np.isfinite(dvh) and np.isfinite(hi)
+
+
+def test_overfit_script_writes_curve_and_renders(tmp_path):
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_overfit_smoke.py"
+    spec = importlib.util.spec_from_file_location("run_overfit_smoke", script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.main(["--steps", "3", "--t-steps", "2", "--cases", "2",
+                     "--out", str(tmp_path)]) == 0
+    curve = (tmp_path / "loss_curve.csv").read_text().splitlines()
+    assert curve[0] == "step,loss,lr" and len(curve) == 4
+    for i in range(2):
+        for name in (f"case{i}_pred.pgm", f"case{i}_truth.pgm", f"case{i}_diff.ppm"):
+            assert (tmp_path / name).stat().st_size > 0
