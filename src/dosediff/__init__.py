@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .diffusion import (NoiseSchedule, make_schedule, p_sample_step, predict_x0,
                         q_sample, sample_loop, training_step)
-from .networks import ConditionStack, DoseModel, FusionStrategy, ModelConfig, build_model
+from .networks import ConditionStack, DoseModel, FusionStrategy, ModelConfig
 from .optim import ParamStore, adam_step
 from .phantom import PhantomSample, generate_phantom, normalize_batch, read_sample, write_sample
 from .tensor import Tensor, backward, forward_op, no_grad
@@ -19,7 +19,7 @@ __all__ = [
     "ParamStore", "adam_step",
     "NoiseSchedule", "make_schedule", "q_sample", "predict_x0",
     "p_sample_step", "training_step", "sample_loop",
-    "ModelConfig", "FusionStrategy", "ConditionStack", "DoseModel", "build_model",
+    "ModelConfig", "FusionStrategy", "ConditionStack", "DoseModel",
     "PhantomSample", "generate_phantom", "normalize_batch",
     "read_sample", "write_sample",
 ]

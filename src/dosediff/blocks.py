@@ -2,8 +2,9 @@
 cross-attention feature fusion, the bottleneck projector, and sinusoidal
 time embeddings.
 
-Feature maps are [B, C, H, W] Tensors (a leading batch axis is added
-transparently for 3-D inputs). Parameters live in a ParamStore and are
+Feature maps are channels-last [B, H, W, C] Tensors, the token layout
+of the Swin Transformer, so layer norm, the MLPs and the projections all
+act on the last axis directly. Parameters live in a ParamStore and are
 grouped into small dataclasses per block.
 """
 
@@ -153,91 +154,71 @@ def init_projector(store: ParamStore, prefix: str, channels: int, ratio: int,
 # window bookkeeping
 
 
-def _batched(x: Tensor):
-    if x.data.ndim == 3:
-        return x.reshape((1,) + x.shape), False
-    if x.data.ndim == 4:
-        return x, True
-    raise ShapeError(f"expected [C,H,W] or [B,C,H,W] feature map, got {x.shape}")
+def _map_shape(x: Tensor, fn: str) -> tuple:
+    if x.data.ndim != 4:
+        raise ShapeError(f"{fn}: expected a [B, H, W, C] feature map, got {x.shape}")
+    return x.shape
 
 
 def window_partition(x: Tensor, window: int) -> Tensor:
     """Tile a feature map into non-overlapping window x window patches.
 
-    [B, C, H, W] -> [B*(H/w)*(W/w), C, w, w]; a 3-D input is treated as
-    batch size one. Lossless: window_merge inverts it exactly.
+    [B, H, W, C] -> [B*(H/w)*(W/w), w, w, C]. Lossless: window_merge
+    inverts it exactly.
     """
-    xb, _ = _batched(x)
-    b, c, h, w = xb.shape
+    b, h, w, c = _map_shape(x, "window_partition")
     if h % window or w % window:
         raise ShapeError(f"window {window} does not divide map {h}x{w}")
     nh, nw = h // window, w // window
-    t = xb.reshape((b, c, nh, window, nw, window))
-    t = t.permute((0, 2, 4, 1, 3, 5))
-    return t.reshape((b * nh * nw, c, window, window))
+    t = x.reshape((b, nh, window, nw, window, c)).permute((0, 1, 3, 2, 4, 5))
+    return t.reshape((b * nh * nw, window, window, c))
 
 
 def window_merge(windows: Tensor, h: int, w: int) -> Tensor:
-    """Inverse of window_partition back to [B, C, h, w]."""
-    n, c, win, win2 = windows.shape
+    """Inverse of window_partition back to [B, h, w, C]."""
+    n, win, win2, c = _map_shape(windows, "window_merge")
     if win != win2:
         raise ShapeError(f"windows must be square, got {windows.shape}")
     nh, nw = h // win, w // win
     if nh * nw == 0 or n % (nh * nw):
         raise ShapeError(f"cannot merge {n} windows of size {win} into {h}x{w}")
     b = n // (nh * nw)
-    t = windows.reshape((b, nh, nw, c, win, win))
-    t = t.permute((0, 3, 1, 4, 2, 5))
-    return t.reshape((b, c, h, w))
+    t = windows.reshape((b, nh, nw, win, win, c)).permute((0, 1, 3, 2, 4, 5))
+    return t.reshape((b, h, w, c))
 
 
 def cyclic_shift(x: Tensor, dy: int, dx: int) -> Tensor:
-    """Toroidal roll of the two spatial axes."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"cyclic_shift: need spatial axes, got {x.shape}")
-    return T.roll(x, (dy, dx), (-2, -1))
+    """Toroidal roll of the two spatial axes of a [B, H, W, C] map."""
+    _map_shape(x, "cyclic_shift")
+    return T.roll(x, (dy, dx), (1, 2))
 
 
 # ---------------------------------------------------------------------------
 # attention
 
 
-def _to_tokens(x: Tensor):
-    """[B, C, H, W] -> [B, H*W, C]."""
-    b, c, h, w = x.shape
-    return x.reshape((b, c, h * w)).permute((0, 2, 1))
-
-
-def _from_tokens(tok: Tensor, h: int, w: int) -> Tensor:
-    b, n, c = tok.shape
-    return tok.permute((0, 2, 1)).reshape((b, c, h, w))
-
-
 def window_attention(windows: Tensor, p: AttentionParams, return_weights: bool = False):
-    """Multi-head self-attention inside each window.
+    """Multi-head self-attention inside each [w, w, C] window.
 
     Per window and head: A = softmax(Q K^T / sqrt(d_k)), outputs are the
     attention-weighted sums of values; heads are concatenated and passed
     through the output projection.
     """
-    nwin, c, win, _ = windows.shape
+    nwin, win, _, c = _map_shape(windows, "window_attention")
     if c != p.wq.shape[0]:
         raise ShapeError(f"window_attention: {c} channels vs weights for {p.wq.shape[0]}")
     n = win * win
     h, dk = p.heads, p.head_dim
-    tok = _to_tokens(windows)                      # [nW, n, C]
 
-    def heads_of(m: Tensor) -> Tensor:
-        return m.reshape((nwin, n, h, dk)).permute((0, 2, 1, 3))
+    def heads_of(w: Tensor, axes) -> Tensor:
+        return (windows @ w).reshape((nwin, n, h, dk)).permute(axes)
 
-    q = heads_of(tok @ p.wq)
-    k = heads_of(tok @ p.wk)
-    v = heads_of(tok @ p.wv)
-    logits = (q @ k.permute((0, 1, 3, 2))) * (1.0 / np.sqrt(dk))
-    attn = T.softmax(logits, axis=-1)              # [nW, h, n, n]
-    ctx = attn @ v                                 # [nW, h, n, dk]
-    merged = ctx.permute((0, 2, 1, 3)).reshape((nwin, n, h * dk))
-    out = _from_tokens(merged @ p.wo, win, win)
+    q = heads_of(p.wq, (0, 2, 1, 3))               # [nW, h, n, dk]
+    k_t = heads_of(p.wk, (0, 2, 3, 1))             # [nW, h, dk, n]
+    v = heads_of(p.wv, (0, 2, 1, 3))
+    attn = T.softmax((q @ k_t) * (1.0 / np.sqrt(dk)), axis=-1)   # [nW, h, n, n]
+    ctx = (attn @ v).permute((0, 2, 1, 3)).reshape((nwin, win, win, h * dk))
+    out = ctx @ p.wo
     if return_weights:
         return out, attn
     return out
@@ -247,49 +228,35 @@ def swin_block(x: Tensor, p: SwinBlockParams, t_emb: Optional[Tensor] = None) ->
     """Windowed-attention block with optional cyclic shift.
 
     Pre-normalization before each sub-layer; residual connections around
-    the attention and MLP branches; the time embedding enters as a
-    per-channel bias after its per-block projection. With the residual
-    branch outputs zeroed the block is the exact identity.
+    the attention and MLP branches; the time embedding t_emb [B, 1, 1, T]
+    enters as a per-channel bias after its per-block projection. With the
+    residual branch outputs zeroed the block is the exact identity.
     """
-    xb, batched = _batched(x)
-    b, c, hh, ww = xb.shape
+    _, hh, ww, _ = _map_shape(x, "swin_block")
     win = p.window
     if hh % win or ww % win:
         raise ShapeError(f"swin_block: window {win} does not divide {hh}x{ww}")
     shift = win // 2 if (p.shift and win > 1) else 0
 
-    y = channel_layer_norm(xb, p.ln1_g, p.ln1_b)
+    y = T.layer_norm(x, p.ln1_g, p.ln1_b)
     if shift:
         y = cyclic_shift(y, -shift, -shift)
-    wins = window_partition(y, win)
-    wins = window_attention(wins, p.attn)
-    y = window_merge(wins, hh, ww)
+    y = window_merge(window_attention(window_partition(y, win), p.attn), hh, ww)
     if shift:
         y = cyclic_shift(y, shift, shift)
-    xb = xb + y
+    x = x + y
 
     if t_emb is not None:
         if p.t_w is None:
             raise ShapeError("swin_block: block has no time projection")
-        if t_emb.shape[-1] != p.t_w.shape[0]:
-            raise ShapeError(f"swin_block: t_emb dim {t_emb.shape[-1]} != "
-                             f"projection dim {p.t_w.shape[0]}")
-        bias = t_emb @ p.t_w + p.t_b               # [B, C]
-        xb = xb + bias.reshape((b, c, 1, 1))
+        if t_emb.data.ndim != 4 or t_emb.shape[-1] != p.t_w.shape[0]:
+            raise ShapeError(f"swin_block: t_emb must be [B, 1, 1, {p.t_w.shape[0]}], "
+                             f"got {t_emb.shape}")
+        x = x + (t_emb @ p.t_w + p.t_b)
 
-    y = channel_layer_norm(xb, p.ln2_g, p.ln2_b)
-    tok = _to_tokens(y).reshape((b * hh * ww, c))
-    tok = T.relu(tok @ p.w1 + p.b1) @ p.w2 + p.b2
-    y = _from_tokens(tok.reshape((b, hh * ww, c)), hh, ww)
-    out = xb + y
-    return out if batched else out.reshape((c, hh, ww))
-
-
-def channel_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Layer norm over the channel axis of a [B, C, H, W] map."""
-    t = x.permute((0, 2, 3, 1))
-    t = T.layer_norm(t, gamma, beta)
-    return t.permute((0, 3, 1, 2))
+    y = T.layer_norm(x, p.ln2_g, p.ln2_b)
+    y = T.relu(y @ p.w1 + p.b1) @ p.w2 + p.b2
+    return x + y
 
 
 def cross_attention_fuse(a: Tensor, b: Tensor, p: CrossAttentionParams,
@@ -299,25 +266,20 @@ def cross_attention_fuse(a: Tensor, b: Tensor, p: CrossAttentionParams,
     Queries come from the structural map ``a``, keys and values from the
     noise map ``b``; the attention output is residual-added to ``b``.
     """
-    ab, a_batched = _batched(a)
-    bb, _ = _batched(b)
-    if ab.shape[-2:] != bb.shape[-2:] or ab.shape[0] != bb.shape[0]:
+    bsz, hh, ww, ca = _map_shape(a, "cross_attention_fuse")
+    cb = _map_shape(b, "cross_attention_fuse")[3]
+    if a.shape[:3] != b.shape[:3]:
         raise ShapeError(f"cross_attention_fuse: spatial/batch mismatch "
                          f"{a.shape} vs {b.shape}")
-    _, ca, hh, ww = ab.shape
-    _, cb, _, _ = bb.shape
     if ca != p.wq_a.shape[0] or cb != p.wk_b.shape[0]:
         raise ShapeError("cross_attention_fuse: channel dims do not match params")
-    tok_a = _to_tokens(ab)
-    tok_b = _to_tokens(bb)
+    tok_a = a.reshape((bsz, hh * ww, ca))
+    tok_b = b.reshape((bsz, hh * ww, cb))
     q = tok_a @ p.wq_a
     k = tok_b @ p.wk_b
     v = tok_b @ p.wv_b
     weights = T.softmax((q @ k.permute((0, 2, 1))) * (1.0 / np.sqrt(p.inner_dim)), axis=-1)
-    fused_tok = tok_b + weights @ v
-    out = _from_tokens(fused_tok, hh, ww)
-    if not a_batched:
-        out = out.reshape((cb, hh, ww))
+    out = b + (weights @ v).reshape((bsz, hh, ww, cb))
     if return_weights:
         return out, weights
     return out
@@ -329,15 +291,11 @@ def projector_forward(f_in: Tensor, p: ProjectorParams) -> Tensor:
     Applied per spatial location; output channel count equals input
     channel count, so zero up-projection weights make this the identity.
     """
-    xb, batched = _batched(f_in)
-    b, c, hh, ww = xb.shape
+    c = _map_shape(f_in, "projector")[3]
     if c != p.w_down.shape[0]:
         raise ShapeError(f"projector: {c} channels vs params for {p.w_down.shape[0]}")
-    tok = _to_tokens(xb).reshape((b * hh * ww, c))
-    tok = T.gelu(tok @ p.w_down + p.b_down) @ p.w_up + p.b_up
-    y = _from_tokens(tok.reshape((b, hh * ww, c)), hh, ww)
-    out = xb + y
-    return out if batched else out.reshape((c, hh, ww))
+    y = T.gelu(f_in @ p.w_down + p.b_down) @ p.w_up + p.b_up
+    return f_in + y
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig, config_from_dict, config_to_dict
 from .optim import ParamStore
-from .phantom import Container, pack_text
+from .phantom import Container, SampleFormatError, pack_text
 
 CKPT_MAGIC = b"SPCK"
 CKPT_VERSION = 1
@@ -55,14 +55,19 @@ def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed header or payload raises
+    SampleFormatError."""
     with CKPT_FILE.read(path) as cur:
         header = json.loads(cur.text("header"))
         cfg = config_from_dict(header["config"])
+        np.random.PCG64().state = header["rng_state"]   # raises unless a PCG64 state
         tensors: Dict[str, Dict[str, np.ndarray]] = {"params": {}, "m": {}, "v": {}}
         for entry in header["params"]:
             for target in tensors.values():
                 target[entry["name"]] = cur.array(
                     tuple(entry["shape"]), "<f8", f"tensor data for {entry['name']!r}")
+        if set(header["opt_steps"]) != set(tensors["params"]):
+            raise SampleFormatError("optimizer step counts do not match the parameter list")
         ckpt = Checkpoint(
             config=cfg,
             step=int(header["step"]),
@@ -74,14 +79,18 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:
-    """Overwrite a freshly built store with checkpointed state."""
+    """Overwrite a freshly built store with checkpointed state.
+
+    A checkpoint whose parameter names or shapes differ from the store's
+    raises SampleFormatError.
+    """
     if set(store.names()) != set(ckpt.params):
         missing = set(store.names()) ^ set(ckpt.params)
-        raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)[:5]}...")
+        raise SampleFormatError(f"checkpoint/model parameter mismatch: {sorted(missing)[:5]}...")
     for n in store.names():
         if store[n].shape != ckpt.params[n].shape:
-            raise ValueError(f"shape mismatch for {n!r}: "
-                             f"{store[n].shape} vs {ckpt.params[n].shape}")
+            raise SampleFormatError(f"shape mismatch for {n!r}: "
+                                    f"{store[n].shape} vs {ckpt.params[n].shape}")
         store[n].data = ckpt.params[n]
         store.m[n] = ckpt.m[n]
         store.v[n] = ckpt.v[n]

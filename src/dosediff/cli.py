@@ -47,21 +47,19 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ckpt_cfg = None
-    if args.resume:
-        ckpt_cfg = load_checkpoint(args.resume).config
+    ckpt = load_checkpoint(args.resume) if args.resume else None
     if args.config:
         cfg = _load_cfg(args)
-        if ckpt_cfg is not None and dumps_config(cfg) != dumps_config(ckpt_cfg):
+        if ckpt is not None and dumps_config(cfg) != dumps_config(ckpt.config):
             raise ConfigError("config file does not match the checkpoint's config")
-    elif ckpt_cfg is not None:
-        cfg = ckpt_cfg
+    elif ckpt is not None:
+        cfg = ckpt.config
     else:
         raise ConfigError("train needs --config or --resume")
     if args.steps is not None:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, steps=args.steps))
     out = Path(args.out or cfg.out_dir)
-    trainer = TR.Trainer(cfg, args.data, out, resume=args.resume)
+    trainer = TR.Trainer(cfg, args.data, out, resume=ckpt)
     result = trainer.run()
     first = result.losses[0] if result.losses else float("nan")
     last = result.losses[-1] if result.losses else float("nan")

@@ -16,6 +16,12 @@ cross-attention (queries from structure, keys/values from the noise
 branch), optionally followed by a bottleneck projector. The
 "concatenate" strategy instead stacks the anatomy channels onto the
 noisy dose at the input and drops the structure encoder entirely.
+
+Feature maps inside both branches are channels-last [B, H, W, C]. The
+model's inputs and outputs keep the NCHW layout of the data: x_t and
+eps_hat are [B, 1, H, W] and the condition is [B, 2+O, H, W]. The
+condition is transposed once, outside the graph, and x_t and the head
+output are single-channel, so each crosses the boundary by a reshape.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ import numpy as np
 from . import blocks as B
 from . import tensor as T
 from .blocks import (CrossAttentionParams, ProjectorParams, SwinBlockParams,
-                     channel_layer_norm, cross_attention_fuse, projector_forward,
-                     swin_block, time_embedding, trunc_normal)
+                     cross_attention_fuse, projector_forward, swin_block,
+                     time_embedding, trunc_normal)
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor
 
@@ -147,7 +153,7 @@ class ConditionStack:
     """Raw condition tensor plus the per-stage structural feature maps."""
 
     y: np.ndarray                       # [B, 2+O, H, W]
-    features: Optional[List[Tensor]]    # f_1..f_S, or None (concatenate mode)
+    features: Optional[List[Tensor]]    # f_1..f_S as [B, H, W, C], or None (concatenate mode)
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +232,25 @@ def _init_up(store, prefix, c_in, c_out, rng) -> UpParams:
     )
 
 
-def _bias4(b: Tensor) -> Tensor:
-    return b.reshape((1, b.shape[0], 1, 1))
-
-
 def _conv(x: Tensor, p: ConvParams, stride=1, padding=1) -> Tensor:
-    return T.conv2d(x, p.w, stride, padding) + _bias4(p.b)
+    return T.conv2d(x, p.w, stride, padding) + p.b
 
 
 def _conv_block(x: Tensor, p: ConvBlockParams, t_feat: Optional[Tensor]) -> Tensor:
-    y = channel_layer_norm(x, p.ln_g, p.ln_b)
-    y = T.relu(y)
-    y = T.conv2d(y, p.w, 1, 1) + _bias4(p.b)
+    y = T.relu(T.layer_norm(x, p.ln_g, p.ln_b))
+    y = T.conv2d(y, p.w, 1, 1) + p.b
     if t_feat is not None and p.t_w is not None:
-        bias = t_feat @ p.t_w + p.t_b
-        y = y + bias.reshape((bias.shape[0], bias.shape[1], 1, 1))
+        y = y + (t_feat @ p.t_w + p.t_b)
     return x + y
 
 
 def _downsample(x: Tensor, p: DownParams) -> Tensor:
     # stride-2 conv with a 1x1 stride-2 residual shortcut
-    return T.conv2d(x, p.w_main, 2, 1) + _bias4(p.b_main) + T.conv2d(x, p.w_skip, 2, 0)
+    return T.conv2d(x, p.w_main, 2, 1) + p.b_main + T.conv2d(x, p.w_skip, 2, 0)
 
 
 def _upsample(x: Tensor, p: UpParams) -> Tensor:
-    return T.conv2d(T.upsample2(x), p.w, 1, 1) + _bias4(p.b)
+    return T.conv2d(T.upsample2(x), p.w, 1, 1) + p.b
 
 
 @dataclass
@@ -380,8 +380,9 @@ class DoseModel:
     # -- forward -----------------------------------------------------------
 
     def _time_features(self, t) -> Tensor:
+        """[B, 1, 1, T] time features; they broadcast over a map's H and W."""
         emb = time_embedding(np.atleast_1d(t), self.cfg.time_dim_effective)
-        h = T.gelu(Tensor(emb) @ self.time_w1 + self.time_b1)
+        h = T.gelu(Tensor(emb[:, None, None, :]) @ self.time_w1 + self.time_b1)
         return h @ self.time_w2 + self.time_b2
 
     def _run_blocks(self, h: Tensor, blocks, t_feat: Optional[Tensor]) -> Tensor:
@@ -403,7 +404,7 @@ class DoseModel:
                              f"(CT, PTV, {cfg.oar_count} OARs), got {y.shape[1]}")
         if self.stage_kinds is None:
             return ConditionStack(y=y, features=None)
-        h = _conv(Tensor(y), self.senc_stem, 1, 1)
+        h = _conv(Tensor(y.transpose(0, 2, 3, 1)), self.senc_stem, 1, 1)
         features = []
         for stage in self.senc_stages:
             h = self._run_blocks(h, stage.blocks, None)
@@ -418,10 +419,12 @@ class DoseModel:
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"x_t must be [B, 1, H, W], got {x.shape}")
+        b, _, hh, ww = x.shape
+        x = x.reshape((b, hh, ww, 1))
         t_feat = self._time_features(t)
 
         if self.stage_kinds is None:
-            x = T.concat([x, Tensor(cond.y)], axis=1)
+            x = T.concat([x, Tensor(cond.y.transpose(0, 2, 3, 1))], axis=-1)
         h = _conv(x, self.dn_stem, 1, 1)
         skips = [h]
         for i, stage in enumerate(self.dn_stages):
@@ -443,11 +446,11 @@ class DoseModel:
 
         for dec in self.dec_stages:
             h = _upsample(h, dec.up)
-            h = T.concat([h, skips.pop()], axis=1)
+            h = T.concat([h, skips.pop()], axis=-1)
             h = _conv(h, dec.merge, 1, 0)
             h = self._run_blocks(h, dec.blocks, t_feat)
 
-        return _conv(h, self.head, 1, 1)
+        return _conv(h, self.head, 1, 1).reshape((b, 1, hh, ww))
 
     def __call__(self, x_t, t, cond) -> Tensor:
         return self.predict_noise(x_t, t, cond)
@@ -468,8 +471,3 @@ class DoseModel:
                         if n.startswith("dn.dec.") or n.startswith("dn.head")],
         }
         return {k: v for k, v in groups.items() if v}
-
-
-def build_model(cfg: ModelConfig, seed) -> DoseModel:
-    """Construct both branches; identical seeds give identical parameters."""
-    return DoseModel(cfg, seed)

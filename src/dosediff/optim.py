@@ -51,9 +51,6 @@ class ParamStore:
     def total_size(self) -> int:
         return sum(t.size for t in self._params.values())
 
-    def group_names(self, prefix: str):
-        return [n for n in self._params if n.startswith(prefix)]
-
 
 def adam_step(store: ParamStore, grads: Dict[str, np.ndarray], lr: float,
               betas: Tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> ParamStore:

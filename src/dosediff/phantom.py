@@ -324,7 +324,8 @@ class Container:
             yield cur
         except SampleFormatError:
             raise
-        except (ValueError, KeyError, TypeError, AttributeError, struct.error) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                struct.error) as e:
             raise SampleFormatError(f"malformed {self.what} {path}: "
                                     f"{type(e).__name__}: {e}") from None
         if cur.off != len(cur.view):

@@ -7,7 +7,9 @@ gradients into the participating leaves.
 
 The op catalog is exposed two ways: plain functions (``conv2d``,
 ``softmax``, ...) plus the table-driven :func:`forward_op` dispatcher
-keyed by op name.
+keyed by op name. The spatial ops (``conv2d``, ``upsample2``) take
+channels-last [B, H, W, C] maps; ``layer_norm`` and ``matmul`` with a
+2-D right operand act on the last axis, so they apply per location.
 """
 
 from __future__ import annotations
@@ -217,6 +219,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
+        if bd.ndim == 2:
+            # one matrix applied to a stack of rows: its gradient is one GEMM
+            # over all rows, not a GEMM per stacked matrix summed afterwards
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return g @ bd.T, gb
         ga = g @ np.swapaxes(bd, -1, -2)
         gb = np.swapaxes(ad, -1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
@@ -235,47 +242,52 @@ def _conv_out_side(n: int, k: int, stride: int, padding: int) -> int:
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation (no kernel flip), zero padding.
 
-    x: [B, Cin, H, W], w: [Cout, Cin, kh, kw] -> [B, Cout, Ho, Wo].
+    x: [B, H, W, Cin], w: [Cout, Cin, kh, kw] -> [B, Ho, Wo, Cout].
+    Forward and backward are one loop over the kh*kw kernel taps with one
+    GEMM per tap.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D x and w, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d: channel mismatch, x has {x.shape[1]}, w expects {w.shape[1]}")
-    B, Cin, H, W = x.shape
+    if x.shape[3] != w.shape[1]:
+        raise ShapeError(f"conv2d: channel mismatch, x has {x.shape[3]}, w expects {w.shape[1]}")
+    B, H, W, Cin = x.shape
     Cout, _, kh, kw = w.shape
     s, p = int(stride), int(padding)
     Ho, Wo = _conv_out_side(H, kh, s, p), _conv_out_side(W, kw, s, p)
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: output would be empty for x {x.shape}, kernel {w.shape}, "
                          f"stride {s}, padding {p}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    # [B, Cin, Ho, Wo, kh, kw] view of the padded input
-    cols = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    out = np.einsum("bchwkl,ockl->bohw", cols, w.data, optimize=True)
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
     wd = w.data
+    # tap (ki, kj) reads the [B, Ho, Wo, Cin] strided view of the padded input
+    taps = [(ki, kj, (slice(None), slice(ki, ki + s * Ho, s), slice(kj, kj + s * Wo, s)))
+            for ki in range(kh) for kj in range(kw)]
+    out = np.zeros((B * Ho * Wo, Cout))
+    for ki, kj, tap in taps:
+        out += xp[tap].reshape(-1, Cin) @ wd[:, :, ki, kj].T
 
     def bwd(g):
-        gw = np.einsum("bohw,bchwkl->ockl", g, cols, optimize=True)
+        g2 = g.reshape(-1, Cout)
+        gw = np.empty_like(wd)
         gxp = np.zeros_like(xp)
-        for ki in range(kh):
-            for kj in range(kw):
-                patch = np.einsum("bohw,oc->bchw", g, wd[:, :, ki, kj], optimize=True)
-                gxp[:, :, ki:ki + s * Ho:s, kj:kj + s * Wo:s] += patch
-        gx = gxp[:, :, p:p + H, p:p + W] if p else gxp
+        for ki, kj, tap in taps:
+            gw[:, :, ki, kj] = g2.T @ xp[tap].reshape(-1, Cin)
+            gxp[tap] += (g2 @ wd[:, :, ki, kj]).reshape(B, Ho, Wo, Cin)
+        gx = gxp[:, p:p + H, p:p + W] if p else gxp
         return gx, gw
 
-    return _make("conv2d", out, (x, w), bwd)
+    return _make("conv2d", out.reshape(B, Ho, Wo, Cout), (x, w), bwd)
 
 
 def upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbor x2 upsampling of a [B, C, H, W] map."""
+    """Nearest-neighbor x2 upsampling of a [B, H, W, C] map."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample2: need 4-D input, got {x.shape}")
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    B, C, H, W = x.shape
+    out = x.data.repeat(2, axis=1).repeat(2, axis=2)
+    B, H, W, C = x.shape
 
     def bwd(g):
-        return (g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)),)
+        return (g.reshape(B, H, 2, W, 2, C).sum(axis=(2, 4)),)
 
     return _make("upsample-nearest2", out, (x,), bwd)
 
@@ -404,10 +416,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(f"layer-norm: gamma/beta must be ({n},), got {gamma.shape}, {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # means over the last axis as matrix-vector products: numpy reduces a
+    # short contiguous axis several times slower than it runs a GEMV
+    avg = np.full(n, 1.0 / n)
+    xc = x.data - (x.data @ avg)[..., None]
+    inv = 1.0 / np.sqrt(((xc * xc) @ avg)[..., None] + eps)
+    xhat = xc * inv
     out = xhat * gamma.data + beta.data
     gam = gamma.data
 
@@ -416,8 +430,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         g_gamma = (g * xhat).sum(axis=lead)
         g_beta = g.sum(axis=lead)
         gx_hat = g * gam
-        gx = inv * (gx_hat - gx_hat.mean(axis=-1, keepdims=True)
-                    - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True))
+        gx = inv * (gx_hat - (gx_hat @ avg)[..., None]
+                    - xhat * ((gx_hat * xhat) @ avg)[..., None])
         return gx, g_gamma, g_beta
 
     return _make("layer-norm", out, (x, gamma, beta), bwd)

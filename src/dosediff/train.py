@@ -17,7 +17,7 @@ import numpy as np
 from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import Checkpoint, restore_into, save_checkpoint
 from .config import RunConfig
 from .networks import DoseModel, FusionStrategy
 from .optim import adam_step
@@ -123,7 +123,8 @@ class Trainer:
     """
 
     def __init__(self, cfg: RunConfig, data_dir, out_dir,
-                 resume: Optional[Path] = None, train_ids: Optional[Sequence[str]] = None):
+                 resume: Optional[Checkpoint] = None,
+                 train_ids: Optional[Sequence[str]] = None):
         self.cfg = cfg
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,10 +141,9 @@ class Trainer:
         self.rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         self.start_step = 0
         if resume is not None:
-            ckpt = load_checkpoint(resume)
-            restore_into(self.model.store, ckpt)
-            self.rng.bit_generator.state = ckpt.rng_state
-            self.start_step = ckpt.step
+            restore_into(self.model.store, resume)
+            self.rng.bit_generator.state = resume.rng_state
+            self.start_step = resume.step
 
     def _batch(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self.dose.shape[0]

@@ -25,9 +25,9 @@ def op_point(kind: str, rng: np.random.Generator):
     if kind == "matmul":
         return [n((4, 4)), n((4, 4))], {}
     if kind == "conv2d":
-        return [n((1, 3, 6, 6)), n((2, 3, 3, 3))], {"stride": 1, "padding": 1}
+        return [n((1, 6, 6, 3)), n((2, 3, 3, 3))], {"stride": 1, "padding": 1}
     if kind == "upsample-nearest2":
-        return [n((1, 2, 3, 3))], {}
+        return [n((1, 3, 3, 2))], {}
     if kind == "reshape":
         return [n((3, 4))], {"shape": (2, 6)}
     if kind == "permute":

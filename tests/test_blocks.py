@@ -15,20 +15,20 @@ def rng_tensor(shape, seed=0):
 
 class TestWindowPartition:
     def test_counts(self):
-        x = rng_tensor((3, 8, 8))
-        assert B.window_partition(x, 4).shape == (4, 3, 4, 4)
+        x = rng_tensor((1, 8, 8, 3))
+        assert B.window_partition(x, 4).shape == (4, 4, 4, 3)
 
     def test_full_window_is_identity(self):
-        x = rng_tensor((2, 6, 6))
+        x = rng_tensor((1, 6, 6, 2))
         w = B.window_partition(x, 6)
-        assert w.shape == (1, 2, 6, 6)
-        assert np.array_equal(w.data[0], x.data)
+        assert w.shape == (1, 6, 6, 2)
+        assert np.array_equal(w.data[0], x.data[0])
 
-    @given(st.sampled_from([(1, 2, 4, 4), (2, 3, 8, 8), (1, 5, 6, 6)]),
+    @given(st.sampled_from([(1, 4, 4, 2), (2, 8, 8, 3), (1, 6, 6, 5)]),
            st.sampled_from([2, 4]), st.integers(0, 2 ** 31))
     @settings(max_examples=30, deadline=None)
     def test_merge_partition_roundtrip_bitwise(self, shape, win, seed):
-        b, c, h, w = shape
+        b, h, w, c = shape
         if h % win:
             win = h
         x = Tensor(np.random.default_rng(seed).standard_normal(shape))
@@ -37,23 +37,23 @@ class TestWindowPartition:
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
-            B.window_partition(rng_tensor((1, 6, 6)), 4)
+            B.window_partition(rng_tensor((1, 6, 6, 1)), 4)
 
 
 class TestCyclicShift:
     def test_zero_shift_identity(self):
-        x = rng_tensor((2, 4, 4))
+        x = rng_tensor((1, 4, 4, 2))
         assert np.array_equal(B.cyclic_shift(x, 0, 0).data, x.data)
 
     def test_double_half_shift_is_identity_on_4x4(self):
-        x = rng_tensor((1, 4, 4))
+        x = rng_tensor((1, 4, 4, 1))
         y = B.cyclic_shift(B.cyclic_shift(x, 2, 2), 2, 2)
         assert np.array_equal(y.data, x.data)
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 2 ** 31))
     @settings(max_examples=30, deadline=None)
     def test_roll_then_inverse_is_exact(self, dy, dx, seed):
-        x = Tensor(np.random.default_rng(seed).standard_normal((2, 5, 7)))
+        x = Tensor(np.random.default_rng(seed).standard_normal((1, 5, 7, 2)))
         y = B.cyclic_shift(B.cyclic_shift(x, dy, dx), -dy, -dx)
         assert np.array_equal(y.data, x.data)
 
@@ -67,13 +67,13 @@ def make_attention(c=4, heads=2, seed=0):
 class TestWindowAttention:
     def test_uniform_rows_for_equal_tokens(self):
         store, p = make_attention()
-        windows = Tensor(np.ones((2, 4, 2, 2)))  # all pixels identical
+        windows = Tensor(np.ones((2, 2, 2, 4)))  # all pixels identical
         _, attn = B.window_attention(windows, p, return_weights=True)
         assert np.allclose(attn.data, 0.25, atol=1e-12)
 
     def test_single_pixel_window(self):
         store, p = make_attention()
-        win = rng_tensor((3, 4, 1, 1), seed=5)
+        win = rng_tensor((3, 1, 1, 4), seed=5)
         out, attn = B.window_attention(win, p, return_weights=True)
         assert np.allclose(attn.data, 1.0, atol=0)
         # output must be W_o applied to the value projection
@@ -83,14 +83,14 @@ class TestWindowAttention:
 
     def test_rows_sum_to_one(self):
         store, p = make_attention()
-        _, attn = B.window_attention(rng_tensor((4, 4, 2, 2), seed=3), p,
+        _, attn = B.window_attention(rng_tensor((4, 2, 2, 4), seed=3), p,
                                      return_weights=True)
         assert np.abs(attn.data.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_channel_mismatch(self):
         store, p = make_attention(c=4)
         with pytest.raises(ShapeError):
-            B.window_attention(rng_tensor((1, 6, 2, 2)), p)
+            B.window_attention(rng_tensor((1, 2, 2, 6)), p)
 
 
 def make_swin(c=4, window=2, shift=False, heads=2, seed=1, t_dim=0):
@@ -113,7 +113,7 @@ class TestSwinBlock:
 
     def test_output_shape_equals_input_shape(self):
         store, p = make_swin()
-        x = rng_tensor((3, 4, 8, 8), seed=2)
+        x = rng_tensor((3, 8, 8, 4), seed=2)
         assert B.swin_block(x, p).shape == x.shape
 
     def test_shifted_and_unshifted_compose(self):
@@ -126,7 +126,7 @@ class TestSwinBlock:
     def test_time_bias_enters_once(self):
         store, p = make_swin(t_dim=6)
         x = rng_tensor((2, 4, 4, 4), seed=4)
-        t_emb = Tensor(np.random.default_rng(5).standard_normal((2, 6)))
+        t_emb = Tensor(np.random.default_rng(5).standard_normal((2, 1, 1, 6)))
         y0 = B.swin_block(x, p)
         y1 = B.swin_block(x, p, t_emb)
         assert not np.array_equal(y0.data, y1.data)
@@ -135,7 +135,7 @@ class TestSwinBlock:
         store, p = make_swin(t_dim=6)
         x = rng_tensor((1, 4, 4, 4))
         with pytest.raises(ShapeError):
-            B.swin_block(x, p, Tensor(np.zeros((1, 5))))
+            B.swin_block(x, p, Tensor(np.zeros((1, 1, 1, 5))))
 
     def test_gradients_match_finite_differences(self):
         store, p = make_swin(seed=11)
@@ -162,8 +162,8 @@ def make_cross(ca=4, cb=4, seed=0):
 class TestCrossAttention:
     def test_single_token_b(self):
         store, p = make_cross()
-        a = rng_tensor((1, 4, 1, 1), seed=1)
-        bm = rng_tensor((1, 4, 1, 1), seed=2)
+        a = rng_tensor((1, 1, 1, 4), seed=1)
+        bm = rng_tensor((1, 1, 1, 4), seed=2)
         fused, w = B.cross_attention_fuse(a, bm, p, return_weights=True)
         assert np.allclose(w.data, 1.0, atol=0)
         tok_b = bm.data.reshape(1, 4)
@@ -194,15 +194,15 @@ class TestCrossAttention:
         store, p = make_cross(seed=8)
         rng = np.random.default_rng(seed)
         n = 4  # 2x2 spatial layout, tokens along H*W
-        a = rng.standard_normal((1, 4, 2, 2))
-        bm = rng.standard_normal((1, 4, 2, 2))
+        a = rng.standard_normal((1, 2, 2, 4))
+        bm = rng.standard_normal((1, 2, 2, 4))
         perm = rng.permutation(n)
 
         def tokens(x):
-            return x.reshape(1, 4, n).transpose(0, 2, 1)
+            return x.reshape(1, n, 4)
 
         def from_tokens(tok):
-            return tok.transpose(0, 2, 1).reshape(1, 4, 2, 2)
+            return tok.reshape(1, 2, 2, 4)
 
         base = B.cross_attention_fuse(Tensor(a), Tensor(bm), p)
         pa = from_tokens(tokens(a)[:, perm])
@@ -215,27 +215,27 @@ class TestCrossAttention:
         # when every A token is identical, attention rows cannot depend on
         # the ordering of B's tokens
         store, p = make_cross(seed=9)
-        a = Tensor(np.ones((1, 4, 2, 2)))
+        a = Tensor(np.ones((1, 2, 2, 4)))
         rng = np.random.default_rng(10)
-        bm = rng.standard_normal((1, 4, 2, 2))
+        bm = rng.standard_normal((1, 2, 2, 4))
         out1 = B.cross_attention_fuse(a, Tensor(bm), p).data - bm
         perm = [2, 0, 3, 1]
-        bp = bm.reshape(1, 4, 4)[:, :, perm].reshape(1, 4, 2, 2)
+        bp = bm.reshape(1, 4, 4)[:, perm].reshape(1, 2, 2, 4)
         out2 = B.cross_attention_fuse(a, Tensor(bp), p).data - bp
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_spatial_mismatch_rejected(self):
         store, p = make_cross()
         with pytest.raises(ShapeError):
-            B.cross_attention_fuse(rng_tensor((1, 4, 2, 2)), rng_tensor((1, 4, 4, 4)), p)
+            B.cross_attention_fuse(rng_tensor((1, 2, 2, 4)), rng_tensor((1, 4, 4, 4)), p)
 
     def test_gradients_match_finite_differences(self):
         store, p = make_cross(seed=13)
-        a = Tensor(np.random.default_rng(14).standard_normal((1, 4, 2, 2)),
+        a = Tensor(np.random.default_rng(14).standard_normal((1, 2, 2, 4)),
                    requires_grad=True)
-        bm = Tensor(np.random.default_rng(15).standard_normal((1, 4, 2, 2)),
+        bm = Tensor(np.random.default_rng(15).standard_normal((1, 2, 2, 4)),
                     requires_grad=True)
-        proj = np.random.default_rng(16).standard_normal((1, 4, 2, 2))
+        proj = np.random.default_rng(16).standard_normal((1, 2, 2, 4))
 
         def loss():
             return (B.cross_attention_fuse(a, bm, p) * Tensor(proj)).sum()
@@ -252,14 +252,14 @@ class TestProjector:
         store = ParamStore()
         p = B.init_projector(store, "p", 8, 4, np.random.default_rng(0))
         store["p.w_down"].data[:] = 0.0  # up-projection already zero at init
-        x = rng_tensor((2, 8, 3, 3), seed=1)
+        x = rng_tensor((2, 3, 3, 8), seed=1)
         assert np.array_equal(B.projector_forward(x, p).data, x.data)
 
     def test_shape_preserved_and_hidden_dim(self):
         store = ParamStore()
         p = B.init_projector(store, "p", 32, 4, np.random.default_rng(0))
         assert store["p.w_down"].shape == (32, 8)
-        x = rng_tensor((1, 32, 2, 2), seed=2)
+        x = rng_tensor((1, 2, 2, 32), seed=2)
         assert B.projector_forward(x, p).shape == x.shape
 
     def test_non_divisible_ratio_rejected(self):

@@ -8,7 +8,8 @@ from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
 from dosediff.networks import DoseModel
 
-from test_config_checkpoint import drop_config, rewrite_checkpoint_header
+from test_config_checkpoint import (bad_rng_state, drop_config, drop_opt_step,
+                                    rename_param, rewrite_checkpoint_header)
 
 
 CFG = {
@@ -274,8 +275,10 @@ class TestExitCodes:
         assert run(["train", "--resume", poisoned, "--data", data,
                     "--out", tmp / "boom"]) == 4
 
-    @pytest.mark.parametrize("edit", [lambda h: b"{not json", drop_config],
-                             ids=["invalid-json", "no-config"])
+    @pytest.mark.parametrize("edit", [lambda h: b"{not json", drop_config, bad_rng_state,
+                                      drop_opt_step, rename_param],
+                             ids=["invalid-json", "no-config", "bad-rng-state",
+                                  "missing-opt-step", "renamed-param"])
     def test_malformed_checkpoint_is_3(self, trained, edit, capsys):
         tmp, cfg, data, ckpt = trained
         bad = rewrite_checkpoint_header(ckpt, tmp / "bad.bin", edit)

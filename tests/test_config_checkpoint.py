@@ -47,6 +47,42 @@ def drop_config(header: bytes) -> bytes:
     return json.dumps(d).encode("utf-8")
 
 
+def bad_rng_state(header: bytes) -> bytes:
+    d = json.loads(header)
+    d["rng_state"] = {"bit_generator": "PCG64", "state": 5}
+    return json.dumps(d).encode("utf-8")
+
+
+def rng_state_out_of_range(header: bytes) -> bytes:
+    d = json.loads(header)
+    d["rng_state"]["state"]["state"] = -1
+    return json.dumps(d).encode("utf-8")
+
+
+def drop_opt_step(header: bytes) -> bytes:
+    d = json.loads(header)
+    del d["opt_steps"]["dn.head.b"]
+    return json.dumps(d).encode("utf-8")
+
+
+def rename_param(header: bytes) -> bytes:
+    """Rename one parameter consistently, so the file is well formed but no
+    longer matches the model its config builds."""
+    return header.replace(b'"dn.head.b"', b'"dn.head.bias"')
+
+
+MALFORMED_HEADERS = {
+    "invalid-json": lambda h: b"{not json",
+    "not-an-object": lambda h: b"[]",
+    "no-config": drop_config,
+    "bad-step": lambda h: h.replace(b'"step":1', b'"step":"x"'),
+    "bad-rng-state": bad_rng_state,
+    "rng-state-out-of-range": rng_state_out_of_range,
+    "missing-opt-step": drop_opt_step,
+    "renamed-param": rename_param,
+}
+
+
 class TestConfig:
     def test_roundtrip_is_identity(self, tmp_path):
         cfg = tiny_run_config()
@@ -158,16 +194,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             restore_into(other.store, load_checkpoint(p))
 
-    @pytest.mark.parametrize("edit", [lambda h: b"{not json", lambda h: b"[]", drop_config,
-                                      lambda h: h.replace(b'"step":1', b'"step":"x"')],
-                             ids=["invalid-json", "not-an-object", "no-config", "bad-step"])
+    @pytest.mark.parametrize("edit", list(MALFORMED_HEADERS.values()),
+                             ids=list(MALFORMED_HEADERS))
     def test_malformed_header(self, tmp_path, edit):
         cfg, model, rng = self.build()
         p = tmp_path / "c.bin"
         save_checkpoint(p, cfg, model.store, 1, rng)
         bad = rewrite_checkpoint_header(p, tmp_path / "bad.bin", edit)
         with pytest.raises(SampleFormatError):
-            load_checkpoint(bad)
+            ckpt = load_checkpoint(bad)
+            restore_into(DoseModel(ckpt.config.model, ckpt.config.seed).store, ckpt)
 
     def test_trailing_bytes(self, tmp_path):
         cfg, model, rng = self.build()

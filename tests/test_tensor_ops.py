@@ -43,19 +43,32 @@ class TestForwardExamples:
         assert forward_op("mse-loss", [t([1.0, 2]), t([1.0, 4])]).item() == 2.0
 
     def test_upsample_nearest(self):
-        x = t(np.arange(4.0).reshape(1, 1, 2, 2))
+        x = t(np.arange(4.0).reshape(1, 2, 2, 1))
         u = T.upsample2(x)
-        assert u.shape == (1, 1, 4, 4)
+        assert u.shape == (1, 4, 4, 1)
         # each source pixel becomes a constant 2x2 block
-        assert np.array_equal(u.data[0, 0, :2, :2], np.zeros((2, 2)))
-        assert np.array_equal(u.data[0, 0, 2:, 2:], np.full((2, 2), 3.0))
+        assert np.array_equal(u.data[0, :2, :2, 0], np.zeros((2, 2)))
+        assert np.array_equal(u.data[0, 2:, 2:, 0], np.full((2, 2), 3.0))
 
     def test_conv2d_known(self):
         # 1x1 kernel of value 2 is elementwise doubling
-        x = t(np.arange(9.0).reshape(1, 1, 3, 3))
+        x = t(np.arange(9.0).reshape(1, 3, 3, 1))
         w = t(np.full((1, 1, 1, 1), 2.0))
         out = T.conv2d(x, w, 1, 0)
         assert np.array_equal(out.data, 2.0 * x.data)
+
+    def test_conv2d_matches_direct_sum(self):
+        # per-output-pixel sum over the zero-padded window, strided and padded
+        rng = np.random.default_rng(3)
+        x, w = rng.standard_normal((2, 5, 6, 3)), rng.standard_normal((4, 3, 3, 2))
+        out = T.conv2d(t(x), t(w), 2, 1).data
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        ref = np.zeros((2, 3, 4, 4))
+        for i in range(3):
+            for j in range(4):
+                patch = xp[:, 2 * i:2 * i + 3, 2 * j:2 * j + 2]      # [B, kh, kw, Cin]
+                ref[:, i, j] = (patch[:, None] * w.transpose(0, 2, 3, 1)).sum(axis=(2, 3, 4))
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
 # table: (kind, input shapes, attrs, expected output shape)
@@ -67,10 +80,10 @@ SHAPE_TABLE = [
     ("scalar-mul", [(7,)], {"value": 3.0}, (7,)),
     ("matmul", [(3, 4), (4, 5)], {}, (3, 5)),
     ("matmul", [(2, 6, 3, 4), (2, 6, 4, 5)], {}, (2, 6, 3, 5)),
-    ("conv2d", [(2, 3, 8, 8), (5, 3, 3, 3)], {"stride": 1, "padding": 1}, (2, 5, 8, 8)),
-    ("conv2d", [(1, 2, 8, 8), (4, 2, 3, 3)], {"stride": 2, "padding": 1}, (1, 4, 4, 4)),
-    ("conv2d", [(1, 2, 1, 1), (4, 2, 3, 3)], {"stride": 2, "padding": 1}, (1, 4, 1, 1)),
-    ("upsample-nearest2", [(1, 3, 4, 4)], {}, (1, 3, 8, 8)),
+    ("conv2d", [(2, 8, 8, 3), (5, 3, 3, 3)], {"stride": 1, "padding": 1}, (2, 8, 8, 5)),
+    ("conv2d", [(1, 8, 8, 2), (4, 2, 3, 3)], {"stride": 2, "padding": 1}, (1, 4, 4, 4)),
+    ("conv2d", [(1, 1, 1, 2), (4, 2, 3, 3)], {"stride": 2, "padding": 1}, (1, 1, 1, 4)),
+    ("upsample-nearest2", [(1, 4, 4, 3)], {}, (1, 8, 8, 3)),
     ("reshape", [(3, 4)], {"shape": (2, 6)}, (2, 6)),
     ("permute", [(2, 3, 4)], {"axes": (2, 0, 1)}, (4, 2, 3)),
     ("concat", [(2, 3), (2, 5)], {"axis": 1}, (2, 8)),
@@ -106,7 +119,7 @@ class TestErrors:
         with pytest.raises(ShapeError, match="add"):
             T.add(t(np.ones((2, 3))), t(np.ones((4, 5))))
         with pytest.raises(ShapeError, match="conv2d"):
-            T.conv2d(t(np.ones((1, 3, 4, 4))), t(np.ones((2, 5, 3, 3))))
+            T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 5, 3, 3))))
         with pytest.raises(ShapeError):
             T.mse_loss(t(np.ones(3)), t(np.ones(4)))
 

@@ -104,7 +104,7 @@ class TestTrainer:
         part = Trainer(cfg, data_dir, tmp_path / "part")
         part.run(steps=4)
         resumed = Trainer(cfg, data_dir, tmp_path / "resumed",
-                          resume=tmp_path / "part" / "ckpt_final.bin")
+                          resume=load_checkpoint(tmp_path / "part" / "ckpt_final.bin"))
         resumed.run()
         got = (tmp_path / "resumed" / "ckpt_final.bin").read_bytes()
         assert got == ref
@@ -115,7 +115,7 @@ class TestTrainer:
         full.run()
         mid = tmp_path / "full" / "ckpt_step000004.bin"
         assert mid.exists()
-        resumed = Trainer(cfg, data_dir, tmp_path / "resumed", resume=mid)
+        resumed = Trainer(cfg, data_dir, tmp_path / "resumed", resume=load_checkpoint(mid))
         resumed.run()
         assert (tmp_path / "resumed" / "ckpt_final.bin").read_bytes() == \
             (tmp_path / "full" / "ckpt_final.bin").read_bytes()
