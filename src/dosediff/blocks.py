@@ -4,8 +4,12 @@ time embeddings.
 
 Feature maps are channels-last [B, H, W, C] Tensors, the token layout
 of the Swin Transformer, so layer norm, the MLPs and the projections all
-act on the last axis directly. Parameters live in a ParamStore and are
-grouped into small dataclasses per block.
+act on the last axis directly. A Swin block's attention branch (shift,
+window tiling, multi-head attention, merge, unshift) is the single engine
+op ``tensor.window_attention``; ``window_partition``, ``cyclic_shift`` and
+``window_merge`` spell the same steps out as composable ops and serve as
+its reference. Parameters live in a ParamStore and are grouped into small
+dataclasses per block.
 """
 
 from __future__ import annotations
@@ -202,49 +206,29 @@ def window_attention(windows: Tensor, p: AttentionParams, return_weights: bool =
 
     Per window and head: A = softmax(Q K^T / sqrt(d_k)), outputs are the
     attention-weighted sums of values; heads are concatenated and passed
-    through the output projection.
+    through the output projection. The windows are run through the
+    engine's ``window-attention`` op as a map of one unshifted window each.
     """
-    nwin, win, _, c = _map_shape(windows, "window_attention")
-    if c != p.wq.shape[0]:
-        raise ShapeError(f"window_attention: {c} channels vs weights for {p.wq.shape[0]}")
-    n = win * win
-    h, dk = p.heads, p.head_dim
-
-    def heads_of(w: Tensor, axes) -> Tensor:
-        return (windows @ w).reshape((nwin, n, h, dk)).permute(axes)
-
-    q = heads_of(p.wq, (0, 2, 1, 3))               # [nW, h, n, dk]
-    k_t = heads_of(p.wk, (0, 2, 3, 1))             # [nW, h, dk, n]
-    v = heads_of(p.wv, (0, 2, 1, 3))
-    attn = T.softmax((q @ k_t) * (1.0 / np.sqrt(dk)), axis=-1)   # [nW, h, n, n]
-    ctx = (attn @ v).permute((0, 2, 1, 3)).reshape((nwin, win, win, h * dk))
-    out = ctx @ p.wo
-    if return_weights:
-        return out, attn
-    return out
+    win = _map_shape(windows, "window_attention")[1]
+    return T.window_attention(windows, p.wq, p.wk, p.wv, p.wo, p.heads, win, 0,
+                              return_weights=return_weights)
 
 
 def swin_block(x: Tensor, p: SwinBlockParams, t_emb: Optional[Tensor] = None) -> Tensor:
     """Windowed-attention block with optional cyclic shift.
 
+    The attention branch is one ``window-attention`` node: with ``shift``
+    set, windows are offset by half a window (toroidally, no mask).
     Pre-normalization before each sub-layer; residual connections around
     the attention and MLP branches; the time embedding t_emb [B, 1, 1, T]
     enters as a per-channel bias after its per-block projection. With the
     residual branch outputs zeroed the block is the exact identity.
     """
-    _, hh, ww, _ = _map_shape(x, "swin_block")
-    win = p.window
-    if hh % win or ww % win:
-        raise ShapeError(f"swin_block: window {win} does not divide {hh}x{ww}")
+    _map_shape(x, "swin_block")
+    win, a = p.window, p.attn
     shift = win // 2 if (p.shift and win > 1) else 0
-
-    y = T.layer_norm(x, p.ln1_g, p.ln1_b)
-    if shift:
-        y = cyclic_shift(y, -shift, -shift)
-    y = window_merge(window_attention(window_partition(y, win), p.attn), hh, ww)
-    if shift:
-        y = cyclic_shift(y, shift, shift)
-    x = x + y
+    x = x + T.window_attention(T.layer_norm(x, p.ln1_g, p.ln1_b), a.wq, a.wk, a.wv, a.wo,
+                               a.heads, win, shift)
 
     if t_emb is not None:
         if p.t_w is None:

@@ -10,11 +10,14 @@ The op catalog is exposed two ways: plain functions (``conv2d``,
 keyed by op name. The spatial ops (``conv2d``, ``upsample2``) take
 channels-last [B, H, W, C] maps; ``layer_norm`` and ``matmul`` with a
 2-D right operand act on the last axis, so they apply per location.
+``window_attention`` is a fused op: the whole shifted-window multi-head
+attention of a Swin block in one node, with a hand-written backward.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,7 +28,7 @@ __all__ = [
     "forward_op", "backward", "no_grad",
     "add", "sub", "mul", "smul", "matmul", "conv2d", "upsample2",
     "concat", "slice_", "roll", "softmax", "relu", "gelu",
-    "layer_norm", "mse_loss", "OP_NAMES",
+    "layer_norm", "mse_loss", "window_attention", "OP_NAMES",
 ]
 
 
@@ -150,11 +153,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(kind: str, a: Tensor, b: Tensor) -> tuple:
+def _broadcast_op(kind: str, fn: np.ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """fn(a, b) with numpy broadcasting; a broadcast failure is a ShapeError."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} are not broadcastable")
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} "
+                         f"are not broadcastable") from None
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +167,7 @@ def _check_broadcast(kind: str, a: Tensor, b: Tensor) -> tuple:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    out = a.data + b.data
+    out = _broadcast_op("add", np.add, a, b)
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -172,8 +176,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    out = a.data - b.data
+    out = _broadcast_op("sub", np.subtract, a, b)
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -182,8 +185,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-    out = a.data * b.data
+    out = _broadcast_op("mul", np.multiply, a, b)
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -257,7 +259,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: output would be empty for x {x.shape}, kernel {w.shape}, "
                          f"stride {s}, padding {p}")
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
+    if p:
+        xp = np.zeros((B, H + 2 * p, W + 2 * p, Cin))
+        xp[:, p:p + H, p:p + W] = x.data
+    else:
+        xp = x.data
     wd = w.data
     # tap (ki, kj) reads the [B, Ho, Wo, Cin] strided view of the padded input
     taps = [(ki, kj, (slice(None), slice(ki, ki + s * Ho, s), slice(kj, kj + s * Wo, s)))
@@ -366,6 +372,100 @@ def roll(x: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
         return (np.roll(g, tuple(-s for s in sh), axis=ax),)
 
     return _make("roll", out, (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# windowed self-attention
+
+
+@functools.lru_cache(maxsize=64)
+def _window_index(h: int, w: int, window: int, shift: int) -> tuple:
+    """Flat pixel of each token of the map rolled by -shift, tiled into windows.
+
+    Token order is window row, window column, then row and column inside
+    the window (the order of the Swin partition). Returns the gather index
+    and its inverse permutation, both read-only.
+    """
+    rows = (np.arange(h) + shift) % h
+    cols = (np.arange(w) + shift) % w
+    flat = rows[:, None] * w + cols[None, :]
+    idx = flat.reshape(h // window, window, w // window, window).transpose(0, 2, 1, 3).ravel()
+    inv = np.argsort(idx)
+    idx.flags.writeable = inv.flags.writeable = False
+    return idx, inv
+
+
+def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                     heads: int, window: int, shift: int = 0,
+                     return_weights: bool = False):
+    """Shifted-window multi-head self-attention of a [B, H, W, C] map.
+
+    The map is rolled by -shift on both spatial axes and tiled into
+    window x window patches; inside each patch and head,
+    softmax(Q K^T / sqrt(d_k)) V with Q, K, V = x wq, x wk, x wv
+    ([C, heads * d_k] each); heads are concatenated, projected by wo
+    ([heads * d_k, Cout]), and the patches are put back and rolled by
+    +shift. Roll and tiling are one cached gather each way, so this is a
+    single graph node with a hand-written backward. With
+    ``return_weights`` the attention weights [nW, heads, n, n] (windows
+    in partition order) come back as an untracked second Tensor.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError(f"window-attention: expected a [B, H, W, C] map, got {x.shape}")
+    b, h, w, c = x.shape
+    inner = wq.shape[-1]
+    if (wq.shape != (c, inner) or wk.shape != (c, inner) or wv.shape != (c, inner)
+            or wo.data.ndim != 2 or wo.shape[0] != inner):
+        raise ShapeError(f"window-attention: weights {wq.shape}, {wk.shape}, {wv.shape}, "
+                         f"{wo.shape} do not fit {c} channels")
+    if heads < 1 or inner % heads:
+        raise ShapeError(f"window-attention: {inner} inner channels not divisible by {heads} heads")
+    if window < 1 or h % window or w % window:
+        raise ShapeError(f"window-attention: window {window} does not divide map {h}x{w}")
+    dk, cout = inner // heads, wo.shape[1]
+    n = window * window
+    nwin = b * (h // window) * (w // window)
+    scale = float(1.0 / np.sqrt(dk))
+    idx, inv = _window_index(h, w, window, shift)
+
+    # the same numpy calls, on the same shapes, as the composed chain
+    # (partition, per-head matmuls, softmax, merge), so outputs are bitwise equal
+    xw = x.data.reshape(b, h * w, c)[:, idx].reshape(nwin, window, window, c)
+
+    def heads_of(wd, axes):
+        return (xw @ wd).reshape(nwin, n, heads, dk).transpose(axes)
+
+    q = heads_of(wq.data, (0, 2, 1, 3))               # [nW, h, n, dk]
+    k_t = heads_of(wk.data, (0, 2, 3, 1))             # [nW, h, dk, n]
+    v = heads_of(wv.data, (0, 2, 1, 3))
+    s = (q @ k_t) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)          # [nW, h, n, n]
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
+    out = (ctx @ wo.data).reshape(b, h * w, cout)[:, inv].reshape(b, h, w, cout)
+    wod = wo.data
+
+    def bwd(g):
+        gw = g.reshape(b, h * w, cout)[:, idx].reshape(-1, cout)     # window order
+        g_wo = ctx.reshape(-1, inner).T @ gw
+        g_ctx = (gw @ wod.T).reshape(nwin, n, heads, dk).transpose(0, 2, 1, 3)
+        g_attn = g_ctx @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(attn, -1, -2) @ g_ctx
+        g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        g_q = g_s @ np.swapaxes(k_t, -1, -2)
+        g_k = np.swapaxes(g_s, -1, -2) @ q
+        # per-token rows [nW*n, 3*inner] of the Q|K|V gradients
+        g_qkv = np.concatenate([gh.transpose(0, 2, 1, 3).reshape(-1, inner)
+                                for gh in (g_q, g_k, g_v)], axis=1)
+        g_w = xw.reshape(-1, c).T @ g_qkv
+        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        gx = (g_qkv @ w_qkv.T).reshape(b, h * w, c)[:, inv].reshape(b, h, w, c)
+        return gx, g_w[:, :inner], g_w[:, inner:2 * inner], g_w[:, 2 * inner:], g_wo
+
+    t = _make("window-attention", out, (x, wq, wk, wv, wo), bwd)
+    if return_weights:
+        return t, Tensor(attn)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +608,7 @@ _OPS = {
     "mean": _mean,
     "sum": _sum,
     "mse-loss": mse_loss,
+    "window-attention": window_attention,
 }
 
 OP_NAMES = tuple(_OPS)

@@ -19,7 +19,7 @@ from . import metrics as M
 from . import phantom as P
 from .checkpoint import Checkpoint, restore_into, save_checkpoint
 from .config import RunConfig
-from .networks import DoseModel, FusionStrategy
+from .networks import DoseModel, FusionStrategy, ModelConfig
 from .optim import adam_step
 from .tensor import backward, no_grad
 
@@ -66,6 +66,18 @@ def load_cases(data_dir, ids: Sequence[str]) -> List[P.PhantomSample]:
             raise DataError(f"missing sample file: {p}")
         out.append(P.read_sample(p))
     return out
+
+
+def _check_case_fits(sample: P.PhantomSample, cfg: ModelConfig, case_id: str = "case") -> None:
+    """Raise DataError unless a case has the model's image side and OAR count."""
+    size = cfg.image_size
+    if sample.ct.shape != (size, size):
+        h, w = sample.ct.shape
+        raise DataError(f"{case_id} is {h}x{w} px but the model is configured for "
+                        f"{size}x{size} (model.image_size)")
+    if sample.oar_count != cfg.oar_count:
+        raise DataError(f"{case_id} has {sample.oar_count} OARs but the model is configured "
+                        f"for {cfg.oar_count} (model.oar_count)")
 
 
 def generate_dataset(cfg: RunConfig, out_dir) -> P.DatasetSplit:
@@ -134,6 +146,8 @@ class Trainer:
             raise DataError("empty training split")
         self.train_ids = list(train_ids)
         samples = load_cases(data_dir, self.train_ids)
+        for cid, sample in zip(self.train_ids, samples):
+            _check_case_fits(sample, cfg.model, cid)
         self.cond, self.dose = P.normalize_batch(samples)
         self.schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start,
                                         cfg.model.beta_end)
@@ -192,6 +206,7 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
     denormalization. seed_key may be any numpy SeedSequence key (ints or
     sequences of ints), so per-case seeds stay order-independent.
     """
+    _check_case_fits(sample, model.cfg)
     cond_arr, _ = P.normalize_batch([sample])
     with no_grad():
         stack = model.encode_structure(cond_arr)
@@ -201,6 +216,9 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
 
 
 def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample) -> M.MetricsReport:
+    if pred_dose.shape != truth.dose.shape:
+        raise DataError(f"prediction is {pred_dose.shape} but its truth case is "
+                        f"{truth.dose.shape}")
     return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
                              truth.body, truth.structures())
 

@@ -52,4 +52,8 @@ def op_point(kind: str, rng: np.random.Generator):
         return [n((3, 4))], {"axis": 0}
     if kind == "mse-loss":
         return [n((3, 4)), n((3, 4))], {}
+    if kind == "window-attention":
+        # shifted 2x2 windows on a 4x4 map, two heads of width 2
+        return ([n((1, 4, 4, 4))] + [0.5 * n((4, 4)) for _ in range(4)],
+                {"heads": 2, "window": 2, "shift": 1})
     raise KeyError(kind)

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosediff import blocks as B
+from dosediff import tensor as T
 from dosediff.gradcheck import finite_diff_scalar_fn
 from dosediff.optim import ParamStore
-from dosediff.tensor import ShapeError, Tensor
+from dosediff.tensor import ShapeError, Tensor, backward
 
 
 def rng_tensor(shape, seed=0):
@@ -91,6 +92,64 @@ class TestWindowAttention:
         store, p = make_attention(c=4)
         with pytest.raises(ShapeError):
             B.window_attention(rng_tensor((1, 2, 2, 6)), p)
+
+
+def composed_window_attention(x, p, window, shift):
+    """Reference chain of composable ops: shift, tile, per-head attention,
+    merge, unshift."""
+    _, hh, ww, _ = x.shape
+    y = B.cyclic_shift(x, -shift, -shift) if shift else x
+    win = B.window_partition(y, window)
+    nwin, n, h, dk = win.shape[0], window * window, p.heads, p.head_dim
+
+    def heads_of(w, axes):
+        return (win @ w).reshape((nwin, n, h, dk)).permute(axes)
+
+    q, k_t, v = (heads_of(p.wq, (0, 2, 1, 3)), heads_of(p.wk, (0, 2, 3, 1)),
+                 heads_of(p.wv, (0, 2, 1, 3)))
+    attn = T.softmax((q @ k_t) * (1.0 / np.sqrt(dk)), axis=-1)
+    ctx = (attn @ v).permute((0, 2, 1, 3)).reshape((nwin, window, window, h * dk))
+    y = B.window_merge(ctx @ p.wo, hh, ww)
+    return B.cyclic_shift(y, shift, shift) if shift else y
+
+
+class TestWindowAttentionOp:
+    @pytest.mark.parametrize("c,heads,window,shift", [(4, 2, 2, 0), (4, 2, 2, 1),
+                                                      (6, 3, 4, 0), (6, 3, 4, 2),
+                                                      (6, 3, 4, 1)])
+    def test_matches_composed_chain(self, c, heads, window, shift):
+        """Forward bitwise equal to the composed chain, gradients within
+        1e-12 relative, at B=2 with several heads."""
+        store, p = make_attention(c=c, heads=heads, seed=3)
+        for i, (_, t) in enumerate(store.items()):
+            t.data[:] = np.random.default_rng(20 + i).standard_normal(t.shape) * 0.5
+        x0 = np.random.default_rng(4).standard_normal((2, 8, 8, c))
+        proj = Tensor(np.random.default_rng(5).standard_normal((2, 8, 8, c)))
+        runs = []
+        for fn in (lambda x: composed_window_attention(x, p, window, shift),
+                   lambda x: T.window_attention(x, p.wq, p.wk, p.wv, p.wo,
+                                                heads, window, shift)):
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = fn(x)
+            backward((out * proj).sum())
+            runs.append([out.data, x.grad] + [t.grad.copy() for _, t in store.items()])
+        assert np.array_equal(runs[0][0], runs[1][0])
+        for ref, got in zip(runs[0][1:], runs[1][1:]):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_single_graph_node(self):
+        store, p = make_attention()
+        x = Tensor(np.ones((1, 4, 4, 4)), requires_grad=True)
+        out = T.window_attention(x, p.wq, p.wk, p.wv, p.wo, 2, 2, 1)
+        assert out.node.kind == "window-attention"
+        assert out.node.parents[0] is x
+
+    @pytest.mark.parametrize("shape,heads,window", [((1, 4, 4), 2, 2), ((1, 6, 6, 4), 2, 4),
+                                                    ((1, 4, 4, 4), 3, 2), ((1, 4, 4, 5), 2, 2)])
+    def test_bad_shapes_rejected(self, shape, heads, window):
+        store, p = make_attention()
+        with pytest.raises(ShapeError):
+            T.window_attention(rng_tensor(shape), p.wq, p.wk, p.wv, p.wo, heads, window)
 
 
 def make_swin(c=4, window=2, shift=False, heads=2, seed=1, t_dim=0):

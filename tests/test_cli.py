@@ -300,3 +300,29 @@ class TestExitCodes:
         assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
                     "--out", tmp_path / "ev"]) == 3
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_eval_prediction_shape_mismatch_is_3(self, tmp_path, capsys):
+        s = P.generate_phantom(3, size=32, oar_count=2)
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", np.ones((16, 16), np.float32))
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("field,value", [("image_size", 32), ("oar_count", 3)])
+    def test_data_not_matching_model_config_is_3(self, trained, field, value, capsys):
+        tmp, cfg, data, ckpt = trained
+        other = json.loads(json.dumps(CFG))
+        other["model"][field] = value
+        other_cfg = tmp / "other.json"
+        other_cfg.write_text(json.dumps(other))
+        assert run(["gen-data", "--config", other_cfg, "--out", tmp / "other"]) == 0
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--data", tmp / "other",
+                    "--out", tmp / "t"]) == 3
+        assert run(["sample", "--checkpoint", ckpt, "--data", tmp / "other",
+                    "--cases", "sample_00000", "--out", tmp / "s"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("data error:") for e in err)

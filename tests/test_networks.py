@@ -225,9 +225,10 @@ def test_end_to_end_finite_difference():
 
 
 def test_training_loss_reshape_permute_budget():
-    """Feature maps are channels-last, so a smoke-scale training loss needs
-    reshape/permute nodes only for window tiling, attention heads and the
-    model boundary (415 of 1159 nodes; channels-first maps needed 951)."""
+    """Feature maps are channels-last and each Swin attention branch is one
+    window-attention node, so a smoke-scale training loss needs
+    reshape/permute nodes only at the model boundary and in cross-attention
+    (9 of 532 nodes; the composed window chain needed 415 of 1159)."""
     cfg = tiny_cfg()
     m = DoseModel(cfg, 0)
     rng = np.random.default_rng(4)
@@ -235,5 +236,5 @@ def test_training_loss_reshape_permute_budget():
     loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
                                rng.random((2, 5, 16, 16))), sched, rng)
     kinds = [t.node.kind for t in _topo_order(loss)]
-    assert len(kinds) <= 1159
-    assert sum(k in ("reshape", "permute") for k in kinds) <= 415
+    assert len(kinds) <= 532
+    assert sum(k in ("reshape", "permute") for k in kinds) <= 9
