@@ -57,6 +57,11 @@ def cmd_train(args) -> int:
     else:
         raise ConfigError("train needs --config or --resume")
     if args.steps is not None:
+        if args.steps < 1:
+            raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        if ckpt is not None and args.steps < ckpt.step:
+            raise ConfigError(f"--steps {args.steps} is below the checkpoint's step "
+                              f"{ckpt.step}")
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, steps=args.steps))
     out = Path(args.out or cfg.out_dir)
     trainer = TR.Trainer(cfg, args.data, out, resume=ckpt)
@@ -134,7 +139,7 @@ def cmd_eval(args) -> int:
     for cid in cases:
         pred = P.read_dose_map(Path(args.pred) / f"{cid}.spdp").astype(np.float64)
         truth = P.read_sample(TR.sample_path(args.truth, cid))
-        rows[cid] = TR.evaluate_case(pred, truth)
+        rows[cid] = TR.evaluate_case(pred, truth, cid)
         curves = []
         for name, mask in truth.structures().items():
             curves.append(M.dvh_curve(pred, mask, structure=f"{name}_pred"))
@@ -153,7 +158,7 @@ def cmd_eval(args) -> int:
         for cid in shared:
             pred = P.read_dose_map(Path(args.compare) / f"{cid}.spdp").astype(np.float64)
             truth = P.read_sample(TR.sample_path(args.truth, cid))
-            comp_rows[cid] = TR.evaluate_case(pred, truth)
+            comp_rows[cid] = TR.evaluate_case(pred, truth, cid)
         lines = ["metric,t,df,p"]
         for attr, col in (("dose_score_mae", "dose_score_mae"),
                           ("dvh_score", "dvh_score"), ("hi", "hi")):

@@ -215,10 +215,14 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
     return P.denormalize_dose(np.clip(x[0, 0], -1.0, 1.0))
 
 
-def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample) -> M.MetricsReport:
+def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
+                  case: str) -> M.MetricsReport:
     if pred_dose.shape != truth.dose.shape:
-        raise DataError(f"prediction is {pred_dose.shape} but its truth case is "
-                        f"{truth.dose.shape}")
+        raise DataError(f"case {case}: prediction is {pred_dose.shape} but its truth "
+                        f"case is {truth.dose.shape}")
+    bad = np.count_nonzero(~np.isfinite(pred_dose))
+    if bad:
+        raise DataError(f"case {case}: prediction has {bad} non-finite voxels")
     return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
                              truth.body, truth.structures())
 
@@ -264,7 +268,7 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
         for cid, sample in eval_samples.items():
             pred = sample_case(trainer.model, trainer.schedule, sample,
                                (cfg.seed, _case_index(cid)))
-            reports.append(evaluate_case(pred, sample))
+            reports.append(evaluate_case(pred, sample, cid))
         wall = time.perf_counter() - t0
         results.append((strat, trainer.model,
                         AblationRow(strategy=strat.label(), reports=reports,

@@ -95,6 +95,28 @@ class TestTrainCommand:
         assert run(["train", "--config", p, "--resume", ckpt,
                     "--data", data, "--out", tmp / "x"]) == 2
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_is_config_error(self, trained, steps, capsys):
+        tmp, cfg, data, ckpt = trained
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--data", data, "--steps", steps,
+                    "--out", tmp / "x"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp / "x").exists()
+
+    def test_resume_steps_below_checkpoint_step_is_config_error(self, trained, capsys):
+        tmp, cfg, data, ckpt = trained
+        mid = tmp / "run" / "ckpt_step000003.bin"
+        capsys.readouterr()
+        assert run(["train", "--resume", mid, "--data", data, "--steps", 2,
+                    "--out", tmp / "x"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp / "x").exists()
+        # stopping exactly at the checkpoint's step stays a valid no-op run
+        assert run(["train", "--resume", mid, "--data", data, "--steps", 3,
+                    "--out", tmp / "y"]) == 0
+        assert load_checkpoint(tmp / "y" / "ckpt_final.bin").step == 3
+
 
 class TestSampleCommand:
     def test_outputs_and_determinism(self, trained):
@@ -310,6 +332,19 @@ class TestExitCodes:
         assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
                     "--out", tmp_path / "ev"]) == 3
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_eval_non_finite_prediction_is_3(self, tmp_path, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2)
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        pred = s.dose.copy()
+        pred[4, 5], pred[8, 8] = np.nan, np.inf
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", pred)
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: case c: prediction has 2 non-finite voxels"]
 
     @pytest.mark.parametrize("field,value", [("image_size", 32), ("oar_count", 3)])
     def test_data_not_matching_model_config_is_3(self, trained, field, value, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,142 @@ def test_beam_dose_attenuates_with_depth():
     d = P.beam_dose(body, (16.0, 16.0), 0.0, sigma=4.0, mu=0.05)
     axis = d[:, 16]
     assert np.all(np.diff(axis[2:-2]) < 0)  # monotone decay along the ray
+
+
+def reference_beam_dose(body, center, angle, sigma, mu):
+    """The per-pixel depth march that ``beam_dose`` replaced, kept verbatim
+    as the reference its separable march must equal bitwise."""
+    h, w = body.shape
+    cy, cx = center
+    uy, ux = np.cos(angle), np.sin(angle)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    d_perp = np.abs(-(ys - cy) * ux + (xs - cx) * uy)
+    lateral = np.exp(-0.5 * (d_perp / sigma) ** 2)
+
+    depth = np.zeros((h, w))
+    if mu > 0.0:
+        body_f = body.astype(np.float64)
+        max_k = int(np.ceil(np.hypot(h, w)))
+        for k in range(1, max_k + 1):
+            py, px = ys - k * uy, xs - k * ux
+            iy = np.rint(py).astype(np.int64)
+            ix = np.rint(px).astype(np.int64)
+            inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+            iy, ix = np.clip(iy, 0, h - 1), np.clip(ix, 0, w - 1)
+            depth += np.where(inside, body_f[iy, ix], 0.0)
+
+    return lateral * np.exp(-mu * depth) * body
+
+
+def random_body(rng, h, w):
+    """A non-convex body: a union of random ellipses with holes cut out."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    body = np.zeros((h, w), dtype=bool)
+    for keep in [True] * int(rng.integers(1, 5)) + [False] * int(rng.integers(0, 3)):
+        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+        ry, rx = rng.uniform(2, h / 2), rng.uniform(2, w / 2)
+        blob = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+        body = body | blob if keep else body & ~blob
+    return body
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBeamDoseMatchesPerPixelMarch:
+    @given(seed=st.integers(0, 2**32 - 1),
+           h=st.integers(16, 96), w=st.integers(16, 96),
+           angle=st.one_of(st.integers(-8, 8).map(lambda k: k * np.pi / 4),
+                           st.floats(-2 * np.pi, 4 * np.pi)),
+           mu=st.sampled_from([0.0, 0.02, 0.3]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_cases_bitwise(self, seed, h, w, angle, mu):
+        rng = np.random.default_rng(seed)
+        body = random_body(rng, h, w)
+        # centres range well outside the frame on every side
+        center = (rng.uniform(-h, 2 * h), rng.uniform(-w, 2 * w))
+        sigma = rng.uniform(0.5, 0.3 * max(h, w))
+        assert_bitwise(P.beam_dose(body, center, angle, sigma, mu),
+                       reference_beam_dose(body, center, angle, sigma, mu))
+
+    @pytest.mark.parametrize("k", range(-8, 9))
+    @pytest.mark.parametrize("shape", [(16, 16), (23, 61), (64, 17)])
+    def test_multiples_of_quarter_pi_bitwise(self, k, shape):
+        h, w = shape
+        body = random_body(np.random.default_rng(h * w + k), h, w)
+        args = (body, (h / 2 - 0.5, w / 3), k * np.pi / 4, 0.1 * h, 0.3)
+        assert_bitwise(P.beam_dose(*args), reference_beam_dose(*args))
+
+    @pytest.mark.parametrize("kind", ["empty", "full", "pixel", "row", "column", "corners"])
+    @pytest.mark.parametrize("angle", [0.0, 0.7, np.pi / 2, 2.5, np.pi, 4.4])
+    def test_edge_bodies_bitwise(self, kind, angle):
+        h, w = 20, 27
+        body = np.zeros((h, w), dtype=bool)
+        if kind == "full":
+            body[:] = True
+        elif kind == "pixel":
+            body[7, 11] = True
+        elif kind == "row":
+            body[0, 3:20] = True
+        elif kind == "column":
+            body[2:, w - 1] = True
+        elif kind == "corners":
+            body[0, 0] = body[h - 1, w - 1] = body[0, w - 1] = True
+        args = (body, (9.5, 13.0), angle, 3.0, 0.3)
+        assert_bitwise(P.beam_dose(*args), reference_beam_dose(*args))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phantom_body_bitwise(self, seed):
+        """The generator's own bodies, centroids and beams at 64 px."""
+        s = P.generate_phantom(seed, size=64)
+        pys, pxs = np.nonzero(s.ptv)
+        centroid = (float(pys.mean()), float(pxs.mean()))
+        for a in s.meta["beam_angles"].split(","):
+            args = (s.body, centroid, float(a), P.SIGMA_FRACTION * 64, P.MU_PER_PIXEL)
+            assert_bitwise(P.beam_dose(*args), reference_beam_dose(*args))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Digests of generate_phantom(seed, size) with the default 3 OARs and 5 beams,
+# recorded with the per-pixel march (numpy 2.4, scipy 1.17, x86-64). A change
+# to any generator output byte, or to a float routine it calls, shows here.
+GOLDEN = {
+    (0, 16): {
+        "ct": "81aa7d2cd4f0aaaf553713fcf684217daf552d0abed2082026141e9d4aed67a1",
+        "ptv": "9dedb184bf52a221d4ad90559772bc959c924164f33c4ead9408ebb297400aaf",
+        "oars": "5c72a562ce77a267c2a42a33354b2835d2d3f26736b77a28663aa39c1e5930fd",
+        "dose": "5ff95b9c9b29223b3386839047be2454aabfbd4cb8b932328ed2fdf6b5df53f6",
+        "meta": "f6db590cd17229155ef81613debaa78fd4d18a0948ca77468de832a28e8049a6",
+    },
+    (7, 64): {
+        "ct": "7cd6c5993c4142f3cf869d33c78f62f94b0019beb2ccd7202ac383bf305f4119",
+        "ptv": "3ac978d392d80eebec42f54d0d56a0f7a6a71982341648335033c07e1f3f0ae1",
+        "oars": "991f480f0a54f30a6a6b80c06549c22b8c68ed62585f954ba5210b4baca2e01e",
+        "dose": "4970a96cd75d6cc3f80cfa906f8d685f37cef93a923f769f802ab30fa7c1202e",
+        "meta": "456e0ccc5d6d2cbdaf01c60f905c2712a205a6adefb012f457b9c78abe7d060e",
+    },
+    (0, 256): {
+        "ct": "a5f8a0cc0b3c3c9bcbe0d53ed79a80a9a36db5667d54b03554610e3c5a43c537",
+        "ptv": "3337cdf1902dcb44700061c4093e0a733545d5832ef305a13ded7b14744a7492",
+        "oars": "69ecff9d6fcf6cd2994d90f3b7a9434f1d88bd536fc711d9fcf3af965d8496da",
+        "dose": "711b4e0d1c6fe2f1f7111dc51ce4cfa5a45ccf95668b32f1313c4d19b121af86",
+        "meta": "81d41d44ff2834af525588c16bb5a9603674f062976c629be9b6283b4d6d8cd4",
+    },
+}
+
+
+@pytest.mark.parametrize("seed,size", sorted(GOLDEN))
+def test_generator_golden_digests(seed, size):
+    s = P.generate_phantom(seed, size)
+    got = {"ct": sha256(s.ct.tobytes()), "ptv": sha256(s.ptv.tobytes()),
+           "oars": sha256(s.oars.tobytes()), "dose": sha256(s.dose.tobytes()),
+           "meta": sha256(json.dumps(s.meta, sort_keys=True).encode())}
+    assert got == GOLDEN[(seed, size)]
 
 
 class TestSampleIO:
