@@ -236,10 +236,10 @@ def swin_block(x: Tensor, p: SwinBlockParams, t_emb: Optional[Tensor] = None) ->
         if t_emb.data.ndim != 4 or t_emb.shape[-1] != p.t_w.shape[0]:
             raise ShapeError(f"swin_block: t_emb must be [B, 1, 1, {p.t_w.shape[0]}], "
                              f"got {t_emb.shape}")
-        x = x + (t_emb @ p.t_w + p.t_b)
+        x = x + T.linear(t_emb, p.t_w, p.t_b)
 
     y = T.layer_norm(x, p.ln2_g, p.ln2_b)
-    y = T.relu(y @ p.w1 + p.b1) @ p.w2 + p.b2
+    y = T.linear(T.relu(T.linear(y, p.w1, p.b1)), p.w2, p.b2)
     return x + y
 
 
@@ -278,7 +278,7 @@ def projector_forward(f_in: Tensor, p: ProjectorParams) -> Tensor:
     c = _map_shape(f_in, "projector")[3]
     if c != p.w_down.shape[0]:
         raise ShapeError(f"projector: {c} channels vs params for {p.w_down.shape[0]}")
-    y = T.gelu(f_in @ p.w_down + p.b_down) @ p.w_up + p.b_up
+    y = T.linear(T.gelu(T.linear(f_in, p.w_down, p.b_down)), p.w_up, p.b_up)
     return f_in + y
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ class DataParams:
     n_samples: int = 16
     beam_count: int = 5
     seed: int = 0
-    split_ratios: tuple = (0.6875, 0.0625, 0.25)
+    split_ratios: tuple[float, float, float] = (0.6875, 0.0625, 0.25)
 
 
 @dataclass
@@ -56,36 +57,46 @@ def _to_jsonable(obj):
     return obj
 
 
-def _from_dict(cls, d: dict, path: str):
+def _decode(tp, value, path: str):
+    """The value of JSON ``value`` for a field annotated ``tp``.
+
+    Dataclasses recurse, fusion strategies parse from their label, lists
+    become tuples; scalars must match the annotation, except that an int
+    is accepted (and converted) for a float. A bool is not an int.
+    """
+    if tp is FusionStrategy:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a fusion label, got {type(value).__name__}")
+        try:
+            return FusionStrategy.parse(value)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from None
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        items = typing.get_args(tp)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(items) != len(value):
+            raise ConfigError(f"{path}: expected {len(items)} items, got {len(value)}")
+        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if tp is float and type(value) is int:
+        return float(value)
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _from_dict(cls, d, path: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(names)
+    hints = typing.get_type_hints(cls)
+    unknown = set(d) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in d.items():
-        f = names[key]
-        sub = f"{path}.{key}"
-        if f.type in ("ModelConfig", ModelConfig):
-            kwargs[key] = _from_dict(ModelConfig, value, sub)
-        elif f.type in ("TrainParams", TrainParams):
-            kwargs[key] = _from_dict(TrainParams, value, sub)
-        elif f.type in ("DataParams", DataParams):
-            kwargs[key] = _from_dict(DataParams, value, sub)
-        elif f.type in ("FusionStrategy", FusionStrategy):
-            try:
-                kwargs[key] = FusionStrategy.parse(value)
-            except (ValueError, TypeError) as e:
-                raise ConfigError(f"{sub}: {e}") from None
-        elif f.type == "tuple" or isinstance(f.default, tuple):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return cls(**{key: _decode(hints[key], value, f"{path}.{key}") for key, value in d.items()})
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -92,7 +92,7 @@ class ModelConfig:
     image_size: int = 256
     oar_count: int = 3
     base_channels: int = 32
-    stage_multipliers: tuple = (1, 2, 4, 8, 8)
+    stage_multipliers: tuple[int, ...] = (1, 2, 4, 8, 8)
     window: int = 4
     heads: int = 4
     projector_ratio: int = 4
@@ -120,6 +120,9 @@ class ModelConfig:
         return [self.base_channels] + [self.base_channels * m for m in self.stage_multipliers]
 
     def validate(self):
+        for name in ("window", "heads", "projector_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         s = self.num_stages
         if s < 1:
             raise ValueError("need at least one stage")
@@ -178,12 +181,6 @@ class DownParams:
 
 
 @dataclass
-class UpParams:
-    w: Tensor
-    b: Tensor
-
-
-@dataclass
 class ConvParams:
     w: Tensor
     b: Tensor
@@ -225,32 +222,21 @@ def _init_down(store, prefix, c_in, c_out, rng) -> DownParams:
     )
 
 
-def _init_up(store, prefix, c_in, c_out, rng) -> UpParams:
-    return UpParams(
-        w=store.add(f"{prefix}.w", _conv_weight(rng, (c_out, c_in, 3, 3))),
-        b=store.add(f"{prefix}.b", np.zeros(c_out)),
-    )
-
-
 def _conv(x: Tensor, p: ConvParams, stride=1, padding=1) -> Tensor:
-    return T.conv2d(x, p.w, stride, padding) + p.b
+    return T.conv2d(x, p.w, p.b, stride, padding)
 
 
 def _conv_block(x: Tensor, p: ConvBlockParams, t_feat: Optional[Tensor]) -> Tensor:
     y = T.relu(T.layer_norm(x, p.ln_g, p.ln_b))
-    y = T.conv2d(y, p.w, 1, 1) + p.b
+    y = T.conv2d(y, p.w, p.b, 1, 1)
     if t_feat is not None and p.t_w is not None:
-        y = y + (t_feat @ p.t_w + p.t_b)
+        y = y + T.linear(t_feat, p.t_w, p.t_b)
     return x + y
 
 
 def _downsample(x: Tensor, p: DownParams) -> Tensor:
     # stride-2 conv with a 1x1 stride-2 residual shortcut
-    return T.conv2d(x, p.w_main, 2, 1) + p.b_main + T.conv2d(x, p.w_skip, 2, 0)
-
-
-def _upsample(x: Tensor, p: UpParams) -> Tensor:
-    return T.conv2d(T.upsample2(x), p.w, 1, 1) + p.b
+    return T.conv2d(x, p.w_main, p.b_main, 2, 1) + T.conv2d(x, p.w_skip, None, 2, 0)
 
 
 @dataclass
@@ -261,7 +247,7 @@ class StageParams:
 
 @dataclass
 class DecoderStageParams:
-    up: UpParams
+    up: ConvParams
     merge: ConvParams
     blocks: list
 
@@ -283,17 +269,24 @@ class DoseModel:
 
     # -- construction ------------------------------------------------------
 
-    def _make_stage(self, store, prefix, c_in, c_out, side, rng, is_conv, t_dim):
+    def _make_blocks(self, store, prefix, stage, channels, rng, t_dim) -> list:
+        """The blocks of stage ``stage`` (1-based): conv blocks at stage 1,
+        Swin blocks deeper."""
+        side = self.cfg.image_size >> (stage - 1)
         blocks = []
         for j in range(BLOCKS_PER_STAGE):
             name = f"{prefix}.b{j}"
-            if is_conv:
-                blocks.append(_init_conv_block(store, name, c_in, rng, t_dim))
+            if stage == 1:
+                blocks.append(_init_conv_block(store, name, channels, rng, t_dim))
             else:
                 blocks.append(B.init_swin_block(
-                    store, name, c_in, self.cfg.window_for(side),
+                    store, name, channels, self.cfg.window_for(side),
                     _SHIFT_PATTERN[j % len(_SHIFT_PATTERN)], self.cfg.heads, rng,
                     t_dim=t_dim))
+        return blocks
+
+    def _make_stage(self, store, prefix, stage, c_in, c_out, rng, t_dim):
+        blocks = self._make_blocks(store, prefix, stage, c_in, rng, t_dim)
         return StageParams(blocks=blocks, down=_init_down(store, f"{prefix}.down", c_in, c_out, rng))
 
     def _build(self, rng):
@@ -315,10 +308,8 @@ class DoseModel:
         if not concat_mode:
             self.senc_stem = _init_conv(store, "senc.stem", widths[0], cfg.cond_channels, 3, rng)
             for i in range(1, cfg.num_stages + 1):
-                side = cfg.image_size >> (i - 1)
                 self.senc_stages.append(self._make_stage(
-                    store, f"senc.s{i}", widths[i - 1], widths[i], side, rng,
-                    is_conv=(i == 1), t_dim=0))
+                    store, f"senc.s{i}", i, widths[i - 1], widths[i], rng, t_dim=0))
 
         # denoiser encoder
         in_ch = 1 + (cfg.cond_channels if concat_mode else 0)
@@ -327,10 +318,8 @@ class DoseModel:
         self.fusers: List[Optional[CrossAttentionParams]] = []
         self.projectors: List[Optional[ProjectorParams]] = []
         for i in range(1, cfg.num_stages + 1):
-            side = cfg.image_size >> (i - 1)
             self.dn_stages.append(self._make_stage(
-                store, f"dn.enc.s{i}", widths[i - 1], widths[i], side, rng,
-                is_conv=(i == 1), t_dim=t_dim))
+                store, f"dn.enc.s{i}", i, widths[i - 1], widths[i], rng, t_dim=t_dim))
             if not concat_mode and self.stage_kinds[i - 1] == "attn":
                 self.fusers.append(B.init_cross_attention(
                     store, f"dn.fuse.s{i}", widths[i], widths[i], rng))
@@ -354,20 +343,10 @@ class DoseModel:
         # decoder, deepest stage first
         self.dec_stages = []
         for i in range(cfg.num_stages, 0, -1):
-            side = cfg.image_size >> (i - 1)
             prefix = f"dn.dec.s{i}"
-            up = _init_up(store, f"{prefix}.up", widths[i], widths[i - 1], rng)
+            up = _init_conv(store, f"{prefix}.up", widths[i - 1], widths[i], 3, rng)
             merge = _init_conv(store, f"{prefix}.merge", widths[i - 1], 2 * widths[i - 1], 1, rng)
-            blocks = []
-            for j in range(BLOCKS_PER_STAGE):
-                name = f"{prefix}.b{j}"
-                if i == 1:
-                    blocks.append(_init_conv_block(store, name, widths[0], rng, t_dim))
-                else:
-                    blocks.append(B.init_swin_block(
-                        store, name, widths[i - 1], cfg.window_for(side),
-                        _SHIFT_PATTERN[j % len(_SHIFT_PATTERN)], cfg.heads, rng,
-                        t_dim=t_dim))
+            blocks = self._make_blocks(store, prefix, i, widths[i - 1], rng, t_dim)
             self.dec_stages.append(DecoderStageParams(up=up, merge=merge, blocks=blocks))
 
         # output head: near-zero init keeps eps_hat small at the start while
@@ -382,8 +361,8 @@ class DoseModel:
     def _time_features(self, t) -> Tensor:
         """[B, 1, 1, T] time features; they broadcast over a map's H and W."""
         emb = time_embedding(np.atleast_1d(t), self.cfg.time_dim_effective)
-        h = T.gelu(Tensor(emb[:, None, None, :]) @ self.time_w1 + self.time_b1)
-        return h @ self.time_w2 + self.time_b2
+        h = T.gelu(T.linear(Tensor(emb[:, None, None, :]), self.time_w1, self.time_b1))
+        return T.linear(h, self.time_w2, self.time_b2)
 
     def _run_blocks(self, h: Tensor, blocks, t_feat: Optional[Tensor]) -> Tensor:
         for blk in blocks:
@@ -445,7 +424,7 @@ class DoseModel:
             h = swin_block(h, blk, t_feat)
 
         for dec in self.dec_stages:
-            h = _upsample(h, dec.up)
+            h = _conv(T.upsample2(h), dec.up, 1, 1)
             h = T.concat([h, skips.pop()], axis=-1)
             h = _conv(h, dec.merge, 1, 0)
             h = self._run_blocks(h, dec.blocks, t_feat)

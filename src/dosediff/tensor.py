@@ -8,8 +8,11 @@ gradients into the participating leaves.
 The op catalog is exposed two ways: plain functions (``conv2d``,
 ``softmax``, ...) plus the table-driven :func:`forward_op` dispatcher
 keyed by op name. The spatial ops (``conv2d``, ``upsample2``) take
-channels-last [B, H, W, C] maps; ``layer_norm`` and ``matmul`` with a
-2-D right operand act on the last axis, so they apply per location.
+channels-last [B, H, W, C] maps; ``layer_norm``, ``linear`` and
+``matmul`` with a 2-D right operand act on the last axis, so they apply
+per location. ``linear`` (``x @ w + b``) and ``conv2d`` with its
+optional bias are one node each for an affine layer, bitwise equal to
+the product followed by a separate bias ``add``.
 ``window_attention`` is a fused op: the whole shifted-window multi-head
 attention of a Swin block in one node, with a hand-written backward.
 """
@@ -26,8 +29,8 @@ from scipy import special as _sp
 __all__ = [
     "Tensor", "ShapeError", "UnknownOpError", "GraphConsumedError",
     "forward_op", "backward", "no_grad",
-    "add", "sub", "mul", "smul", "matmul", "conv2d", "upsample2",
-    "concat", "slice_", "roll", "softmax", "relu", "gelu",
+    "add", "mul", "smul", "matmul", "linear", "conv2d", "upsample2",
+    "concat", "roll", "softmax", "relu", "gelu",
     "layer_norm", "mse_loss", "window_attention", "OP_NAMES",
 ]
 
@@ -105,9 +108,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return smul(self, float(other))
@@ -126,9 +126,6 @@ class Tensor:
 
     def sum(self, axis=None) -> "Tensor":
         return _sum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return _mean(self, axis)
 
 
 def _as_tensor(x) -> Tensor:
@@ -175,15 +172,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make("add", out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast_op("sub", np.subtract, a, b)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make("sub", out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _broadcast_op("mul", np.multiply, a, b)
     ad, bd = a.data, b.data
@@ -204,6 +192,13 @@ def smul(a: Tensor, value: float) -> Tensor:
     return _make("scalar-mul", out, (a,), bwd)
 
 
+def _row_stack_grads(ad: np.ndarray, wd: np.ndarray, g: np.ndarray) -> tuple:
+    """Gradients of ad @ wd for one matrix wd applied to a stack of rows:
+    the weight gradient is one GEMM over all rows, not a GEMM per stacked
+    matrix summed afterwards."""
+    return g @ wd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; stacked (batched) operands follow numpy matmul rules.
 
@@ -222,15 +217,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if bd.ndim == 2:
-            # one matrix applied to a stack of rows: its gradient is one GEMM
-            # over all rows, not a GEMM per stacked matrix summed afterwards
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return g @ bd.T, gb
+            return _row_stack_grads(ad, bd, g)
         ga = g @ np.swapaxes(bd, -1, -2)
         gb = np.swapaxes(ad, -1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _make("matmul", out, (a, b), bwd)
+
+
+def _check_bias(kind: str, b: Tensor, n: int) -> None:
+    if b.shape != (n,):
+        raise ShapeError(f"{kind}: bias must be ({n},), got {b.shape}")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map over the last axis: x @ w + b with w [Cin, Cout], b [Cout].
+
+    The bias is added last, in place into the GEMM output, so forward and
+    gradients are bitwise those of ``matmul`` followed by ``add``.
+    """
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: cannot apply a {w.shape} weight to {x.shape}")
+    _check_bias("linear", b, w.shape[1])
+    out = x.data @ w.data
+    out += b.data
+    xd, wd = x.data, w.data
+
+    def bwd(g):
+        return (*_row_stack_grads(xd, wd, g), _unbroadcast(g, b.shape))
+
+    return _make("linear", out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +257,14 @@ def _conv_out_side(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip), zero padding.
+def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation (no kernel flip), zero padding, optional bias.
 
-    x: [B, H, W, Cin], w: [Cout, Cin, kh, kw] -> [B, Ho, Wo, Cout].
+    x: [B, H, W, Cin], w: [Cout, Cin, kh, kw], b: [Cout] -> [B, Ho, Wo, Cout].
     Forward and backward are one loop over the kh*kw kernel taps with one
-    GEMM per tap.
+    GEMM per tap. The bias is added last, in place into the tap sum, so a
+    biased conv is bitwise the conv followed by a separate ``add``.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D x and w, got {x.shape}, {w.shape}")
@@ -254,6 +272,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: channel mismatch, x has {x.shape[3]}, w expects {w.shape[1]}")
     B, H, W, Cin = x.shape
     Cout, _, kh, kw = w.shape
+    if b is not None:
+        _check_bias("conv2d", b, Cout)
     s, p = int(stride), int(padding)
     Ho, Wo = _conv_out_side(H, kh, s, p), _conv_out_side(W, kw, s, p)
     if Ho < 1 or Wo < 1:
@@ -271,6 +291,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     out = np.zeros((B * Ho * Wo, Cout))
     for ki, kj, tap in taps:
         out += xp[tap].reshape(-1, Cin) @ wd[:, :, ki, kj].T
+    if b is not None:
+        out += b.data
 
     def bwd(g):
         g2 = g.reshape(-1, Cout)
@@ -280,9 +302,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             gw[:, :, ki, kj] = g2.T @ xp[tap].reshape(-1, Cin)
             gxp[tap] += (g2 @ wd[:, :, ki, kj]).reshape(B, Ho, Wo, Cin)
         gx = gxp[:, p:p + H, p:p + W] if p else gxp
-        return gx, gw
+        if b is None:
+            return gx, gw
+        return gx, gw, _unbroadcast(g, b.shape)
 
-    return _make("conv2d", out.reshape(B, Ho, Wo, Cout), (x, w), bwd)
+    parents = (x, w) if b is None else (x, w, b)
+    return _make("conv2d", out.reshape(B, Ho, Wo, Cout), parents, bwd)
 
 
 def upsample2(x: Tensor) -> Tensor:
@@ -345,22 +370,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make("concat", out, tuple(tensors), bwd)
-
-
-def slice_(x: Tensor, starts: Sequence[int], stops: Sequence[int]) -> Tensor:
-    """Rectangular slice; starts/stops give [start, stop) per axis."""
-    if len(starts) != x.data.ndim or len(stops) != x.data.ndim:
-        raise ShapeError(f"slice: need {x.data.ndim} start/stop pairs for shape {x.shape}")
-    idx = tuple(slice(a, b) for a, b in zip(starts, stops))
-    out = x.data[idx]
-    in_shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(in_shape)
-        gx[idx] = g
-        return (gx,)
-
-    return _make("slice", out, (x,), bwd)
 
 
 def roll(x: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
@@ -557,19 +566,6 @@ def _sum(x: Tensor, axis=None) -> Tensor:
     return _make("sum", out, (x,), bwd)
 
 
-def _mean(x: Tensor, axis=None) -> Tensor:
-    axes = _reduce_axes(axis, x.data.ndim)
-    count = int(np.prod([x.shape[a] for a in axes]))
-    out = x.data.mean(axis=axes)
-    in_shape = x.shape
-
-    def bwd(g):
-        ge = np.expand_dims(g, axes) if g.ndim else g
-        return (np.broadcast_to(ge, in_shape) / count,)
-
-    return _make("mean", out, (x,), bwd)
-
-
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"mse-loss: shapes differ, {pred.shape} vs {target.shape}")
@@ -590,22 +586,20 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 _OPS = {
     "add": add,
-    "sub": sub,
     "elementwise-mul": mul,
     "scalar-mul": smul,
     "matmul": matmul,
+    "linear": linear,
     "conv2d": conv2d,
     "upsample-nearest2": upsample2,
     "reshape": _reshape,
     "permute": _permute,
     "concat": lambda *tensors, axis: concat(tensors, axis),
-    "slice": slice_,
     "roll": roll,
     "softmax": softmax,
     "relu": relu,
     "gelu": gelu,
     "layer-norm": layer_norm,
-    "mean": _mean,
     "sum": _sum,
     "mse-loss": mse_loss,
     "window-attention": window_attention,

@@ -18,7 +18,7 @@ from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
 from .checkpoint import Checkpoint, restore_into, save_checkpoint
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .networks import DoseModel, FusionStrategy, ModelConfig
 from .optim import adam_step
 from .tensor import backward, no_grad
@@ -54,7 +54,15 @@ def load_split(data_dir) -> P.DatasetSplit:
     manifest = Path(data_dir) / "split.json"
     if not manifest.exists():
         raise DataError(f"missing split manifest: {manifest}")
-    d = json.loads(manifest.read_text())
+    try:
+        d = json.loads(manifest.read_text())
+    except json.JSONDecodeError as e:
+        raise DataError(f"{manifest}: invalid JSON ({e})") from None
+    if not isinstance(d, dict):
+        raise DataError(f"{manifest}: expected an object, got {type(d).__name__}")
+    for key, kind in (("train", list), ("val", list), ("test", list), ("seed", int)):
+        if not isinstance(d.get(key), kind):
+            raise DataError(f"{manifest}: {key!r} must be a {kind.__name__}")
     return P.DatasetSplit(train=d["train"], val=d["val"], test=d["test"], seed=d["seed"])
 
 
@@ -168,6 +176,8 @@ class Trainer:
     def run(self, steps: Optional[int] = None) -> TrainResult:
         cfg = self.cfg
         total = cfg.train.steps
+        if steps is not None and steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {steps}")
         end_step = total if steps is None else min(total, self.start_step + steps)
         losses = []
         log_path = self.out_dir / "loss_log.csv"

@@ -16,16 +16,16 @@ def op_point(kind: str, rng: np.random.Generator):
     n = rng.standard_normal
     if kind == "add":
         return [n((3, 4)), n((3, 4))], {}
-    if kind == "sub":
-        return [n((3, 4)), n((3, 4))], {}
     if kind == "elementwise-mul":
         return [n((3, 4)), n((3, 4))], {}
     if kind == "scalar-mul":
         return [n((3, 4))], {"value": float(rng.uniform(0.5, 2.0))}
     if kind == "matmul":
         return [n((4, 4)), n((4, 4))], {}
+    if kind == "linear":
+        return [n((2, 1, 2, 4)), n((4, 3)), n(3)], {}
     if kind == "conv2d":
-        return [n((1, 6, 6, 3)), n((2, 3, 3, 3))], {"stride": 1, "padding": 1}
+        return [n((1, 6, 6, 3)), n((2, 3, 3, 3)), n(2)], {"stride": 1, "padding": 1}
     if kind == "upsample-nearest2":
         return [n((1, 3, 3, 2))], {}
     if kind == "reshape":
@@ -34,8 +34,6 @@ def op_point(kind: str, rng: np.random.Generator):
         return [n((2, 3, 4))], {"axes": (2, 0, 1)}
     if kind == "concat":
         return [n((2, 3)), n((2, 2))], {"axis": 1}
-    if kind == "slice":
-        return [n((4, 5))], {"starts": (1, 0), "stops": (3, 4)}
     if kind == "roll":
         return [n((3, 4))], {"shifts": (1, -2), "axes": (0, 1)}
     if kind == "softmax":
@@ -46,8 +44,6 @@ def op_point(kind: str, rng: np.random.Generator):
         return [n(10)], {}
     if kind == "layer-norm":
         return [n((4, 6)), 1.0 + 0.1 * n(6), 0.1 * n(6)], {}
-    if kind == "mean":
-        return [n((3, 4))], {"axis": None}
     if kind == "sum":
         return [n((3, 4))], {"axis": 0}
     if kind == "mse-loss":

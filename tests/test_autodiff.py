@@ -49,7 +49,7 @@ class TestBackwardExamples:
         y = T.mul(x, x)
         backward(y.sum())
         with pytest.raises(GraphConsumedError):
-            backward(y.mean())
+            backward(y.sum())
 
     def test_unreachable_leaves_get_zero(self):
         store = ParamStore()

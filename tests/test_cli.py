@@ -274,6 +274,20 @@ class TestExitCodes:
         assert run(["train", "--config", tmp_path / "missing.json",
                     "--data", tmp_path, "--out", tmp_path / "y"]) == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "window", 0), ("model", "heads", "two"), ("model", "fusion", 5),
+        ("model", "stage_multipliers", None), ("data", "split_ratios", [1.0]),
+        ("train", "steps", 2.5), ("train", "steps", True), ("train", "lr", "x"),
+    ])
+    def test_ill_typed_config_value_is_2(self, tmp_path, section, key, value, capsys):
+        bad = json.loads(json.dumps(CFG))
+        bad[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run(["gen-data", "--config", path, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_data_error_is_3(self, ws):
         tmp, cfg = ws
         assert run(["train", "--config", cfg, "--data", tmp / "absent",
@@ -345,6 +359,20 @@ class TestExitCodes:
                     "--out", tmp_path / "ev"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: case c: prediction has 2 non-finite voxels"]
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"train": []}',
+        '{"train": 5, "val": [], "test": [], "seed": 0}',
+        '{"train": [], "val": [], "test": []}',
+    ], ids=["invalid-json", "not-an-object", "missing-keys", "train-not-a-list", "no-seed"])
+    def test_malformed_split_is_3(self, ws, text, capsys):
+        tmp, cfg = ws
+        (tmp / "data").mkdir()
+        (tmp / "data" / "split.json").write_text(text)
+        assert run(["train", "--config", cfg, "--data", tmp / "data",
+                    "--out", tmp / "t"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
 
     @pytest.mark.parametrize("field,value", [("image_size", 32), ("oar_count", 3)])
     def test_data_not_matching_model_config_is_3(self, trained, field, value, capsys):

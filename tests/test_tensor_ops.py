@@ -34,8 +34,6 @@ class TestForwardExamples:
     def test_concat_slice_roll(self):
         c = T.concat([t([[1.0, 2]]), t([[3.0, 4]])], axis=0)
         assert c.shape == (2, 2)
-        s = T.slice_(c, (0, 1), (2, 2))
-        assert np.array_equal(s.data, [[2], [4]])
         r = T.roll(c, (1,), (0,))
         assert np.array_equal(r.data, [[3, 4], [1, 2]])
 
@@ -54,14 +52,14 @@ class TestForwardExamples:
         # 1x1 kernel of value 2 is elementwise doubling
         x = t(np.arange(9.0).reshape(1, 3, 3, 1))
         w = t(np.full((1, 1, 1, 1), 2.0))
-        out = T.conv2d(x, w, 1, 0)
+        out = T.conv2d(x, w, stride=1, padding=0)
         assert np.array_equal(out.data, 2.0 * x.data)
 
     def test_conv2d_matches_direct_sum(self):
         # per-output-pixel sum over the zero-padded window, strided and padded
         rng = np.random.default_rng(3)
         x, w = rng.standard_normal((2, 5, 6, 3)), rng.standard_normal((4, 3, 3, 2))
-        out = T.conv2d(t(x), t(w), 2, 1).data
+        out = T.conv2d(t(x), t(w), stride=2, padding=1).data
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         ref = np.zeros((2, 3, 4, 4))
         for i in range(3):
@@ -71,11 +69,50 @@ class TestForwardExamples:
         assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
+def _value_and_grads(fn, arrays):
+    """Output of fn on fresh leaves, and every leaf's gradient of a fixed
+    random projection of that output."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    proj = np.random.default_rng(0).standard_normal(out.shape)
+    backward(T.mul(out, t(proj)).sum())
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+class TestFoldedBiasParity:
+    """One-node affine ops are bitwise the product followed by a bias add."""
+
+    @pytest.mark.parametrize("x_shape,c_out", [((3, 1, 1, 8), 6), ((2, 4, 4, 5), 20)])
+    def test_linear_matches_matmul_add(self, x_shape, c_out):
+        rng = np.random.default_rng(1)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((x_shape[-1], c_out)),
+                  rng.standard_normal(c_out)]
+        fused = _value_and_grads(T.linear, arrays)
+        split = _value_and_grads(lambda x, w, b: T.add(T.matmul(x, w), b), arrays)
+        for got, want in zip(fused, split):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((2, 8, 8, 4), (6, 4, 3, 3), 1, 1),
+        ((2, 8, 8, 4), (6, 4, 3, 3), 2, 1),
+        ((2, 8, 8, 8), (4, 8, 1, 1), 1, 0),
+    ])
+    def test_biased_conv2d_matches_conv2d_add(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(2)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+                  rng.standard_normal(w_shape[0])]
+        fused = _value_and_grads(lambda x, w, b: T.conv2d(x, w, b, stride, padding), arrays)
+        split = _value_and_grads(
+            lambda x, w, b: T.add(T.conv2d(x, w, stride=stride, padding=padding), b), arrays)
+        for got, want in zip(fused, split):
+            assert np.array_equal(got, want)
+
+
 # table: (kind, input shapes, attrs, expected output shape)
 SHAPE_TABLE = [
     ("add", [(3, 4), (3, 4)], {}, (3, 4)),
     ("add", [(2, 3, 1, 1), (2, 3, 4, 4)], {}, (2, 3, 4, 4)),
-    ("sub", [(5,), (5,)], {}, (5,)),
+    ("linear", [(2, 1, 1, 6), (6, 4), (4,)], {}, (2, 1, 1, 4)),
     ("elementwise-mul", [(2, 2), (2, 2)], {}, (2, 2)),
     ("scalar-mul", [(7,)], {"value": 3.0}, (7,)),
     ("matmul", [(3, 4), (4, 5)], {}, (3, 5)),
@@ -87,14 +124,14 @@ SHAPE_TABLE = [
     ("reshape", [(3, 4)], {"shape": (2, 6)}, (2, 6)),
     ("permute", [(2, 3, 4)], {"axes": (2, 0, 1)}, (4, 2, 3)),
     ("concat", [(2, 3), (2, 5)], {"axis": 1}, (2, 8)),
-    ("slice", [(4, 6)], {"starts": (1, 2), "stops": (3, 6)}, (2, 4)),
+    ("conv2d", [(2, 8, 8, 3), (5, 3, 1, 1), (5,)], {"stride": 2, "padding": 0}, (2, 4, 4, 5)),
     ("roll", [(4, 6)], {"shifts": (1, 2), "axes": (0, 1)}, (4, 6)),
     ("softmax", [(3, 5)], {"axis": -1}, (3, 5)),
     ("relu", [(2, 2)], {}, (2, 2)),
     ("gelu", [(9,)], {}, (9,)),
     ("layer-norm", [(4, 6), (6,), (6,)], {}, (4, 6)),
-    ("mean", [(3, 4)], {"axis": None}, ()),
-    ("mean", [(3, 4)], {"axis": 1}, (3,)),
+    ("linear", [(2, 4, 4, 3), (3, 7), (7,)], {}, (2, 4, 4, 7)),
+    ("sum", [(3, 4)], {"axis": None}, ()),
     ("sum", [(3, 4)], {"axis": 0}, (4,)),
     ("mse-loss", [(3, 4), (3, 4)], {}, ()),
 ]
@@ -120,6 +157,12 @@ class TestErrors:
             T.add(t(np.ones((2, 3))), t(np.ones((4, 5))))
         with pytest.raises(ShapeError, match="conv2d"):
             T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 5, 3, 3))))
+        with pytest.raises(ShapeError, match="conv2d"):
+            T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 3, 3, 3))), t(np.ones(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(t(np.ones((2, 4))), t(np.ones((3, 5))), t(np.ones(5)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(t(np.ones((2, 4))), t(np.ones((4, 5))), t(np.ones(4)))
         with pytest.raises(ShapeError):
             T.mse_loss(t(np.ones(3)), t(np.ones(4)))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dosediff.checkpoint import load_checkpoint
-from dosediff.config import config_from_dict
+from dosediff.config import ConfigError, config_from_dict
 from dosediff.networks import FusionStrategy
 from dosediff.train import (DataError, Trainer, fit_step, fusion_ablation_matrix,
                             generate_dataset, load_split, lr_at, sample_case)
@@ -108,6 +108,16 @@ class TestTrainer:
         resumed.run()
         got = (tmp_path / "resumed" / "ckpt_final.bin").read_bytes()
         assert got == ref
+
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_run_steps_below_one_raises_and_writes_nothing(self, dataset, tmp_path, steps):
+        cfg, data_dir = dataset
+        Trainer(cfg, data_dir, tmp_path / "part").run(steps=4)
+        resumed = Trainer(cfg, data_dir, tmp_path / "resumed",
+                          resume=load_checkpoint(tmp_path / "part" / "ckpt_final.bin"))
+        with pytest.raises(ConfigError, match="steps"):
+            resumed.run(steps=steps)
+        assert list((tmp_path / "resumed").iterdir()) == []
 
     def test_intermediate_checkpoint_resume(self, dataset, tmp_path):
         cfg, data_dir = dataset
