@@ -16,7 +16,8 @@ import numpy as np
 
 from dosediff import diffusion as D
 from dosediff import phantom as P
-from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
+from dosediff.config import FusionStrategy, ModelConfig
+from dosediff.networks import DoseModel
 from dosediff.render import write_pgm, write_ppm_diff
 from dosediff.train import fit_step, lr_at, sample_case
 
@@ -44,7 +45,6 @@ def main(argv=None):
                       projector_ratio=4, use_projector=True,
                       fusion=FusionStrategy.parse(args.fusion),
                       t_steps=args.t_steps, beta_start=1e-4, beta_end=0.35)
-    cfg.validate()
 
     samples = [P.generate_phantom(100 + i, args.size, 3, 5) for i in range(args.cases)]
     cond, dose = P.normalize_batch(samples)

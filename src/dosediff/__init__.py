@@ -6,9 +6,10 @@ harness.
 
 __version__ = "0.1.0"
 
+from .config import FusionStrategy, ModelConfig
 from .diffusion import (NoiseSchedule, make_schedule, p_sample_step, predict_x0,
                         q_sample, sample_loop, training_step)
-from .networks import ConditionStack, DoseModel, FusionStrategy, ModelConfig
+from .networks import ConditionStack, DoseModel
 from .optim import ParamStore, adam_step
 from .phantom import PhantomSample, generate_phantom, normalize_batch, read_sample, write_sample
 from .tensor import Tensor, backward, forward_op, no_grad

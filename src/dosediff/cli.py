@@ -1,7 +1,8 @@
 """Command-line harness: data generation, training, sampling,
 evaluation, ablation sweeps, and schedule dumps.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config or argument error (config.validate's
+rules), 3 data error, 4 numeric failure; any other fault is a traceback.
 Every command is deterministic given (config, seed): reruns produce
 byte-identical result files (wall-clock timings are segregated into
 their own file).
@@ -21,8 +22,9 @@ from . import metrics as M
 from . import phantom as P
 from . import train as TR
 from .checkpoint import load_checkpoint, restore_into
-from .config import ConfigError, dumps_config, load_config
-from .networks import DoseModel, FusionStrategy
+from .config import (ConfigError, FusionStrategy, check_schedule, dumps_config, load_config,
+                     validate)
+from .networks import DoseModel
 from .render import write_pgm, write_ppm_diff
 
 
@@ -31,14 +33,15 @@ def _load_cfg(args):
         raise ConfigError("--config is required for this command")
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = validate(dataclasses.replace(cfg, seed=args.seed))
     return cfg
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, seed=args.seed))
+        data = dataclasses.replace(cfg.data, seed=args.seed)
+        cfg = validate(dataclasses.replace(cfg, data=data))
     out = Path(args.out or cfg.out_dir)
     split = TR.generate_dataset(cfg, out)
     print(f"wrote {cfg.data.n_samples} samples to {out} "
@@ -57,12 +60,11 @@ def cmd_train(args) -> int:
     else:
         raise ConfigError("train needs --config or --resume")
     if args.steps is not None:
-        if args.steps < 1:
-            raise ConfigError(f"--steps must be >= 1, got {args.steps}")
         if ckpt is not None and args.steps < ckpt.step:
             raise ConfigError(f"--steps {args.steps} is below the checkpoint's step "
                               f"{ckpt.step}")
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, steps=args.steps))
+        cfg = validate(dataclasses.replace(
+            cfg, train=dataclasses.replace(cfg.train, steps=args.steps)))
     out = Path(args.out or cfg.out_dir)
     trainer = TR.Trainer(cfg, args.data, out, resume=ckpt)
     result = trainer.run()
@@ -89,6 +91,7 @@ def cmd_sample(args) -> int:
     restore_into(model.store, ckpt)
     schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
     base_seed = args.seed if args.seed is not None else cfg.seed
+    validate(dataclasses.replace(cfg, seed=base_seed))
     cases = _resolve_cases(args.cases, args.data)
     if not cases:
         raise TR.DataError("no cases to sample")
@@ -177,12 +180,11 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
-    try:
-        strategies = [FusionStrategy.parse(s) for s in args.strategies.split(",") if s]
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    strategies = [FusionStrategy.parse(s) for s in args.strategies.split(",") if s]
     if not strategies:
         raise ConfigError("no strategies given")
+    for strat in strategies:   # every strategy is checked before any trains
+        validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, fusion=strat)))
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = TR.fusion_ablation_matrix(cfg, strategies, args.data, out)
@@ -202,6 +204,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_dump_schedule(args) -> int:
+    check_schedule(args.steps, args.beta_start, args.beta_end)
     s = D.make_schedule(args.steps, args.beta_start, args.beta_end)
     lines = ["t,beta,alpha,alpha_bar"]
     for i in range(s.T):
@@ -283,9 +286,6 @@ def main(argv=None) -> int:
     except TR.NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

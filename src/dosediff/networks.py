@@ -22,11 +22,13 @@ model's inputs and outputs keep the NCHW layout of the data: x_t and
 eps_hat are [B, 1, H, W] and the condition is [B, 2+O, H, W]. The
 condition is transposed once, outside the graph, and x_t and the head
 output are single-channel, so each crosses the boundary by a reshape.
+
+ModelConfig and FusionStrategy, with their rules, live in dosediff.config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -36,119 +38,9 @@ from . import tensor as T
 from .blocks import (CrossAttentionParams, ProjectorParams, SwinBlockParams,
                      cross_attention_fuse, projector_forward, swin_block,
                      time_embedding, trunc_normal)
+from .config import FusionStrategy, ModelConfig  # noqa: F401  (FusionStrategy re-exported)
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor
-
-FUSION_MODES = ("concatenate", "add-all", "attn-all", "attn-lastK")
-
-
-@dataclass(frozen=True)
-class FusionStrategy:
-    """Conditioning-fusion mode, plus K for the attn-lastK family."""
-
-    mode: str
-    k: int = 0
-
-    def __post_init__(self):
-        if self.mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {self.mode!r}")
-        if self.mode == "attn-lastK" and self.k < 0:
-            raise ValueError(f"attn-lastK needs K >= 0, got {self.k}")
-
-    @classmethod
-    def parse(cls, text: str) -> "FusionStrategy":
-        if text in ("concatenate", "add-all", "attn-all"):
-            return cls(text)
-        if text.startswith("attn-last"):
-            return cls("attn-lastK", int(text[len("attn-last"):]))
-        raise ValueError(f"cannot parse fusion strategy {text!r}")
-
-    def label(self) -> str:
-        if self.mode == "attn-lastK":
-            return f"attn-last{self.k}"
-        return self.mode
-
-    def stage_kinds(self, num_stages: int) -> Optional[List[str]]:
-        """Per-stage fusion kind, or None for input-level concatenation."""
-        if self.mode == "concatenate":
-            return None
-        if self.mode == "add-all":
-            return ["add"] * num_stages
-        if self.mode == "attn-all":
-            return ["attn"] * num_stages
-        if self.k > num_stages:
-            raise ValueError(f"attn-last{self.k} exceeds {num_stages} stages")
-        return ["add"] * (num_stages - self.k) + ["attn"] * self.k
-
-
-@dataclass
-class ModelConfig:
-    """Architecture hyperparameters for both branches.
-
-    image_size must be divisible by 2**len(stage_multipliers); each
-    stage halves the resolution once.
-    """
-
-    image_size: int = 256
-    oar_count: int = 3
-    base_channels: int = 32
-    stage_multipliers: tuple[int, ...] = (1, 2, 4, 8, 8)
-    window: int = 4
-    heads: int = 4
-    projector_ratio: int = 4
-    use_projector: bool = True
-    fusion: FusionStrategy = field(default_factory=lambda: FusionStrategy("attn-lastK", 2))
-    t_steps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    time_dim: int = 0  # 0 means 4 * base_channels
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stage_multipliers)
-
-    @property
-    def cond_channels(self) -> int:
-        return 2 + self.oar_count
-
-    @property
-    def time_dim_effective(self) -> int:
-        return self.time_dim if self.time_dim else 4 * self.base_channels
-
-    def stage_channels(self) -> List[int]:
-        """Channel width entering stage i (index 0 = stem output)."""
-        return [self.base_channels] + [self.base_channels * m for m in self.stage_multipliers]
-
-    def validate(self):
-        for name in ("window", "heads", "projector_ratio"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        s = self.num_stages
-        if s < 1:
-            raise ValueError("need at least one stage")
-        if self.image_size % (1 << s):
-            raise ValueError(f"image_size {self.image_size} not divisible by 2^{s}")
-        if self.oar_count < 1:
-            raise ValueError("oar_count must be >= 1")
-        widths = self.stage_channels()
-        for w in widths:
-            if w % self.heads:
-                raise ValueError(f"channel width {w} not divisible by {self.heads} heads")
-            if self.use_projector and w % self.projector_ratio:
-                raise ValueError(f"width {w} not divisible by projector ratio "
-                                 f"{self.projector_ratio}")
-        for side in self._block_sides():
-            if side % min(self.window, side):
-                raise ValueError(f"window {self.window} incompatible with side {side}")
-        self.fusion.stage_kinds(s)  # raises when K is out of range
-        if self.time_dim_effective % 2:
-            raise ValueError("time embedding dim must be even")
-
-    def _block_sides(self) -> List[int]:
-        return [self.image_size >> i for i in range(self.num_stages + 1)]
-
-    def window_for(self, side: int) -> int:
-        return min(self.window, side)
 
 
 @dataclass
@@ -333,12 +225,8 @@ class DoseModel:
 
         # middle attention blocks at the bottleneck
         mid_side = cfg.image_size >> cfg.num_stages
-        self.mid = [
-            B.init_swin_block(store, "dn.mid.b0", widths[-1], cfg.window_for(mid_side),
-                              False, cfg.heads, rng, t_dim=t_dim),
-            B.init_swin_block(store, "dn.mid.b1", widths[-1], cfg.window_for(mid_side),
-                              True, cfg.heads, rng, t_dim=t_dim),
-        ]
+        self.mid = [B.init_swin_block(store, f"dn.mid.b{j}", widths[-1], cfg.window_for(mid_side),
+                                      j == 1, cfg.heads, rng, t_dim=t_dim) for j in range(2)]
 
         # decoder, deepest stage first
         self.dec_stages = []
@@ -441,12 +329,9 @@ class DoseModel:
         names = self.store.names()
         groups = {
             "structure-encoder": [n for n in names if n.startswith("senc.")],
-            "fusion-projector": [n for n in names
-                                 if n.startswith("dn.fuse.") or n.startswith("dn.proj.")],
-            "denoiser-encoder": [n for n in names
-                                 if n.startswith("dn.stem") or n.startswith("dn.enc.")],
+            "fusion-projector": [n for n in names if n.startswith(("dn.fuse.", "dn.proj."))],
+            "denoiser-encoder": [n for n in names if n.startswith(("dn.stem", "dn.enc."))],
             "middle": [n for n in names if n.startswith("dn.mid.")],
-            "decoder": [n for n in names
-                        if n.startswith("dn.dec.") or n.startswith("dn.head")],
+            "decoder": [n for n in names if n.startswith(("dn.dec.", "dn.head"))],
         }
         return {k: v for k, v in groups.items() if v}

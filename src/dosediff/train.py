@@ -18,8 +18,8 @@ from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
 from .checkpoint import Checkpoint, restore_into, save_checkpoint
-from .config import ConfigError, RunConfig
-from .networks import DoseModel, FusionStrategy, ModelConfig
+from .config import ConfigError, FusionStrategy, ModelConfig, RunConfig
+from .networks import DoseModel
 from .optim import adam_step
 from .tensor import backward, no_grad
 
@@ -29,7 +29,7 @@ class DataError(Exception):
 
 
 class NumericFailure(Exception):
-    """Non-finite loss during training (CLI exit code 4)."""
+    """Non-finite loss or parameters during training (CLI exit code 4)."""
 
 
 def lr_at(step: int, total_steps: int, lr0: float, decay_start_frac: float) -> float:
@@ -201,6 +201,10 @@ class Trainer:
                            steps_run=end_step - self.start_step)
 
     def _save(self, path: Path, step: int) -> None:
+        for name, p in self.model.store.items():   # no checkpoint of a diverged model
+            if not np.isfinite(p.data).all():
+                raise NumericFailure(f"parameter {name!r} is non-finite at step {step}; "
+                                     f"{path.name} not written")
         save_checkpoint(path, self.cfg, self.model.store, step, self.rng)
 
 
@@ -233,6 +237,9 @@ def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
     bad = np.count_nonzero(~np.isfinite(pred_dose))
     if bad:
         raise DataError(f"case {case}: prediction has {bad} non-finite voxels")
+    for what, dose in (("prediction", pred_dose), ("truth", truth.dose)):  # HI divides by it
+        if truth.ptv.any() and dose[truth.ptv].astype(np.float64).mean() <= 0.0:
+            raise DataError(f"case {case}: {what} has no positive mean dose in the PTV")
     return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
                              truth.body, truth.structures())
 

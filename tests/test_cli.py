@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dosediff import cli
 from dosediff import phantom as P
 from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
@@ -253,6 +254,16 @@ class TestAblateCommand:
         assert run(["ablate", "--config", cfg, "--data", data,
                     "--out", tmp / "abx", "--strategies", "osmosis"]) == 2
 
+    def test_every_strategy_checked_before_any_trains(self, trained, capsys):
+        tmp, cfg, data, ckpt = trained
+        capsys.readouterr()
+        # add-all is valid; attn-last9 needs 9 stages and the config has 2
+        assert run(["ablate", "--config", cfg, "--data", data,
+                    "--out", tmp / "abx", "--strategies", "add-all,attn-last9"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: attn-last9 exceeds 2 stages"]
+        assert not (tmp / "abx").exists()
+
 
 class TestDumpSchedule:
     def test_csv_output(self, tmp_path):
@@ -265,6 +276,16 @@ class TestDumpSchedule:
         t, beta, alpha, abar = lines[1].split(",")
         assert float(beta) == 0.1 and float(abar) == 0.9
 
+    @pytest.mark.parametrize("args", [
+        ["--steps", 0], ["--steps", 3, "--beta-start", 0], ["--steps", 3, "--beta-end", "nan"],
+        ["--steps", 3, "--beta-start", 0.5, "--beta-end", 0.1],
+    ], ids=["steps-0", "beta-start-0", "beta-end-nan", "start-above-end"])
+    def test_bad_schedule_is_2(self, tmp_path, args, capsys):
+        assert run(["dump-schedule", *args, "--out", tmp_path / "s.csv"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "t_steps" in err[0]
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -273,6 +294,43 @@ class TestExitCodes:
         assert run(["gen-data", "--config", bad, "--out", tmp_path / "x"]) == 2
         assert run(["train", "--config", tmp_path / "missing.json",
                     "--data", tmp_path, "--out", tmp_path / "y"]) == 2
+
+    @pytest.mark.parametrize("path,value", [
+        # ranges that used to pass config loading
+        ("model.base_channels", 0), ("model.stage_multipliers", [0, 1]),
+        ("data.split_ratios", [-1.0, 1.0, 1.0]), ("model.image_size", 65536),
+        ("model.oar_count", 1000000), ("train.lr", float("nan")), ("train.lr", float("inf")),
+        ("train.lr", 0.0), ("train.beta1", 1.0), ("train.beta2", float("nan")),
+        ("train.decay_start_frac", float("inf")), ("train.checkpoint_every", -1),
+        ("model.time_dim", -4), ("model.beta_end", float("nan")),
+        ("data.split_ratios", [float("nan"), 0.5, 0.5]), ("seed", -1), ("data.seed", -1),
+        # rules the library functions enforced, now config rules
+        ("model.t_steps", 0), ("model.beta_start", 0), ("model.image_size", 8),
+        ("data.beam_count", 0), ("data.split_ratios", [0.5, 0.5, 0.5]),
+    ])
+    def test_out_of_range_config_value_is_2(self, tmp_path, path, value, capsys):
+        bad = json.loads(json.dumps(CFG))
+        *sections, key = path.split(".")
+        target = bad
+        for s in sections:
+            target = target[s]
+        target[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        assert run(["gen-data", "--config", cfg, "--out", tmp_path / "d"]) == 2
+        assert run(["train", "--config", cfg, "--data", tmp_path / "d",
+                    "--out", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(e.startswith("config error:") and key in e for e in err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_plain_value_error_is_not_a_config_error(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a fault inside the program")
+        monkeypatch.setattr(cli, "cmd_dump_schedule", broken)
+        with pytest.raises(ValueError, match="inside the program"):
+            run(["dump-schedule", "--steps", 3])
 
     @pytest.mark.parametrize("section,key,value", [
         ("model", "window", 0), ("model", "heads", "two"), ("model", "fusion", 5),
@@ -359,6 +417,19 @@ class TestExitCodes:
                     "--out", tmp_path / "ev"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: case c: prediction has 2 non-finite voxels"]
+
+    def test_eval_prediction_zero_in_ptv_is_3(self, tmp_path, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2)
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        pred = s.dose.copy()
+        pred[s.ptv] = 0.0
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", pred)
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: case c: prediction has no positive mean dose in the PTV"]
 
     @pytest.mark.parametrize("text", [
         "{not json", "[]", '{"train": []}',

@@ -115,6 +115,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"model": {"fusion": "blend-everything"}})
 
+    def test_schema_raises_config_error(self):
+        # one schema, importable from both modules, whose checks are config errors
+        from dosediff import config, networks
+        assert networks.ModelConfig is config.ModelConfig
+        assert networks.FusionStrategy is config.FusionStrategy
+        for bad in ("mystery", "attn-last", "attn-lastx", "attn-last-1"):
+            with pytest.raises(ConfigError):
+                FusionStrategy.parse(bad)
+        with pytest.raises(ConfigError):
+            FusionStrategy.parse("attn-last3").stage_kinds(2)
+        with pytest.raises(ConfigError):
+            ModelConfig(heads=3).validate()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "none.json")

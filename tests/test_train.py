@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dosediff.checkpoint import load_checkpoint
 from dosediff.config import ConfigError, config_from_dict
 from dosediff.networks import FusionStrategy
-from dosediff.train import (DataError, Trainer, fit_step, fusion_ablation_matrix,
-                            generate_dataset, load_split, lr_at, sample_case)
+from dosediff.train import (DataError, NumericFailure, Trainer, fit_step,
+                            fusion_ablation_matrix, generate_dataset, load_split, lr_at,
+                            sample_case)
 
 
 def tiny_cfg_dict(**train_kw):
@@ -118,6 +121,14 @@ class TestTrainer:
         with pytest.raises(ConfigError, match="steps"):
             resumed.run(steps=steps)
         assert list((tmp_path / "resumed").iterdir()) == []
+
+    def test_non_finite_parameters_are_never_checkpointed(self, dataset, tmp_path):
+        cfg, data_dir = dataset
+        # the Python API skips config validation; an infinite lr diverges in one step
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, lr=float("inf")))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericFailure, match="non-finite"):
+            Trainer(cfg, data_dir, tmp_path / "run").run(1)
+        assert not (tmp_path / "run" / "ckpt_final.bin").exists()
 
     def test_intermediate_checkpoint_resume(self, dataset, tmp_path):
         cfg, data_dir = dataset
