@@ -21,6 +21,7 @@ from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
 from . import train as TR
+from .atomic import write_atomic
 from .checkpoint import load_checkpoint, restore_into
 from .config import (ConfigError, FusionStrategy, check_schedule, dumps_config, load_config,
                      validate)
@@ -123,7 +124,7 @@ def _write_metric_files(out: Path, rows: dict) -> None:
     lines = [",".join(M.MetricsReport.CSV_COLUMNS)]
     for cid in sorted(rows):
         lines.append(rows[cid].csv_row(cid))
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
 
     summary = ["metric,mean,std,formatted"]
     for attr, col in (("dose_score_relative", "dose_score_rel"),
@@ -131,7 +132,7 @@ def _write_metric_files(out: Path, rows: dict) -> None:
                       ("dvh_score", "dvh_score"), ("hi", "hi")):
         mean, std, text = M.summarize([getattr(r, attr) for r in rows.values()])
         summary.append(f"{col},{mean!r},{std!r},{text}")
-    (out / "metrics_summary.csv").write_text("\n".join(summary) + "\n")
+    write_atomic(out / "metrics_summary.csv", "\n".join(summary) + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -148,8 +149,8 @@ def cmd_eval(args) -> int:
             curves.append(M.dvh_curve(pred, mask, structure=f"{name}_pred"))
             curves.append(M.dvh_curve(truth.dose.astype(np.float64), mask,
                                       structure=f"{name}_truth"))
-        (out / f"dvh_{cid}.csv").write_text(M.dvh_csv(curves))
-        (out / f"report_{cid}.txt").write_text(rows[cid].kv_text())
+        write_atomic(out / f"dvh_{cid}.csv", M.dvh_csv(curves))
+        write_atomic(out / f"report_{cid}.txt", rows[cid].kv_text())
     _write_metric_files(out, rows)
 
     if args.compare:
@@ -172,7 +173,7 @@ def cmd_eval(args) -> int:
                 lines.append(f"{col},{t!r},{df},{p!r}")
             except M.DegenerateVarianceError:
                 lines.append(f"{col},nan,{len(shared) - 1},nan")
-        (out / "ttest.csv").write_text("\n".join(lines) + "\n")
+        write_atomic(out / "ttest.csv", "\n".join(lines) + "\n")
 
     print(f"evaluated {len(cases)} cases -> {out / 'metrics.csv'}")
     return 0
@@ -197,8 +198,8 @@ def cmd_ablate(args) -> int:
             repr(row.mean("dvh_score")), repr(row.mean("hi")), str(len(row.reports)),
         ]))
         timing.append(f"{row.strategy},{row.wall_time_s:.3f}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
-    (out / "ablation_timing.csv").write_text("\n".join(timing) + "\n")
+    write_atomic(out / "ablation.csv", "\n".join(lines) + "\n")
+    write_atomic(out / "ablation_timing.csv", "\n".join(timing) + "\n")
     print(f"ablation table -> {out / 'ablation.csv'}")
     return 0
 
@@ -212,7 +213,7 @@ def cmd_dump_schedule(args) -> int:
                      f"{float(s.alpha_bar[i])!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

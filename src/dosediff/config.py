@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from .atomic import write_atomic
+
 
 class ConfigError(ValueError):
     """Invalid or unreadable run configuration (CLI exit code 2)."""
@@ -261,15 +263,17 @@ def dumps_config(cfg: RunConfig) -> str:
 
 
 def save_config(path, cfg: RunConfig) -> None:
-    Path(path).write_text(dumps_config(cfg))
+    write_atomic(path, dumps_config(cfg))
 
 
 def load_config(path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         d = json.loads(p.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except OSError as e:       # a directory, no read permission, ...
+        raise ConfigError(f"cannot read config file {p}: {e.strerror or e}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{p}: invalid JSON ({e})") from None
     return config_from_dict(d)

@@ -19,8 +19,8 @@ O field written as 0).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import struct
 import warnings
 from contextlib import contextmanager
@@ -30,6 +30,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
+
+from .atomic import write_atomic
 
 MAGIC = b"SPDP"
 FORMAT_VERSION = 1
@@ -355,17 +357,8 @@ class Container:
                                     f"the {self.what} in {path}")
 
     def write(self, path, parts: Iterable[bytes]) -> None:
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as f:
-                f.write(self.magic + struct.pack("<H", self.version))
-                for part in parts:
-                    f.write(part)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        write_atomic(path, itertools.chain(
+            [self.magic + struct.pack("<H", self.version)], parts))
 
 
 SAMPLE_FILE = Container(MAGIC, FORMAT_VERSION, "sample")

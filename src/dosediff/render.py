@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .atomic import write_atomic
 from .phantom import DOSE_MAX_SCALE
 
 DIFF_SCALE = 0.25  # prescription units at full color saturation
@@ -28,9 +29,7 @@ def write_pgm(path, img: np.ndarray, lo: float = 0.0, hi: float = DOSE_MAX_SCALE
         raise ValueError(f"PGM needs a 2-D image, got shape {a.shape}")
     pix = _quantize((a - lo) / (hi - lo))
     h, w = pix.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(pix.tobytes())
+    write_atomic(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), pix.tobytes()])
 
 
 def write_ppm_diff(path, diff: np.ndarray, scale: float = DIFF_SCALE) -> None:
@@ -43,6 +42,4 @@ def write_ppm_diff(path, diff: np.ndarray, scale: float = DIFF_SCALE) -> None:
     b = _quantize(1.0 - np.maximum(x, 0.0))
     h, w = d.shape
     rgb = np.stack([r, g, b], axis=-1)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(rgb.tobytes())
+    write_atomic(path, [f"P6\n{w} {h}\n255\n".encode("ascii"), rgb.tobytes()])

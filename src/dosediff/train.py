@@ -17,6 +17,7 @@ import numpy as np
 from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
+from .atomic import write_atomic
 from .checkpoint import Checkpoint, restore_into, save_checkpoint
 from .config import ConfigError, FusionStrategy, ModelConfig, RunConfig
 from .networks import DoseModel
@@ -103,7 +104,7 @@ def generate_dataset(cfg: RunConfig, out_dir) -> P.DatasetSplit:
     split = P.make_split(ids, cfg.data.seed, cfg.data.split_ratios)
     manifest = {"train": split.train, "val": split.val, "test": split.test,
                 "seed": split.seed}
-    (out / "split.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_atomic(out / "split.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return split
 
 

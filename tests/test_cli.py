@@ -276,6 +276,20 @@ class TestDumpSchedule:
         t, beta, alpha, abar = lines[1].split(",")
         assert float(beta) == 0.1 and float(abar) == 0.9
 
+    def test_failed_out_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "sched.csv"
+        assert run(["dump-schedule", "--steps", 5, "--out", out]) == 0
+        before = out.read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("dosediff.atomic.os.replace", no_replace)
+        with pytest.raises(OSError, match="disk full"):
+            run(["dump-schedule", "--steps", 7, "--out", out])
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("args", [
         ["--steps", 0], ["--steps", 3, "--beta-start", 0], ["--steps", 3, "--beta-end", "nan"],
         ["--steps", 3, "--beta-start", 0.5, "--beta-end", 0.1],
@@ -294,6 +308,14 @@ class TestExitCodes:
         assert run(["gen-data", "--config", bad, "--out", tmp_path / "x"]) == 2
         assert run(["train", "--config", tmp_path / "missing.json",
                     "--data", tmp_path, "--out", tmp_path / "y"]) == 2
+
+    def test_config_naming_a_directory_is_2(self, tmp_path, capsys):
+        (tmp_path / "cfg").mkdir()
+        assert run(["gen-data", "--config", tmp_path / "cfg", "--out", tmp_path / "d"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "cfg" in err[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg"]
+        assert not any((tmp_path / "cfg").iterdir())
 
     @pytest.mark.parametrize("path,value", [
         # ranges that used to pass config loading

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosediff import phantom as P
+from dosediff.atomic import write_atomic
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +317,19 @@ class TestSampleIO:
         with pytest.raises(OSError, match="disk full"):
             P.SAMPLE_FILE.write(path, parts())
         assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_atomic_write_keeps_previous_result_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        write_atomic(path, "case,score\nsample_00000,1.0\n")
+
+        def chunks():
+            yield b"case,score\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, chunks())
+        assert path.read_text() == "case,score\nsample_00000,1.0\n"
         assert list(tmp_path.iterdir()) == [path]
 
 

@@ -108,6 +108,112 @@ class TestFoldedBiasParity:
             assert np.array_equal(got, want)
 
 
+def reference_conv2d(x, w, b=None, stride=1, padding=0):
+    """The strided per-tap loop that ``conv2d``'s stride-1 path replaced,
+    kept verbatim as the reference its flat-buffer tap sum must match."""
+    if x.data.ndim != 4 or w.data.ndim != 4:
+        raise ShapeError(f"conv2d: need 4-D x and w, got {x.shape}, {w.shape}")
+    if x.shape[3] != w.shape[1]:
+        raise ShapeError(f"conv2d: channel mismatch, x has {x.shape[3]}, w expects {w.shape[1]}")
+    B, H, W, Cin = x.shape
+    Cout, _, kh, kw = w.shape
+    if b is not None:
+        T._check_bias("conv2d", b, Cout)
+    s, p = int(stride), int(padding)
+    Ho, Wo = T._conv_out_side(H, kh, s, p), T._conv_out_side(W, kw, s, p)
+    if Ho < 1 or Wo < 1:
+        raise ShapeError(f"conv2d: output would be empty for x {x.shape}, kernel {w.shape}, "
+                         f"stride {s}, padding {p}")
+    if p:
+        xp = np.zeros((B, H + 2 * p, W + 2 * p, Cin))
+        xp[:, p:p + H, p:p + W] = x.data
+    else:
+        xp = x.data
+    wd = w.data
+    # tap (ki, kj) reads the [B, Ho, Wo, Cin] strided view of the padded input
+    taps = [(ki, kj, (slice(None), slice(ki, ki + s * Ho, s), slice(kj, kj + s * Wo, s)))
+            for ki in range(kh) for kj in range(kw)]
+    out = np.zeros((B * Ho * Wo, Cout))
+    for ki, kj, tap in taps:
+        out += xp[tap].reshape(-1, Cin) @ wd[:, :, ki, kj].T
+    if b is not None:
+        out += b.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, Cout)
+        gw = np.empty_like(wd)
+        gxp = np.zeros_like(xp)
+        for ki, kj, tap in taps:
+            gw[:, :, ki, kj] = g2.T @ xp[tap].reshape(-1, Cin)
+            gxp[tap] += (g2 @ wd[:, :, ki, kj]).reshape(B, Ho, Wo, Cin)
+        gx = gxp[:, p:p + H, p:p + W] if p else gxp
+        if b is None:
+            return gx, gw
+        return gx, gw, T._unbroadcast(g, b.shape)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return T._make("conv2d", out.reshape(B, Ho, Wo, Cout), parents, bwd)
+
+
+def _assert_close(got, want, rtol):
+    """|got - want| <= rtol * max|want| elementwise, the scale set by the
+    largest entry so that entries near zero are not held to a tighter bound."""
+    assert got.shape == want.shape
+    scale = float(np.abs(want).max()) or 1.0
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * scale)
+
+
+class TestConv2dParity:
+    """The stride-1 flat-buffer conv against the per-tap loop it replaced:
+    the forward within 1e-13 and every gradient within 1e-12 (the tap sums
+    can take a different GEMM size, and the weight gradient's sum runs
+    over the zeros of the padded grid's junk positions too)."""
+
+    @pytest.mark.parametrize("x_shape,w_shape,padding,biased", [
+        ((1, 8, 8, 3), (5, 3, 3, 3), 1, True),       # B = 1
+        ((3, 5, 7, 4), (6, 4, 3, 3), 1, True),       # B = 3, non-square map
+        ((2, 6, 9, 3), (4, 3, 3, 3), 0, False),      # 3x3 without padding
+        ((2, 6, 6, 8), (4, 8, 1, 1), 0, True),       # 1x1 merge conv
+        ((2, 8, 8, 4), (1, 4, 3, 3), 1, True),       # Cout = 1, the head
+        ((2, 8, 8, 1), (4, 1, 3, 3), 1, True),       # Cin = 1, the stem
+        ((1, 6, 5, 2), (3, 2, 3, 3), 2, False),      # padding wider than the kernel reach
+        # 256 channels make 256-row blocks: 2*22*22 padded rows span four
+        # blocks forward and backward
+        ((2, 20, 20, 16), (256, 16, 3, 3), 1, True),
+        ((2, 20, 20, 256), (16, 256, 3, 3), 1, False),
+    ])
+    def test_matches_reference_loop(self, x_shape, w_shape, padding, biased):
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
+        if biased:
+            arrays.append(rng.standard_normal(w_shape[0]))
+        got = _value_and_grads(lambda *a: T.conv2d(*a, stride=1, padding=padding), arrays)
+        want = _value_and_grads(lambda *a: reference_conv2d(*a, stride=1, padding=padding),
+                                arrays)
+        _assert_close(got[0], want[0], 1e-13)
+        for g, w in zip(got[1:], want[1:]):
+            _assert_close(g, w, 1e-12)
+
+    def test_strided_path_is_the_reference_loop(self):
+        rng = np.random.default_rng(6)
+        arrays = [rng.standard_normal((2, 9, 8, 3)), rng.standard_normal((4, 3, 3, 3)),
+                  rng.standard_normal(4)]
+        got = _value_and_grads(lambda *a: T.conv2d(*a, stride=2, padding=1), arrays)
+        want = _value_and_grads(lambda *a: reference_conv2d(*a, stride=2, padding=1), arrays)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_layer_norm_forward_is_the_composed_formula_bitwise():
+    rng = np.random.default_rng(7)
+    x, gamma, beta = rng.standard_normal((2, 5, 6, 8)), rng.standard_normal(8), rng.standard_normal(8)
+    avg = np.full(8, 1.0 / 8)
+    xc = x - (x @ avg)[..., None]
+    xhat = xc * (1.0 / np.sqrt(((xc * xc) @ avg)[..., None] + 1e-5))
+    want = xhat * gamma + beta
+    assert np.array_equal(T.layer_norm(t(x), t(gamma), t(beta)).data, want)
+
+
 # table: (kind, input shapes, attrs, expected output shape)
 SHAPE_TABLE = [
     ("add", [(3, 4), (3, 4)], {}, (3, 4)),
