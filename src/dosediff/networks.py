@@ -119,11 +119,10 @@ def _conv(x: Tensor, p: ConvParams, stride=1, padding=1) -> Tensor:
 
 
 def _conv_block(x: Tensor, p: ConvBlockParams, t_feat: Optional[Tensor]) -> Tensor:
-    y = T.relu(T.layer_norm(x, p.ln_g, p.ln_b))
-    y = T.conv2d(y, p.w, p.b, 1, 1)
+    t_bias = None
     if t_feat is not None and p.t_w is not None:
-        y = y + T.linear(t_feat, p.t_w, p.t_b)
-    return x + y
+        t_bias = T.linear(t_feat, p.t_w, p.t_b)
+    return T.conv_block(x, p.ln_g, p.ln_b, p.w, p.b, t_bias)
 
 
 def _downsample(x: Tensor, p: DownParams) -> Tensor:

@@ -18,6 +18,12 @@ copy of its input and sums the tap GEMMs one cache-sized block of rows
 at a time; see :func:`conv2d` for what that means for bitwise results.
 ``window_attention`` is a fused op: the whole shifted-window multi-head
 attention of a Swin block in one node, with a hand-written backward.
+``conv_block`` is one too: a pre-norm conv residual block (layer norm,
+ReLU, 3x3 conv, bias, time bias, residual) whose forward and gradients
+are bitwise those of the composed chain of catalog ops. On maps larger
+than one cache-sized block, layer norm (alone or in ``conv_block``) and
+the attention softmax run one block at a time, bitwise the whole-array
+formulas.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ __all__ = [
     "forward_op", "backward", "no_grad",
     "add", "mul", "smul", "matmul", "linear", "conv2d", "upsample2",
     "concat", "roll", "softmax", "relu", "gelu",
-    "layer_norm", "mse_loss", "window_attention", "OP_NAMES",
+    "layer_norm", "conv_block", "mse_loss", "window_attention", "OP_NAMES",
 ]
 
 
@@ -135,9 +141,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _graph_wanted(parents: Sequence[Tensor]) -> bool:
+    """Whether ``_make`` will record a node, so the forward keeps backward state."""
+    return _GRAD_ENABLED and any(p.tracked() for p in parents)
+
+
 def _make(kind: str, out: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
     t = Tensor(out)
-    if _GRAD_ENABLED and any(p.tracked() for p in parents):
+    if _graph_wanted(parents):
         t.node = Node(kind, tuple(parents), bwd)
     return t
 
@@ -160,6 +171,15 @@ def _broadcast_op(kind: str, fn: np.ufunc, a: Tensor, b: Tensor) -> np.ndarray:
     except ValueError:
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} "
                          f"are not broadcastable") from None
+
+
+# elements per block of the row-blocked kernels (512 KB of float64), so
+# that a block's temporaries stay in the L2 cache
+_BLOCK_ELEMS = 65536
+
+# layer-norm epsilon: layer_norm's default and conv_block's constant, so the
+# fused block keeps the composed chain's bits
+_LN_EPS = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +290,7 @@ def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: Sequence[np.ndarray]
     are summed in order, as ``0 + t0 + t1 + ...``.
     """
     n_rows, cout = out.shape
-    block = max(256, 65536 // max(src.shape[1], cout))
+    block = max(256, _BLOCK_ELEMS // max(src.shape[1], cout))
     tmp = np.empty((min(block, n_rows), cout))
     for r0 in range(0, n_rows, block):
         r1 = min(r0 + block, n_rows)
@@ -310,8 +330,9 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
     Output row r = (b*Hp + i)*Wp + j of the padded grid reads tap (ki, kj)
     at row r + ki*Wp + kj, so each tap is a contiguous slice of the one
     flat buffer. Rows past the last valid output are never computed and
-    the junk rows and columns (i >= Ho or j >= Wo) are cropped once at the
-    end. Same return contract as ``_conv2d_strided``.
+    the junk rows and columns (i >= Ho or j >= Wo) are left in place: the
+    output is a [B, Ho, Wo, Cout] view into the padded grid, for the caller
+    to copy out. Otherwise the same return contract as ``_conv2d_strided``.
     """
     B, Hp, Wp, Cin = xp.shape
     Cout, _, kh, kw = wd.shape
@@ -320,12 +341,11 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
     reach = offsets[-1]
     n_rows = rows - reach      # every row after the last valid output is junk
     xf = xp.reshape(rows, Cin)
-    # per-tap weights as contiguous [Cin, Cout] matrices: a GEMM on the
-    # strided view of wd[:, :, ki, kj].T runs ~3x slower, to the same bits
+    # per-tap weights as contiguous [Cin, Cout] matrices (a GEMM on the
+    # strided view of wd[:, :, ki, kj].T gives the same bits)
     taps_w = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, Cin, Cout)
     out = np.empty((rows, Cout))
     _tap_sum(xf, offsets, taps_w, out[:n_rows])
-    out = out.reshape(B, Hp, Wp, Cout)[:, :Ho, :Wo]
 
     def bwd(g):
         # output gradient on the padded grid, zero at the junk positions,
@@ -341,7 +361,7 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
         _tap_sum(gf, [reach - off for off in offsets], taps_w.transpose(0, 2, 1).copy(), gxp)
         return gxp.reshape(B, Hp, Wp, Cin), gw
 
-    return np.ascontiguousarray(out), bwd
+    return out.reshape(B, Hp, Wp, Cout)[:, :Ho, :Wo], bwd
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -387,6 +407,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         out, taps_bwd = _conv2d_flat(xp, w.data, Ho, Wo)
     else:
         out, taps_bwd = _conv2d_strided(xp, w.data, s, Ho, Wo)
+    out = np.ascontiguousarray(out)      # crops the stride-1 padded grid
     if b is not None:
         out += b.data
 
@@ -495,6 +516,20 @@ def _window_index(h: int, w: int, window: int, shift: int) -> tuple:
     return idx, inv
 
 
+def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
+            attn: Optional[np.ndarray] = None, av: Optional[np.ndarray] = None) -> tuple:
+    """softmax(q @ k_t * scale) over the last axis and its product with v,
+    the softmax in place in the score array; both written into attn and av
+    when given. The same operations as ``s = (q @ k_t) * scale; e =
+    exp(s - max(s)); e / sum(e)``, so the same bits."""
+    a = np.matmul(q, k_t, out=attn)
+    a *= scale
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a, np.matmul(a, v, out=av)
+
+
 def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                      heads: int, window: int, shift: int = 0,
                      return_weights: bool = False):
@@ -538,10 +573,17 @@ def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     q = heads_of(wq.data, (0, 2, 1, 3))               # [nW, h, n, dk]
     k_t = heads_of(wk.data, (0, 2, 3, 1))             # [nW, h, dk, n]
     v = heads_of(wv.data, (0, 2, 1, 3))
-    s = (q @ k_t) * scale
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)          # [nW, h, n, n]
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
+    if nwin * heads * n * n <= _BLOCK_ELEMS:
+        attn, av = _attend(q, k_t, v, scale)
+    else:
+        # one cache-sized block of windows at a time, into the full arrays
+        attn = np.empty((nwin, heads, n, n))
+        av = np.empty((nwin, heads, n, dk))
+        step = max(1, _BLOCK_ELEMS // (heads * n * n))
+        for w0 in range(0, nwin, step):
+            blk = slice(w0, w0 + step)
+            _attend(q[blk], k_t[blk], v[blk], scale, attn[blk], av[blk])
+    ctx = av.transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
     out = (ctx @ wo.data).reshape(b, h * w, cout)[:, inv].reshape(b, h, w, cout)
     wod = wo.data
 
@@ -586,10 +628,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0  # derivative at 0 defined as 0
 
     def bwd(g):
-        return (g * mask,)
+        # out > 0 is x > 0 for every x, NaN and -0.0 included (derivative
+        # at 0 defined as 0), so no mask is kept from the forward
+        return (g * (out > 0.0),)
 
     return _make("relu", out, (x,), bwd)
 
@@ -611,33 +654,159 @@ def gelu(x: Tensor) -> Tensor:
     return _make("gelu", out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis, with affine parameters."""
+@functools.lru_cache(maxsize=None)
+def _mean_vector(n: int) -> np.ndarray:
+    """The read-only vector of n entries 1/n: ``a @ _mean_vector(n)`` is the
+    mean over a last axis of length n, as a matrix-vector product, which
+    numpy runs several times faster than it reduces a short contiguous axis."""
+    avg = np.full(n, 1.0 / n)
+    avg.flags.writeable = False
+    return avg
+
+
+def _norm_block(xb: np.ndarray, gam: np.ndarray, bet: np.ndarray, eps: float,
+                xc: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None,
+                inv: Optional[np.ndarray] = None) -> tuple:
+    """Layer norm of xb over its last axis: (xhat * gam + bet, xhat,
+    1/sqrt(var + eps)), written into xc, y and inv when given.
+
+    The operations of ``xhat = (x - mean) * (1 / sqrt(var + eps)); xhat *
+    gam + bet``, the means as stacked matrix-vector products (one GEMV per
+    trailing [W, C] matrix), so a block of whole matrices gets the bits of
+    the whole array (the means flattened to one 2-D GEMV can round
+    differently).
+    """
+    avg = _mean_vector(xb.shape[-1])
+    xc = np.subtract(xb, (xb @ avg)[..., None], out=xc)
+    y = np.multiply(xc, xc, out=y)
+    inv = np.divide(1.0, np.sqrt((y @ avg)[..., None] + eps), out=inv)
+    np.multiply(xc, inv, out=xc)
+    np.multiply(xc, gam, out=y)
+    y += bet
+    return y, xc, inv
+
+
+def _layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                    gam: np.ndarray) -> tuple:
+    """(x, gamma, beta) gradients of a layer norm over the last axis."""
+    avg = _mean_vector(g.shape[-1])
+    lead = tuple(range(g.ndim - 1))
+    g_gamma = (g * xhat).sum(axis=lead)
+    g_beta = g.sum(axis=lead)
+    gx_hat = g * gam
+    gx = inv * (gx_hat - (gx_hat @ avg)[..., None]
+                - xhat * ((gx_hat * xhat) @ avg)[..., None])
+    return gx, g_gamma, g_beta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
+    """Layer normalization over the last axis, with affine parameters.
+
+    A map larger than a cache-sized block runs one block of whole [W, C]
+    matrices at a time (``_norm_block``), bitwise the formula on the
+    whole array.
+    """
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(f"layer-norm: gamma/beta must be ({n},), got {gamma.shape}, {beta.shape}")
-    # means over the last axis as matrix-vector products: numpy reduces a
-    # short contiguous axis several times slower than it runs a GEMV
-    avg = np.full(n, 1.0 / n)
-    xc = x.data - (x.data @ avg)[..., None]
-    inv = 1.0 / np.sqrt(((xc * xc) @ avg)[..., None] + eps)
-    # the same operations as ``xhat = xc * inv; xhat * gamma + beta``, with
-    # xhat in place of xc and beta added in place: two full-map temporaries fewer
-    xhat = np.multiply(xc, inv, out=xc)
-    out = xhat * gamma.data
-    out += beta.data
-    gam = gamma.data
+    keep = _graph_wanted((x, gamma, beta))
+    gam, bet = gamma.data, beta.data
+    if x.data.size <= _BLOCK_ELEMS:
+        out, xhat, inv = _norm_block(x.data, gam, bet, eps)
+    else:
+        x3 = x.data.reshape((-1,) + x.shape[-2:] if x.data.ndim >= 2 else (1, 1, n))
+        m, w = x3.shape[:2]
+        step = max(1, _BLOCK_ELEMS // (w * n))
+        out = np.empty(x.shape)
+        inv = np.empty(x.shape[:-1] + (1,))
+        xhat = np.empty(x.shape) if keep else None
+        o3, i3 = out.reshape(x3.shape), inv.reshape((m, w, 1))
+        h3 = xhat.reshape(x3.shape) if keep else None
+        xc_buf = None if keep else np.empty((min(step, m), w, n))
+        for r0 in range(0, m, step):
+            blk = slice(r0, r0 + step)
+            xb = x3[blk]
+            xc = h3[blk] if keep else xc_buf[:len(xb)]
+            _norm_block(xb, gam, bet, eps, xc, o3[blk], i3[blk])
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        g_gamma = (g * xhat).sum(axis=lead)
-        g_beta = g.sum(axis=lead)
-        gx_hat = g * gam
-        gx = inv * (gx_hat - (gx_hat @ avg)[..., None]
-                    - xhat * ((gx_hat * xhat) @ avg)[..., None])
-        return gx, g_gamma, g_beta
+        return _layer_norm_bwd(g, xhat, inv, gam)
 
     return _make("layer-norm", out, (x, gamma, beta), bwd)
+
+
+def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
+               t_bias: Optional[Tensor] = None) -> Tensor:
+    """Pre-norm conv residual block of a [B, H, W, C] map, one graph node:
+    ``x + ((conv2d(relu(layer_norm(x, gamma, beta)), w, padding=1) + b) + t_bias)``
+    with w [C, C, 3, 3], b [C] and an optional t_bias that broadcasts to x
+    (a [B, 1, 1, C] time bias).
+
+    Layer norm and ReLU run in cache-sized blocks of image rows, the ReLU
+    writing straight into the interior of the zero-bordered buffer that the
+    stride-1 conv reads its taps from; the epilogue adds b, then t_bias,
+    then x. Every element sees the same IEEE operations as the composed
+    chain, so the forward and every gradient are bitwise equal to it.
+    x is a parent twice, the residual term first: its two gradient terms
+    reach the engine's accumulation as separate terms, in the order of
+    the composed chain's residual ``add`` and ``layer_norm``, so a map
+    that also feeds other nodes (a U-Net skip) gets a bitwise-equal
+    gradient too.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv-block: expected a [B, H, W, C] map, got {x.shape}")
+    B, H, W, C = x.shape
+    if w.shape != (C, C, 3, 3):
+        raise ShapeError(f"conv-block: weight must be {(C, C, 3, 3)}, got {w.shape}")
+    if gamma.shape != (C,) or beta.shape != (C,):
+        raise ShapeError(f"conv-block: gamma/beta must be ({C},), got {gamma.shape}, {beta.shape}")
+    _check_bias("conv-block", b, C)
+    parents = (x, x, gamma, beta, w, b)
+    if t_bias is not None:
+        try:
+            fits = np.broadcast_shapes(t_bias.shape, x.shape) == x.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"conv-block: t_bias {t_bias.shape} does not broadcast to {x.shape}")
+        parents += (t_bias,)
+    keep = _graph_wanted(parents)
+    gam, bet = gamma.data, beta.data
+    xd = np.ascontiguousarray(x.data)
+    xp = np.zeros((B, H + 2, W + 2, C))
+    inner = xp[:, 1:H + 1, 1:W + 1]
+    xhat = np.empty(x.shape) if keep else None
+    inv = np.empty((B, H, W, 1)) if keep else None
+    # per image, blocks of whole [W, C] rows: layer norm into contiguous
+    # block buffers, ReLU straight into the padded map
+    step = max(1, _BLOCK_ELEMS // (W * C))
+    rows = (min(step, H), W, C)
+    xc_buf = None if keep else np.empty(rows)
+    y_buf = np.empty(rows)
+    for i in range(B):
+        for r0 in range(0, H, step):
+            blk = slice(r0, r0 + step)
+            xb = xd[i, blk]
+            k = len(xb)
+            y, _, _ = _norm_block(xb, gam, bet, _LN_EPS, xhat[i, blk] if keep else xc_buf[:k],
+                                  y_buf[:k], inv[i, blk] if keep else None)
+            np.maximum(y, 0.0, out=inner[i, blk])
+    conv, taps_bwd = _conv2d_flat(xp, w.data, H, W)
+    out = np.add(conv, b.data)
+    if t_bias is not None:
+        out += t_bias.data
+    out += xd
+
+    def bwd(g):
+        gxp, gw = taps_bwd(g)
+        g_ln = gxp[:, 1:H + 1, 1:W + 1] * (inner > 0.0)
+        gx_ln, g_gamma, g_beta = _layer_norm_bwd(g_ln, xhat, inv, gam)
+        grads = (g, gx_ln, g_gamma, g_beta, gw, _unbroadcast(g, b.shape))
+        if t_bias is None:
+            return grads
+        return grads + (_unbroadcast(g, t_bias.shape),)
+
+    return _make("conv-block", out, parents, bwd)
 
 
 def _reduce_axes(axis, ndim):
@@ -694,6 +863,7 @@ _OPS = {
     "relu": relu,
     "gelu": gelu,
     "layer-norm": layer_norm,
+    "conv-block": conv_block,
     "sum": _sum,
     "mse-loss": mse_loss,
     "window-attention": window_attention,

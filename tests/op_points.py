@@ -44,6 +44,10 @@ def op_point(kind: str, rng: np.random.Generator):
         return [n(10)], {}
     if kind == "layer-norm":
         return [n((4, 6)), 1.0 + 0.1 * n(6), 0.1 * n(6)], {}
+    if kind == "conv-block":
+        # B = 2 on a non-square map, with a [B, 1, 1, C] time bias
+        return ([n((2, 4, 3, 3)), 1.0 + 0.1 * n(3), 0.1 * n(3), 0.5 * n((3, 3, 3, 3)), n(3),
+                 n((2, 1, 1, 3))], {})
     if kind == "sum":
         return [n((3, 4))], {"axis": 0}
     if kind == "mse-loss":

@@ -137,6 +137,24 @@ class TestWindowAttentionOp:
         for ref, got in zip(runs[0][1:], runs[1][1:]):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_several_window_blocks_match_composed_chain(self):
+        """8x8 windows of 4 heads make blocks of 4 windows: 2*5*5 windows
+        span 13 blocks, the last one partial. Forward bitwise, gradients
+        within 1e-12 relative."""
+        store, p = make_attention(c=8, heads=4, seed=6)
+        x0 = np.random.default_rng(7).standard_normal((2, 40, 40, 8))
+        proj = Tensor(np.random.default_rng(8).standard_normal((2, 40, 40, 8)))
+        runs = []
+        for fn in (lambda x: composed_window_attention(x, p, 8, 3),
+                   lambda x: T.window_attention(x, p.wq, p.wk, p.wv, p.wo, 4, 8, 3)):
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = fn(x)
+            backward((out * proj).sum())
+            runs.append([out.data, x.grad] + [t.grad.copy() for _, t in store.items()])
+        assert np.array_equal(runs[0][0], runs[1][0])
+        for ref, got in zip(runs[0][1:], runs[1][1:]):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_single_graph_node(self):
         store, p = make_attention()
         x = Tensor(np.ones((1, 4, 4, 4)), requires_grad=True)

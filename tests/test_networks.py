@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dosediff import diffusion as D
+from dosediff import networks as N
+from dosediff import tensor as T
 from dosediff.gradcheck import finite_diff_scalar_fn
 from dosediff.networks import (ConditionStack, DoseModel, FusionStrategy,
                                ModelConfig)
@@ -226,11 +228,13 @@ def test_end_to_end_finite_difference():
 
 def test_training_loss_reshape_permute_budget():
     """Feature maps are channels-last, each Swin attention branch is one
-    window-attention node and every affine layer (``linear`` or a biased
-    ``conv2d``) is one node, so a smoke-scale training loss has 410 nodes:
+    window-attention node, every affine layer (``linear`` or a biased
+    ``conv2d``) is one node and every pre-norm conv residual block is one
+    ``conv-block`` node, so a smoke-scale training loss has 377 nodes:
     reshape/permute only at the model boundary and in cross-attention (9),
-    and ``add`` only for residual sums, time biases and additive fusion
-    (109; a separate bias add per layer made it 231 of 532)."""
+    and ``add`` only for the Swin residual sums and time biases, the
+    downsampling shortcuts and additive fusion (94; a separate bias add
+    per layer made it 231 of 532, the composed conv blocks 109 of 410)."""
     cfg = tiny_cfg()
     m = DoseModel(cfg, 0)
     rng = np.random.default_rng(4)
@@ -238,6 +242,36 @@ def test_training_loss_reshape_permute_budget():
     loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
                                rng.random((2, 5, 16, 16))), sched, rng)
     kinds = [t.node.kind for t in _topo_order(loss)]
-    assert len(kinds) <= 410
+    assert len(kinds) <= 377
     assert sum(k in ("reshape", "permute") for k in kinds) <= 9
-    assert kinds.count("add") <= 109
+    assert kinds.count("add") <= 94
+
+
+def _composed_conv_block(x, p, t_feat):
+    """The chain of catalog ops that one ``conv-block`` node replaces."""
+    y = T.conv2d(T.relu(T.layer_norm(x, p.ln_g, p.ln_b)), p.w, p.b, 1, 1)
+    if t_feat is not None and p.t_w is not None:
+        y = y + T.linear(t_feat, p.t_w, p.t_b)
+    return x + y
+
+
+def test_fused_conv_blocks_keep_every_gradient_bitwise(monkeypatch):
+    """The ``conv-block`` nodes change no bit of a training loss or of any
+    parameter gradient. The stem output feeds both the first denoiser
+    block and a decoder skip, so this also pins the order in which its
+    gradient terms are summed."""
+    runs = []
+    for block in (N._conv_block, _composed_conv_block):
+        monkeypatch.setattr(N, "_conv_block", block)
+        cfg = tiny_cfg()
+        m = DoseModel(cfg, 0)
+        rng = np.random.default_rng(4)
+        sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
+        loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
+                                   rng.random((2, 5, 16, 16))), sched, rng)
+        runs.append((loss.data, backward(loss, m.store)))
+    (fused_loss, fused), (loss, grads) = runs
+    assert np.array_equal(fused_loss, loss)
+    assert fused.keys() == grads.keys()
+    for name in grads:
+        assert np.array_equal(fused[name], grads[name]), name

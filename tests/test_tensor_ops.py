@@ -214,6 +214,90 @@ def test_layer_norm_forward_is_the_composed_formula_bitwise():
     assert np.array_equal(T.layer_norm(t(x), t(gamma), t(beta)).data, want)
 
 
+def test_layer_norm_blocks_are_the_composed_formula_bitwise():
+    """Forward and gradients of a map that spans several blocks: 40x32 rows
+    make 51-matrix blocks, so 2*60 matrices span three, the last one
+    partial."""
+    rng = np.random.default_rng(8)
+    x, gamma, beta = rng.standard_normal((2, 60, 40, 32)), rng.standard_normal(32), rng.standard_normal(32)
+    avg = np.full(32, 1.0 / 32)
+    xc = x - (x @ avg)[..., None]
+    inv = 1.0 / np.sqrt(((xc * xc) @ avg)[..., None] + 1e-5)
+    xhat = xc * inv
+    want = xhat * gamma + beta
+    out, gx, g_gamma, g_beta = _value_and_grads(T.layer_norm, [x, gamma, beta])
+    g = np.random.default_rng(0).standard_normal(want.shape)   # the projection taken
+    gx_hat = g * gamma
+    assert np.array_equal(out, want)
+    assert np.array_equal(gx, inv * (gx_hat - (gx_hat @ avg)[..., None]
+                                     - xhat * ((gx_hat * xhat) @ avg)[..., None]))
+    assert np.array_equal(g_gamma, (g * xhat).sum(axis=(0, 1, 2)))
+    assert np.array_equal(g_beta, g.sum(axis=(0, 1, 2)))
+    with no_grad():
+        assert np.array_equal(T.layer_norm(t(x), t(gamma), t(beta)).data, want)
+
+
+def composed_conv_block(x, gamma, beta, w, b, t_bias=None):
+    """The chain of catalog ops that ``conv_block`` fuses."""
+    y = T.conv2d(T.relu(T.layer_norm(x, gamma, beta)), w, b, stride=1, padding=1)
+    if t_bias is not None:
+        y = T.add(y, t_bias)
+    return T.add(x, y)
+
+
+class TestConvBlockParity:
+    """The fused pre-norm conv residual block is bitwise the composed
+    chain: forward and the gradients of x, gamma, beta, w, b and t_bias."""
+
+    @pytest.mark.parametrize("x_shape,time_bias", [
+        ((1, 8, 8, 4), True),        # B = 1
+        ((3, 8, 8, 4), False),       # B = 3, no time bias
+        ((3, 5, 7, 6), True),        # non-square map
+        # 40x32 image rows make 51-row layer-norm blocks, so 72 rows span
+        # two blocks with a partial last one; the tap sum spans several too
+        ((1, 72, 40, 32), True),
+    ])
+    def test_matches_composed_chain(self, x_shape, time_bias):
+        rng = np.random.default_rng(9)
+        c = x_shape[-1]
+        arrays = [rng.standard_normal(x_shape), 1.0 + 0.1 * rng.standard_normal(c),
+                  0.1 * rng.standard_normal(c), rng.standard_normal((c, c, 3, 3)) / (3 * c ** 0.5),
+                  rng.standard_normal(c)]
+        if time_bias:
+            arrays.append(rng.standard_normal((x_shape[0], 1, 1, c)))
+        fused = _value_and_grads(T.conv_block, arrays)
+        split = _value_and_grads(composed_conv_block, arrays)
+        for got, want in zip(fused, split):
+            assert np.array_equal(got, want)
+        with no_grad():
+            out = T.conv_block(*[t(a) for a in arrays])
+        assert np.array_equal(out.data, split[0])
+
+    def test_single_graph_node(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((1, 4, 4, 2)), requires_grad=True)
+        out = T.conv_block(x, t(np.ones(2)), t(np.zeros(2)), t(rng.standard_normal((2, 2, 3, 3))),
+                           t(np.zeros(2)))
+        assert out.node.kind == "conv-block"
+        assert out.node.parents[0] is x
+
+    @pytest.mark.parametrize("x_shape,w_shape,t_shape", [
+        ((4, 4, 2), (2, 2, 3, 3), None),            # not a 4-D map
+        ((1, 4, 4, 2), (3, 2, 3, 3), None),         # Cout != C
+        ((1, 4, 4, 2), (2, 2, 1, 1), None),         # not 3x3
+        ((1, 4, 4, 2), (2, 2, 3, 3), (2, 1, 1, 2)),  # time bias of another batch
+        ((1, 4, 4, 2), (2, 2, 3, 3), (1, 1, 1, 3)),  # time bias of other channels
+    ])
+    def test_bad_shapes_rejected(self, x_shape, w_shape, t_shape):
+        c = x_shape[-1]
+        args = [t(np.ones(x_shape)), t(np.ones(c)), t(np.zeros(c)), t(np.ones(w_shape)),
+                t(np.zeros(c))]
+        if t_shape is not None:
+            args.append(t(np.ones(t_shape)))
+        with pytest.raises(ShapeError, match="conv-block"):
+            T.conv_block(*args)
+
+
 # table: (kind, input shapes, attrs, expected output shape)
 SHAPE_TABLE = [
     ("add", [(3, 4), (3, 4)], {}, (3, 4)),
@@ -240,6 +324,7 @@ SHAPE_TABLE = [
     ("sum", [(3, 4)], {"axis": None}, ()),
     ("sum", [(3, 4)], {"axis": 0}, (4,)),
     ("mse-loss", [(3, 4), (3, 4)], {}, ()),
+    ("conv-block", [(2, 5, 4, 3), (3,), (3,), (3, 3, 3, 3), (3,), (2, 1, 1, 3)], {}, (2, 5, 4, 3)),
 ]
 
 
