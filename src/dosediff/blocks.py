@@ -37,7 +37,6 @@ class AttentionParams:
     wv: Tensor
     wo: Tensor
     heads: int
-    head_dim: int
 
 
 @dataclass
@@ -47,7 +46,6 @@ class CrossAttentionParams:
     wq_a: Tensor
     wk_b: Tensor
     wv_b: Tensor
-    inner_dim: int
 
 
 @dataclass
@@ -73,7 +71,6 @@ class ProjectorParams:
     b_down: Tensor
     w_up: Tensor
     b_up: Tensor
-    ratio: int
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +91,21 @@ def init_attention(store: ParamStore, prefix: str, channels: int, heads: int,
                    rng: np.random.Generator) -> AttentionParams:
     if channels % heads:
         raise ValueError(f"{prefix}: channels {channels} not divisible by heads {heads}")
-    dk = channels // heads
-    inner = heads * dk
+    # the heads split the channels: each has channels // heads of them
+    square = (channels, channels)
     return AttentionParams(
-        wq=store.add(f"{prefix}.wq", trunc_normal(rng, (channels, inner))),
-        wk=store.add(f"{prefix}.wk", trunc_normal(rng, (channels, inner))),
-        wv=store.add(f"{prefix}.wv", trunc_normal(rng, (channels, inner))),
-        wo=store.add(f"{prefix}.wo", trunc_normal(rng, (inner, channels))),
-        heads=heads, head_dim=dk,
+        wq=store.add(f"{prefix}.wq", trunc_normal(rng, square)),
+        wk=store.add(f"{prefix}.wk", trunc_normal(rng, square)),
+        wv=store.add(f"{prefix}.wv", trunc_normal(rng, square)),
+        wo=store.add(f"{prefix}.wo", trunc_normal(rng, square)),
+        heads=heads,
     )
 
 
 def init_swin_block(store: ParamStore, prefix: str, channels: int, window: int,
                     shift: bool, heads: int, rng: np.random.Generator,
-                    t_dim: int = 0, mlp_ratio: int = 4) -> SwinBlockParams:
-    hidden = mlp_ratio * channels
+                    t_dim: int = 0) -> SwinBlockParams:
+    hidden = 4 * channels   # the Swin MLP expansion
     p = SwinBlockParams(
         ln1_g=store.add(f"{prefix}.ln1.g", np.ones(channels)),
         ln1_b=store.add(f"{prefix}.ln1.b", np.zeros(channels)),
@@ -128,14 +125,12 @@ def init_swin_block(store: ParamStore, prefix: str, channels: int, window: int,
 
 
 def init_cross_attention(store: ParamStore, prefix: str, c_struct: int, c_noise: int,
-                         rng: np.random.Generator,
-                         inner_dim: Optional[int] = None) -> CrossAttentionParams:
-    d = inner_dim if inner_dim is not None else c_noise
+                         rng: np.random.Generator) -> CrossAttentionParams:
+    """Queries and keys are projected to the noise map's width c_noise."""
     return CrossAttentionParams(
-        wq_a=store.add(f"{prefix}.wq_a", trunc_normal(rng, (c_struct, d))),
-        wk_b=store.add(f"{prefix}.wk_b", trunc_normal(rng, (c_noise, d))),
+        wq_a=store.add(f"{prefix}.wq_a", trunc_normal(rng, (c_struct, c_noise))),
+        wk_b=store.add(f"{prefix}.wk_b", trunc_normal(rng, (c_noise, c_noise))),
         wv_b=store.add(f"{prefix}.wv_b", trunc_normal(rng, (c_noise, c_noise))),
-        inner_dim=d,
     )
 
 
@@ -150,7 +145,6 @@ def init_projector(store: ParamStore, prefix: str, channels: int, ratio: int,
         b_down=store.add(f"{prefix}.b_down", np.zeros(hidden)),
         w_up=store.add(f"{prefix}.w_up", np.zeros((hidden, channels))),
         b_up=store.add(f"{prefix}.b_up", np.zeros(channels)),
-        ratio=ratio,
     )
 
 
@@ -262,7 +256,8 @@ def cross_attention_fuse(a: Tensor, b: Tensor, p: CrossAttentionParams,
     q = tok_a @ p.wq_a
     k = tok_b @ p.wk_b
     v = tok_b @ p.wv_b
-    weights = T.softmax((q @ k.permute((0, 2, 1))) * (1.0 / np.sqrt(p.inner_dim)), axis=-1)
+    scale = 1.0 / np.sqrt(p.wq_a.shape[1])
+    weights = T.softmax((q @ k.permute((0, 2, 1))) * scale, axis=-1)
     out = b + (weights @ v).reshape((bsz, hh, ww, cb))
     if return_weights:
         return out, weights

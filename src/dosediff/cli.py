@@ -2,7 +2,10 @@
 evaluation, ablation sweeps, and schedule dumps.
 
 Exit codes: 0 success, 2 config or argument error (config.validate's
-rules), 3 data error, 4 numeric failure; any other fault is a traceback.
+rules), 3 data error (a missing or malformed input, a case id that is
+not a plain file name, or a path of the wrong kind: an --out naming a
+file, a checkpoint naming a directory), 4 numeric failure; any other
+fault, such as a full disk, is a traceback.
 Every command is deterministic given (config, seed): reruns produce
 byte-identical result files (wall-clock timings are segregated into
 their own file).
@@ -23,8 +26,7 @@ from . import phantom as P
 from . import train as TR
 from .atomic import write_atomic
 from .checkpoint import load_checkpoint, restore_into
-from .config import (ConfigError, FusionStrategy, check_schedule, dumps_config, load_config,
-                     validate)
+from .config import ConfigError, FusionStrategy, dumps_config, load_config, validate
 from .networks import DoseModel
 from .render import write_pgm, write_ppm_diff
 
@@ -82,7 +84,9 @@ def _resolve_cases(spec: str, data_dir) -> list:
         if spec == "all":
             return split.all_ids()
         return getattr(split, spec)
-    return [c for c in spec.split(",") if c]
+    cases = [c for c in spec.split(",") if c]
+    TR._check_case_ids(cases, "--cases")
+    return cases
 
 
 def cmd_sample(args) -> int:
@@ -135,15 +139,21 @@ def _write_metric_files(out: Path, rows: dict) -> None:
     write_atomic(out / "metrics_summary.csv", "\n".join(summary) + "\n")
 
 
+def _score_case(pred_dir, truth_dir, cid: str):
+    """Read one prediction and its truth case and score it:
+    (prediction, truth, report)."""
+    pred = P.read_dose_map(Path(pred_dir) / f"{cid}.spdp").astype(np.float64)
+    truth = P.read_sample(TR.sample_path(truth_dir, cid))
+    return pred, truth, TR.evaluate_case(pred, truth, cid)
+
+
 def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cases = _matched_cases(args.pred, args.truth)
     rows = {}
     for cid in cases:
-        pred = P.read_dose_map(Path(args.pred) / f"{cid}.spdp").astype(np.float64)
-        truth = P.read_sample(TR.sample_path(args.truth, cid))
-        rows[cid] = TR.evaluate_case(pred, truth, cid)
+        pred, truth, rows[cid] = _score_case(args.pred, args.truth, cid)
         curves = []
         for name, mask in truth.structures().items():
             curves.append(M.dvh_curve(pred, mask, structure=f"{name}_pred"))
@@ -158,11 +168,7 @@ def cmd_eval(args) -> int:
         shared = sorted(set(cases) & set(comp_cases))
         if len(shared) < 2:
             raise TR.DataError("need at least two shared cases for a paired t-test")
-        comp_rows = {}
-        for cid in shared:
-            pred = P.read_dose_map(Path(args.compare) / f"{cid}.spdp").astype(np.float64)
-            truth = P.read_sample(TR.sample_path(args.truth, cid))
-            comp_rows[cid] = TR.evaluate_case(pred, truth, cid)
+        comp_rows = {cid: _score_case(args.compare, args.truth, cid)[2] for cid in shared}
         lines = ["metric,t,df,p"]
         for attr, col in (("dose_score_mae", "dose_score_mae"),
                           ("dvh_score", "dvh_score"), ("hi", "hi")):
@@ -188,10 +194,10 @@ def cmd_ablate(args) -> int:
         validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, fusion=strat)))
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = TR.fusion_ablation_matrix(cfg, strategies, args.data, out)
+    rows = TR.fusion_ablation_matrix(cfg, strategies, args.data, out)
     lines = ["strategy,dose_score_rel,dose_score_mae,dvh_score,hi,n_cases"]
     timing = ["strategy,wall_time_s"]
-    for strat, _model, row in results:
+    for row in rows:
         lines.append(",".join([
             row.strategy,
             repr(row.mean("dose_score_relative")), repr(row.mean("dose_score_mae")),
@@ -205,7 +211,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_dump_schedule(args) -> int:
-    check_schedule(args.steps, args.beta_start, args.beta_end)
     s = D.make_schedule(args.steps, args.beta_start, args.beta_end)
     lines = ["t,beta,alpha,alpha_bar"]
     for i in range(s.T):
@@ -281,7 +286,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TR.DataError, P.SampleFormatError, M.EmptyMaskError, FileNotFoundError) as e:
+    except (TR.DataError, P.SampleFormatError, M.EmptyMaskError, FileNotFoundError,
+            FileExistsError, IsADirectoryError, NotADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except TR.NumericFailure as e:

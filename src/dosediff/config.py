@@ -69,7 +69,7 @@ class FusionStrategy:
 
 
 def check_schedule(t_steps, beta_start, beta_end) -> None:
-    """The noise-schedule rule, shared by the model config and dump-schedule."""
+    """The noise-schedule rule of ModelConfig and diffusion.make_schedule."""
     if t_steps < 1 or not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(f"need t_steps >= 1 and 0 < beta_start <= beta_end < 1, got "
                           f"t_steps={t_steps}, beta_start={beta_start}, beta_end={beta_end}")

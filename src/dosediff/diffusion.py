@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_schedule
 from .tensor import Tensor, mse_loss, no_grad
-
-SCHEDULE_KINDS = ("linear",)
 
 
 @dataclass
@@ -54,20 +53,14 @@ class DiffusionBatch:
     x_t: np.ndarray
 
 
-def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02,
-                  kind: str = "linear") -> NoiseSchedule:
+def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Build the beta/alpha/alpha_bar tables.
 
-    The linear kind interpolates beta evenly from beta_start to beta_end
-    (a single step uses beta_start alone).
+    Beta is interpolated linearly from beta_start to beta_end (a single
+    step uses beta_start alone). Out-of-range arguments raise ConfigError
+    (config.check_schedule).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(f"need 0 < beta_start <= beta_end < 1, "
-                         f"got {beta_start}, {beta_end}")
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    check_schedule(T, beta_start, beta_end)
     if T == 1:
         beta = np.array([beta_start], dtype=np.float64)
     else:

@@ -194,11 +194,10 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, int, f
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray, body_mask: np.ndarray,
-                    structures: Dict[str, np.ndarray],
-                    hi_region: str = "ptv") -> MetricsReport:
+                    structures: Dict[str, np.ndarray]) -> MetricsReport:
     """Score a prediction: dose scores over the body, DVH score over the
-    given structures, HI over the chosen region (PTV by default)."""
-    hi_mask = structures[hi_region] if hi_region in structures else body_mask
+    given structures, HI over the PTV, ``structures["ptv"]``."""
+    ptv = structures["ptv"]
     d_pred: Dict[str, Dict[float, float]] = {}
     d_truth: Dict[str, Dict[float, float]] = {}
     for name, mask in structures.items():
@@ -209,8 +208,8 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray, body_mask: np.ndarray,
         dose_score_relative=dose_score(pred, truth, body_mask, "relative"),
         dose_score_mae=dose_score(pred, truth, body_mask, "mae"),
         dvh_score=dvh_score(pred, truth, list(structures.values())),
-        hi=homogeneity_index(pred, hi_mask),
-        hi_truth=homogeneity_index(truth, hi_mask),
+        hi=homogeneity_index(pred, ptv),
+        hi_truth=homogeneity_index(truth, ptv),
         d_stats_pred=d_pred,
         d_stats_truth=d_truth,
         max_abs_diff=float(np.abs(diff).max()),

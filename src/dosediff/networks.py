@@ -114,8 +114,9 @@ def _init_down(store, prefix, c_in, c_out, rng) -> DownParams:
     )
 
 
-def _conv(x: Tensor, p: ConvParams, stride=1, padding=1) -> Tensor:
-    return T.conv2d(x, p.w, p.b, stride, padding)
+def _conv(x: Tensor, p: ConvParams) -> Tensor:
+    # stride 1, "same" padding for the odd kernel
+    return T.conv2d(x, p.w, p.b, 1, p.w.shape[-1] // 2)
 
 
 def _conv_block(x: Tensor, p: ConvBlockParams, t_feat: Optional[Tensor]) -> Tensor:
@@ -150,10 +151,10 @@ _SHIFT_PATTERN = (False, True, False)
 class DoseModel:
     """Structure encoder + denoising network over one ParamStore."""
 
-    def __init__(self, cfg: ModelConfig, seed):
+    def __init__(self, cfg: ModelConfig, seed: int):
         cfg.validate()
         self.cfg = cfg
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.store = ParamStore()
         self.stage_kinds = cfg.fusion.stage_kinds(cfg.num_stages)
         self._build(rng)
@@ -263,14 +264,12 @@ class DoseModel:
         """Extract the per-stage anatomical feature maps f_1..f_S from y."""
         cfg = self.cfg
         y = np.asarray(y, dtype=np.float64)
-        if y.ndim == 3:
-            y = y[None]
-        if y.shape[1] != cfg.cond_channels:
-            raise ShapeError(f"condition must have {cfg.cond_channels} channels "
-                             f"(CT, PTV, {cfg.oar_count} OARs), got {y.shape[1]}")
+        if y.ndim != 4 or y.shape[1] != cfg.cond_channels:
+            raise ShapeError(f"condition must be [B, {cfg.cond_channels}, H, W] "
+                             f"(CT, PTV, {cfg.oar_count} OARs), got {y.shape}")
         if self.stage_kinds is None:
             return ConditionStack(y=y, features=None)
-        h = _conv(Tensor(y.transpose(0, 2, 3, 1)), self.senc_stem, 1, 1)
+        h = _conv(Tensor(y.transpose(0, 2, 3, 1)), self.senc_stem)
         features = []
         for stage in self.senc_stages:
             h = self._run_blocks(h, stage.blocks, None)
@@ -282,7 +281,7 @@ class DoseModel:
         """Denoiser forward pass: eps_hat of the same shape as x_t."""
         if not isinstance(cond, ConditionStack):
             cond = self.encode_structure(cond)
-        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float64))
+        x = Tensor(np.asarray(x_t, dtype=np.float64))
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"x_t must be [B, 1, H, W], got {x.shape}")
         b, _, hh, ww = x.shape
@@ -291,7 +290,7 @@ class DoseModel:
 
         if self.stage_kinds is None:
             x = T.concat([x, Tensor(cond.y.transpose(0, 2, 3, 1))], axis=-1)
-        h = _conv(x, self.dn_stem, 1, 1)
+        h = _conv(x, self.dn_stem)
         skips = [h]
         for i, stage in enumerate(self.dn_stages):
             h = self._run_blocks(h, stage.blocks, t_feat)
@@ -311,12 +310,12 @@ class DoseModel:
             h = swin_block(h, blk, t_feat)
 
         for dec in self.dec_stages:
-            h = _conv(T.upsample2(h), dec.up, 1, 1)
+            h = _conv(T.upsample2(h), dec.up)
             h = T.concat([h, skips.pop()], axis=-1)
-            h = _conv(h, dec.merge, 1, 0)
+            h = _conv(h, dec.merge)
             h = self._run_blocks(h, dec.blocks, t_feat)
 
-        return _conv(h, self.head, 1, 1).reshape((b, 1, hh, ww))
+        return _conv(h, self.head).reshape((b, 1, hh, ww))
 
     def __call__(self, x_t, t, cond) -> Tensor:
         return self.predict_noise(x_t, t, cond)

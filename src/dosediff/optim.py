@@ -53,8 +53,8 @@ class ParamStore:
 
 
 def adam_step(store: ParamStore, grads: Dict[str, np.ndarray], lr: float,
-              betas: Tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> ParamStore:
-    """In-place Adam update with bias correction.
+              betas: Tuple[float, float] = (0.9, 0.999)) -> ParamStore:
+    """In-place Adam update with bias correction and epsilon 1e-8.
 
     Parameters without an entry in ``grads`` are left untouched (moments
     and step counter included). Returns the store for chaining.
@@ -73,5 +73,5 @@ def adam_step(store: ParamStore, grads: Dict[str, np.ndarray], lr: float,
         store.v[name] = b2 * store.v[name] + (1.0 - b2) * (g * g)
         m_hat = store.m[name] / (1.0 - b1 ** t)
         v_hat = store.v[name] / (1.0 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
     return store

@@ -177,8 +177,8 @@ def _broadcast_op(kind: str, fn: np.ufunc, a: Tensor, b: Tensor) -> np.ndarray:
 # that a block's temporaries stay in the L2 cache
 _BLOCK_ELEMS = 65536
 
-# layer-norm epsilon: layer_norm's default and conv_block's constant, so the
-# fused block keeps the composed chain's bits
+# layer-norm epsilon, shared by layer_norm and conv_block so the fused
+# block keeps the composed chain's bits
 _LN_EPS = 1e-5
 
 
@@ -664,13 +664,13 @@ def _mean_vector(n: int) -> np.ndarray:
     return avg
 
 
-def _norm_block(xb: np.ndarray, gam: np.ndarray, bet: np.ndarray, eps: float,
+def _norm_block(xb: np.ndarray, gam: np.ndarray, bet: np.ndarray,
                 xc: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None,
                 inv: Optional[np.ndarray] = None) -> tuple:
     """Layer norm of xb over its last axis: (xhat * gam + bet, xhat,
-    1/sqrt(var + eps)), written into xc, y and inv when given.
+    1/sqrt(var + _LN_EPS)), written into xc, y and inv when given.
 
-    The operations of ``xhat = (x - mean) * (1 / sqrt(var + eps)); xhat *
+    The operations of ``xhat = (x - mean) * (1 / sqrt(var + _LN_EPS)); xhat *
     gam + bet``, the means as stacked matrix-vector products (one GEMV per
     trailing [W, C] matrix), so a block of whole matrices gets the bits of
     the whole array (the means flattened to one 2-D GEMV can round
@@ -679,7 +679,7 @@ def _norm_block(xb: np.ndarray, gam: np.ndarray, bet: np.ndarray, eps: float,
     avg = _mean_vector(xb.shape[-1])
     xc = np.subtract(xb, (xb @ avg)[..., None], out=xc)
     y = np.multiply(xc, xc, out=y)
-    inv = np.divide(1.0, np.sqrt((y @ avg)[..., None] + eps), out=inv)
+    inv = np.divide(1.0, np.sqrt((y @ avg)[..., None] + _LN_EPS), out=inv)
     np.multiply(xc, inv, out=xc)
     np.multiply(xc, gam, out=y)
     y += bet
@@ -699,7 +699,7 @@ def _layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     return gx, g_gamma, g_beta
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis, with affine parameters.
 
     A map larger than a cache-sized block runs one block of whole [W, C]
@@ -712,7 +712,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
     keep = _graph_wanted((x, gamma, beta))
     gam, bet = gamma.data, beta.data
     if x.data.size <= _BLOCK_ELEMS:
-        out, xhat, inv = _norm_block(x.data, gam, bet, eps)
+        out, xhat, inv = _norm_block(x.data, gam, bet)
     else:
         x3 = x.data.reshape((-1,) + x.shape[-2:] if x.data.ndim >= 2 else (1, 1, n))
         m, w = x3.shape[:2]
@@ -727,7 +727,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
             blk = slice(r0, r0 + step)
             xb = x3[blk]
             xc = h3[blk] if keep else xc_buf[:len(xb)]
-            _norm_block(xb, gam, bet, eps, xc, o3[blk], i3[blk])
+            _norm_block(xb, gam, bet, xc, o3[blk], i3[blk])
 
     def bwd(g):
         return _layer_norm_bwd(g, xhat, inv, gam)
@@ -788,7 +788,7 @@ def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
             blk = slice(r0, r0 + step)
             xb = xd[i, blk]
             k = len(xb)
-            y, _, _ = _norm_block(xb, gam, bet, _LN_EPS, xhat[i, blk] if keep else xc_buf[:k],
+            y, _, _ = _norm_block(xb, gam, bet, xhat[i, blk] if keep else xc_buf[:k],
                                   y_buf[:k], inv[i, blk] if keep else None)
             np.maximum(y, 0.0, out=inner[i, blk])
     conv, taps_bwd = _conv2d_flat(xp, w.data, H, W)

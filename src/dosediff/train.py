@@ -51,6 +51,16 @@ def sample_path(data_dir, case_id: str) -> Path:
     return Path(data_dir) / f"{case_id}.spdp"
 
 
+def _check_case_ids(ids, source: str) -> None:
+    """Raise DataError unless every id is a plain file name: a non-empty
+    string that names no directory, so ``<dir>/<id>.*`` stays inside dir
+    (and holds no NUL, which no path may)."""
+    for cid in ids:
+        if (not isinstance(cid, str) or cid in ("", ".", "..") or cid != Path(cid).name
+                or "\0" in cid):
+            raise DataError(f"{source}: case id {cid!r} is not a plain file name")
+
+
 def load_split(data_dir) -> P.DatasetSplit:
     manifest = Path(data_dir) / "split.json"
     if not manifest.exists():
@@ -64,6 +74,8 @@ def load_split(data_dir) -> P.DatasetSplit:
     for key, kind in (("train", list), ("val", list), ("test", list), ("seed", int)):
         if not isinstance(d.get(key), kind):
             raise DataError(f"{manifest}: {key!r} must be a {kind.__name__}")
+    for key in ("train", "val", "test"):
+        _check_case_ids(d[key], str(manifest))
     return P.DatasetSplit(train=d["train"], val=d["val"], test=d["test"], seed=d["seed"])
 
 
@@ -144,16 +156,13 @@ class Trainer:
     """
 
     def __init__(self, cfg: RunConfig, data_dir, out_dir,
-                 resume: Optional[Checkpoint] = None,
-                 train_ids: Optional[Sequence[str]] = None):
+                 resume: Optional[Checkpoint] = None):
         self.cfg = cfg
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        if train_ids is None:
-            train_ids = load_split(data_dir).train
-        if not train_ids:
+        self.train_ids = load_split(data_dir).train
+        if not self.train_ids:
             raise DataError("empty training split")
-        self.train_ids = list(train_ids)
         samples = load_cases(data_dir, self.train_ids)
         for cid, sample in zip(self.train_ids, samples):
             _check_case_fits(sample, cfg.model, cid)
@@ -260,18 +269,16 @@ class AblationRow:
 
 
 def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
-                           data_dir, out_root,
-                           eval_ids: Optional[Sequence[str]] = None
-                           ) -> List[Tuple[FusionStrategy, DoseModel, AblationRow]]:
+                           data_dir, out_root) -> List[AblationRow]:
     """Train and evaluate each fusion strategy under identical data/seed.
 
     Every run shares the dataset, the training step budget, and the base
-    seed; only the fusion wiring differs. Evaluation samples each held
-    case with a per-case seed and scores against ground truth.
+    seed; only the fusion wiring differs. Evaluation samples each test
+    case (the training cases if the test split is empty) with a per-case
+    seed and scores against ground truth.
     """
     split = load_split(data_dir)
-    if eval_ids is None:
-        eval_ids = split.test if split.test else split.train
+    eval_ids = split.test if split.test else split.train
     eval_samples = {cid: P.read_sample(sample_path(data_dir, cid)) for cid in eval_ids}
 
     results = []
@@ -288,9 +295,7 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
                                (cfg.seed, _case_index(cid)))
             reports.append(evaluate_case(pred, sample, cid))
         wall = time.perf_counter() - t0
-        results.append((strat, trainer.model,
-                        AblationRow(strategy=strat.label(), reports=reports,
-                                    wall_time_s=wall)))
+        results.append(AblationRow(strategy=strat.label(), reports=reports, wall_time_s=wall))
     return results
 
 

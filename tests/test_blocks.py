@@ -100,7 +100,8 @@ def composed_window_attention(x, p, window, shift):
     _, hh, ww, _ = x.shape
     y = B.cyclic_shift(x, -shift, -shift) if shift else x
     win = B.window_partition(y, window)
-    nwin, n, h, dk = win.shape[0], window * window, p.heads, p.head_dim
+    nwin, n, h = win.shape[0], window * window, p.heads
+    dk = p.wq.shape[1] // h
 
     def heads_of(w, axes):
         return (win @ w).reshape((nwin, n, h, dk)).permute(axes)

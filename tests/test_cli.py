@@ -482,3 +482,58 @@ class TestExitCodes:
                     "--cases", "sample_00000", "--out", tmp / "s"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(e.startswith("data error:") for e in err)
+
+    @pytest.mark.parametrize("command", [
+        "gen-data", "gen-data-under-file", "train", "sample", "eval",
+        "sample-checkpoint-dir", "train-resume-dir"])
+    def test_path_of_the_wrong_kind_is_3(self, trained, command, capsys):
+        tmp, cfg, data, ckpt = trained
+        a_file, a_dir = tmp / "a_file", tmp / "a_dir"
+        a_file.write_text("keep")
+        a_dir.mkdir()
+        argv = {
+            "gen-data": ["gen-data", "--config", cfg, "--out", a_file],
+            "gen-data-under-file": ["gen-data", "--config", cfg, "--out", a_file / "sub"],
+            "train": ["train", "--config", cfg, "--data", data, "--out", a_file],
+            "sample": ["sample", "--checkpoint", ckpt, "--data", data,
+                       "--cases", "sample_00000", "--out", a_file],
+            "eval": ["eval", "--pred", data, "--truth", data, "--out", a_file],
+            "sample-checkpoint-dir": ["sample", "--checkpoint", a_dir, "--data", data,
+                                      "--out", tmp / "s"],
+            "train-resume-dir": ["train", "--resume", a_dir, "--data", data,
+                                 "--out", tmp / "t"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert a_file.read_text() == "keep"
+
+    @pytest.mark.parametrize("bad", [1, None, "", ".", "..", "../x", "a/b", "/abs", "a\0b"],
+                             ids=["int", "null", "empty", "dot", "dotdot", "parent",
+                                  "subdir", "absolute", "nul"])
+    def test_split_case_id_not_a_plain_name_is_3(self, trained, bad, capsys):
+        tmp, cfg, data, ckpt = trained
+        split = json.loads((data / "split.json").read_text())
+        split["test"] = split["test"] + [bad]
+        (data / "split.json").write_text(json.dumps(split))
+        capsys.readouterr()
+        assert run(["sample", "--checkpoint", ckpt, "--data", data,
+                    "--out", tmp / "s"]) == 3
+        assert run(["train", "--config", cfg, "--data", data, "--out", tmp / "t"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("data error:") and "case id" in e
+                                     for e in err)
+
+    @pytest.mark.parametrize("cases", ["../x", "sample_00000,../x", "..", "/abs/x", "a/b"])
+    def test_cases_not_plain_names_write_nothing(self, trained, cases, capsys):
+        tmp, cfg, data, ckpt = trained
+        # a readable case just outside --data, which ../x would reach
+        (tmp / "x.spdp").write_bytes((data / "sample_00000.spdp").read_bytes())
+        before = sorted(p.name for p in tmp.iterdir())
+        capsys.readouterr()
+        assert run(["sample", "--checkpoint", ckpt, "--data", data, "--cases", cases,
+                    "--out", tmp / "s"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "case id" in err[0]
+        assert sorted(p.name for p in tmp.iterdir()) == before

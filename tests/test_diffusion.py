@@ -42,8 +42,6 @@ class TestMakeSchedule:
             D.make_schedule(10, 0.3, 0.2)
         with pytest.raises(ValueError):
             D.make_schedule(10, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            D.make_schedule(10, 0.1, 0.2, kind="cosine")
 
 
 class TestQSample:

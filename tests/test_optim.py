@@ -23,7 +23,7 @@ def test_single_step_matches_hand_derived_update():
     # step 1 with g=1: m_hat = v_hat = 1, so p <- p - lr / (1 + eps)
     store = ParamStore()
     store.add("p", np.array([1.0]))
-    adam_step(store, {"p": np.array([1.0])}, lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+    adam_step(store, {"p": np.array([1.0])}, lr=0.1, betas=(0.9, 0.999))
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
     assert abs(store["p"].data[0] - expected) < 1e-15
     assert abs(store["p"].data[0] - 0.9) < 1e-8
