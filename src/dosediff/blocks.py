@@ -77,16 +77,6 @@ class ProjectorParams:
 # initialization
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with resampling outside 2 std (deterministic in rng)."""
-    x = rng.normal(0.0, std, shape)
-    bad = np.abs(x) > 2.0 * std
-    while bad.any():
-        x[bad] = rng.normal(0.0, std, int(bad.sum()))
-        bad = np.abs(x) > 2.0 * std
-    return x
-
-
 def init_attention(store: ParamStore, prefix: str, channels: int, heads: int,
                    rng: np.random.Generator) -> AttentionParams:
     if channels % heads:
@@ -94,10 +84,10 @@ def init_attention(store: ParamStore, prefix: str, channels: int, heads: int,
     # the heads split the channels: each has channels // heads of them
     square = (channels, channels)
     return AttentionParams(
-        wq=store.add(f"{prefix}.wq", trunc_normal(rng, square)),
-        wk=store.add(f"{prefix}.wk", trunc_normal(rng, square)),
-        wv=store.add(f"{prefix}.wv", trunc_normal(rng, square)),
-        wo=store.add(f"{prefix}.wo", trunc_normal(rng, square)),
+        wq=store.normal(f"{prefix}.wq", square, rng),
+        wk=store.normal(f"{prefix}.wk", square, rng),
+        wv=store.normal(f"{prefix}.wv", square, rng),
+        wo=store.normal(f"{prefix}.wo", square, rng),
         heads=heads,
     )
 
@@ -112,14 +102,14 @@ def init_swin_block(store: ParamStore, prefix: str, channels: int, window: int,
         attn=init_attention(store, f"{prefix}.attn", channels, heads, rng),
         ln2_g=store.add(f"{prefix}.ln2.g", np.ones(channels)),
         ln2_b=store.add(f"{prefix}.ln2.b", np.zeros(channels)),
-        w1=store.add(f"{prefix}.mlp.w1", trunc_normal(rng, (channels, hidden))),
+        w1=store.normal(f"{prefix}.mlp.w1", (channels, hidden), rng),
         b1=store.add(f"{prefix}.mlp.b1", np.zeros(hidden)),
-        w2=store.add(f"{prefix}.mlp.w2", trunc_normal(rng, (hidden, channels))),
+        w2=store.normal(f"{prefix}.mlp.w2", (hidden, channels), rng),
         b2=store.add(f"{prefix}.mlp.b2", np.zeros(channels)),
         window=window, shift=shift,
     )
     if t_dim:
-        p.t_w = store.add(f"{prefix}.t.w", trunc_normal(rng, (t_dim, channels)))
+        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels), rng)
         p.t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
     return p
 
@@ -128,9 +118,9 @@ def init_cross_attention(store: ParamStore, prefix: str, c_struct: int, c_noise:
                          rng: np.random.Generator) -> CrossAttentionParams:
     """Queries and keys are projected to the noise map's width c_noise."""
     return CrossAttentionParams(
-        wq_a=store.add(f"{prefix}.wq_a", trunc_normal(rng, (c_struct, c_noise))),
-        wk_b=store.add(f"{prefix}.wk_b", trunc_normal(rng, (c_noise, c_noise))),
-        wv_b=store.add(f"{prefix}.wv_b", trunc_normal(rng, (c_noise, c_noise))),
+        wq_a=store.normal(f"{prefix}.wq_a", (c_struct, c_noise), rng),
+        wk_b=store.normal(f"{prefix}.wk_b", (c_noise, c_noise), rng),
+        wv_b=store.normal(f"{prefix}.wv_b", (c_noise, c_noise), rng),
     )
 
 
@@ -141,7 +131,7 @@ def init_projector(store: ParamStore, prefix: str, channels: int, ratio: int,
     hidden = channels // ratio
     # up-projection starts at zero so the residual path is the identity at init
     return ProjectorParams(
-        w_down=store.add(f"{prefix}.w_down", trunc_normal(rng, (channels, hidden))),
+        w_down=store.normal(f"{prefix}.w_down", (channels, hidden), rng),
         b_down=store.add(f"{prefix}.b_down", np.zeros(hidden)),
         w_up=store.add(f"{prefix}.w_up", np.zeros((hidden, channels))),
         b_up=store.add(f"{prefix}.b_up", np.zeros(channels)),

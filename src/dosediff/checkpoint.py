@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import ModelConfig, RunConfig, config_from_dict, config_to_dict
+from .networks import DoseModel
 from .optim import ParamStore
 from .phantom import Container, SampleFormatError, pack_text
 
@@ -32,8 +33,8 @@ class Checkpoint:
     step: int
     rng_state: dict
     params: Dict[str, np.ndarray]
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
+    m: Optional[Dict[str, np.ndarray]]    # None when loaded without moments
+    v: Optional[Dict[str, np.ndarray]]
     opt_steps: Dict[str, int]
 
 
@@ -54,44 +55,70 @@ def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
         for n in names for a in (store[n].data, store.m[n], store.v[n]))))
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, moments: bool = True) -> Checkpoint:
     """Read a checkpoint; any malformed header or payload raises
-    SampleFormatError."""
+    SampleFormatError.
+
+    Every tensor is read straight from the file into its own array. With
+    ``moments=False`` the Adam moments are stepped over, not read (their
+    length is still checked), and ``m`` and ``v`` are None: enough to
+    sample, not to resume training.
+    """
     with CKPT_FILE.read(path) as cur:
         header = json.loads(cur.text("header"))
         cfg = config_from_dict(header["config"])
         np.random.PCG64().state = header["rng_state"]   # raises unless a PCG64 state
-        tensors: Dict[str, Dict[str, np.ndarray]] = {"params": {}, "m": {}, "v": {}}
+        params: Dict[str, np.ndarray] = {}
+        m: Dict[str, np.ndarray] = {}
+        v: Dict[str, np.ndarray] = {}
         for entry in header["params"]:
-            for target in tensors.values():
-                target[entry["name"]] = cur.array(
-                    tuple(entry["shape"]), "<f8", f"tensor data for {entry['name']!r}")
-        if set(header["opt_steps"]) != set(tensors["params"]):
+            name, shape = entry["name"], tuple(entry["shape"])
+            part = f"tensor data for {name!r}"
+            params[name] = cur.array(shape, "<f8", part)
+            for moment in (m, v):
+                if moments:
+                    moment[name] = cur.array(shape, "<f8", part)
+                else:
+                    cur.skip(params[name].nbytes, part)
+        if set(header["opt_steps"]) != set(params):
             raise SampleFormatError("optimizer step counts do not match the parameter list")
         ckpt = Checkpoint(
             config=cfg,
             step=int(header["step"]),
             rng_state=header["rng_state"],
+            params=params,
+            m=m if moments else None,
+            v=v if moments else None,
             opt_steps={k: int(x) for k, x in header["opt_steps"].items()},
-            **tensors,
         )
     return ckpt
 
 
-def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:
-    """Overwrite a freshly built store with checkpointed state.
+def restore_model(cfg: ModelConfig, ckpt: Checkpoint) -> DoseModel:
+    """The model of ``cfg`` with every parameter taken from ``ckpt``;
+    nothing is drawn. The Adam moments come along when ``ckpt`` holds
+    them, and the per-parameter step counts always.
 
-    A checkpoint whose parameter names or shapes differ from the store's
+    A checkpoint whose parameter names or shapes differ from the model's
     raises SampleFormatError.
     """
-    if set(store.names()) != set(ckpt.params):
-        missing = set(store.names()) ^ set(ckpt.params)
-        raise SampleFormatError(f"checkpoint/model parameter mismatch: {sorted(missing)[:5]}...")
-    for n in store.names():
-        if store[n].shape != ckpt.params[n].shape:
-            raise SampleFormatError(f"shape mismatch for {n!r}: "
-                                    f"{store[n].shape} vs {ckpt.params[n].shape}")
-        store[n].data = ckpt.params[n]
-        store.m[n] = ckpt.m[n]
-        store.v[n] = ckpt.v[n]
-        store.steps[n] = ckpt.opt_steps[n]
+    def take(name: str, shape: tuple) -> np.ndarray:
+        if name not in ckpt.params:
+            raise SampleFormatError(f"checkpoint/model parameter mismatch: the model's "
+                                    f"{name!r} is not in the checkpoint")
+        if ckpt.params[name].shape != shape:
+            raise SampleFormatError(f"shape mismatch for {name!r}: "
+                                    f"{shape} vs {ckpt.params[name].shape}")
+        return ckpt.params[name]
+
+    model = DoseModel.from_source(cfg, take)
+    store = model.store
+    extra = set(ckpt.params) - set(store.names())
+    if extra:
+        raise SampleFormatError(f"checkpoint/model parameter mismatch: the model has no "
+                                f"{sorted(extra)[:5]}...")
+    store.steps.update(ckpt.opt_steps)
+    if ckpt.m is not None:
+        store.m.update(ckpt.m)
+        store.v.update(ckpt.v)
+    return model

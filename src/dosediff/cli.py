@@ -14,6 +14,7 @@ their own file).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 from pathlib import Path
@@ -25,9 +26,8 @@ from . import metrics as M
 from . import phantom as P
 from . import train as TR
 from .atomic import write_atomic
-from .checkpoint import load_checkpoint, restore_into
+from .checkpoint import load_checkpoint, restore_model
 from .config import ConfigError, FusionStrategy, dumps_config, load_config, validate
-from .networks import DoseModel
 from .render import write_pgm, write_ppm_diff
 
 
@@ -86,20 +86,51 @@ def _resolve_cases(spec: str, data_dir) -> list:
         return getattr(split, spec)
     cases = [c for c in spec.split(",") if c]
     TR._check_case_ids(cases, "--cases")
+    for i, cid in enumerate(cases):
+        if cid in cases[:i]:
+            raise TR.DataError(f"--cases: case id {cid!r} is listed more than once")
     return cases
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep memory the sampling loop frees in the process for reuse (glibc
+    only; a no-op elsewhere).
+
+    Every denoiser call frees and reallocates the same large arrays. By
+    default glibc returns freed memory at the top of its heap to the
+    kernel and serves requests above its mmap threshold with fresh pages,
+    so each 256 px call would fault about 8,500 pages in again. A fixed
+    mmap threshold at glibc's 32 MiB maximum and a 1 GiB trim threshold
+    keep the freed memory for the next call.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    if not hasattr(libc, "gnu_get_libc_version"):   # not glibc
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def cmd_sample(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    cfg = ckpt.config
-    model = DoseModel(cfg.model, cfg.seed)
-    restore_into(model.store, ckpt)
-    schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
-    base_seed = args.seed if args.seed is not None else cfg.seed
-    validate(dataclasses.replace(cfg, seed=base_seed))
     cases = _resolve_cases(args.cases, args.data)
     if not cases:
         raise TR.DataError("no cases to sample")
+    _keep_freed_memory()
+    ckpt = load_checkpoint(args.checkpoint, moments=False)
+    cfg = ckpt.config
+    model = restore_model(cfg.model, ckpt)
+    schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
+    base_seed = args.seed if args.seed is not None else cfg.seed
+    validate(dataclasses.replace(cfg, seed=base_seed))
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for cid in cases:
@@ -149,8 +180,12 @@ def _score_case(pred_dir, truth_dir, cid: str):
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cases = _matched_cases(args.pred, args.truth)
+    if args.compare:   # checked before any result file is written
+        shared = sorted(set(cases) & set(_matched_cases(args.compare, args.truth)))
+        if len(shared) < 2:
+            raise TR.DataError("need at least two shared cases for a paired t-test")
+    out.mkdir(parents=True, exist_ok=True)
     rows = {}
     for cid in cases:
         pred, truth, rows[cid] = _score_case(args.pred, args.truth, cid)
@@ -164,10 +199,6 @@ def cmd_eval(args) -> int:
     _write_metric_files(out, rows)
 
     if args.compare:
-        comp_cases = _matched_cases(args.compare, args.truth)
-        shared = sorted(set(cases) & set(comp_cases))
-        if len(shared) < 2:
-            raise TR.DataError("need at least two shared cases for a paired t-test")
         comp_rows = {cid: _score_case(args.compare, args.truth, cid)[2] for cid in shared}
         lines = ["metric,t,df,p"]
         for attr, col in (("dose_score_mae", "dose_score_mae"),

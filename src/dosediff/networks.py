@@ -37,7 +37,7 @@ from . import blocks as B
 from . import tensor as T
 from .blocks import (CrossAttentionParams, ProjectorParams, SwinBlockParams,
                      cross_attention_fuse, projector_forward, swin_block,
-                     time_embedding, trunc_normal)
+                     time_embedding)
 from .config import FusionStrategy, ModelConfig  # noqa: F401  (FusionStrategy re-exported)
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor
@@ -78,16 +78,16 @@ class ConvParams:
     b: Tensor
 
 
-def _conv_weight(rng, shape) -> np.ndarray:
+def _conv_weight(store, name, shape, rng) -> Tensor:
     # He-style fan-in scaling keeps conv outputs O(1) so the layer norms
     # that follow stay well conditioned at init
     fan_in = int(np.prod(shape[1:]))
-    return trunc_normal(rng, shape, std=float(np.sqrt(2.0 / fan_in)))
+    return store.normal(name, shape, rng, std=float(np.sqrt(2.0 / fan_in)))
 
 
 def _init_conv(store, prefix, c_out, c_in, k, rng) -> ConvParams:
     return ConvParams(
-        w=store.add(f"{prefix}.w", _conv_weight(rng, (c_out, c_in, k, k))),
+        w=_conv_weight(store, f"{prefix}.w", (c_out, c_in, k, k), rng),
         b=store.add(f"{prefix}.b", np.zeros(c_out)),
     )
 
@@ -96,21 +96,20 @@ def _init_conv_block(store, prefix, channels, rng, t_dim=0) -> ConvBlockParams:
     p = ConvBlockParams(
         ln_g=store.add(f"{prefix}.ln.g", np.ones(channels)),
         ln_b=store.add(f"{prefix}.ln.b", np.zeros(channels)),
-        w=store.add(f"{prefix}.conv.w",
-                    _conv_weight(rng, (channels, channels, 3, 3))),
+        w=_conv_weight(store, f"{prefix}.conv.w", (channels, channels, 3, 3), rng),
         b=store.add(f"{prefix}.conv.b", np.zeros(channels)),
     )
     if t_dim:
-        p.t_w = store.add(f"{prefix}.t.w", trunc_normal(rng, (t_dim, channels)))
+        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels), rng)
         p.t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
     return p
 
 
 def _init_down(store, prefix, c_in, c_out, rng) -> DownParams:
     return DownParams(
-        w_main=store.add(f"{prefix}.main.w", _conv_weight(rng, (c_out, c_in, 3, 3))),
+        w_main=_conv_weight(store, f"{prefix}.main.w", (c_out, c_in, 3, 3), rng),
         b_main=store.add(f"{prefix}.main.b", np.zeros(c_out)),
-        w_skip=store.add(f"{prefix}.skip.w", _conv_weight(rng, (c_out, c_in, 1, 1))),
+        w_skip=_conv_weight(store, f"{prefix}.skip.w", (c_out, c_in, 1, 1), rng),
     )
 
 
@@ -152,12 +151,16 @@ class DoseModel:
     """Structure encoder + denoising network over one ParamStore."""
 
     def __init__(self, cfg: ModelConfig, seed: int):
-        cfg.validate()
-        self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        self.store = ParamStore()
-        self.stage_kinds = cfg.fusion.stage_kinds(cfg.num_stages)
-        self._build(rng)
+        """A fresh model: every parameter is drawn from ``seed``."""
+        self._build(cfg, ParamStore(), np.random.default_rng(seed))
+
+    @classmethod
+    def from_source(cls, cfg: ModelConfig, source) -> "DoseModel":
+        """The model of ``cfg`` with every parameter ``source(name, shape)``
+        (see ParamStore); nothing is drawn."""
+        model = cls.__new__(cls)
+        model._build(cfg, ParamStore(source), None)
+        return model
 
     # -- construction ------------------------------------------------------
 
@@ -181,17 +184,19 @@ class DoseModel:
         blocks = self._make_blocks(store, prefix, stage, c_in, rng, t_dim)
         return StageParams(blocks=blocks, down=_init_down(store, f"{prefix}.down", c_in, c_out, rng))
 
-    def _build(self, rng):
-        cfg = self.cfg
-        store = self.store
+    def _build(self, cfg: ModelConfig, store: ParamStore, rng) -> None:
+        cfg.validate()
+        self.cfg = cfg
+        self.store = store
+        self.stage_kinds = cfg.fusion.stage_kinds(cfg.num_stages)
         widths = cfg.stage_channels()          # [C, C*m1, ..., C*mS]
         t_dim = cfg.time_dim_effective
         concat_mode = self.stage_kinds is None
 
         # shared time-embedding trunk (two-layer MLP on the sinusoidal code)
-        self.time_w1 = store.add("time.w1", trunc_normal(rng, (t_dim, t_dim)))
+        self.time_w1 = store.normal("time.w1", (t_dim, t_dim), rng)
         self.time_b1 = store.add("time.b1", np.zeros(t_dim))
-        self.time_w2 = store.add("time.w2", trunc_normal(rng, (t_dim, t_dim)))
+        self.time_w2 = store.normal("time.w2", (t_dim, t_dim), rng)
         self.time_b2 = store.add("time.b2", np.zeros(t_dim))
 
         # structure encoder (absent in concatenate mode)
@@ -240,7 +245,7 @@ class DoseModel:
         # output head: near-zero init keeps eps_hat small at the start while
         # still letting gradients reach every upstream group in one step
         self.head = ConvParams(
-            w=store.add("dn.head.w", trunc_normal(rng, (1, widths[0], 3, 3), std=1e-3)),
+            w=store.normal("dn.head.w", (1, widths[0], 3, 3), rng, std=1e-3),
             b=store.add("dn.head.b", np.zeros(1)),
         )
 

@@ -2,34 +2,69 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor
 
 
+def trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Normal(0, std) with every entry beyond 2 std redrawn until inside.
+
+    Each round redraws only the entries still out of range, in C order, so
+    the values depend on nothing but rng's stream.
+    """
+    x = rng.normal(0.0, std, shape)
+    flat = x.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while idx.size:
+        redrawn = rng.normal(0.0, std, idx.size)
+        flat[idx] = redrawn
+        idx = idx[np.abs(redrawn) > 2.0 * std]
+    return x
+
+
 class ParamStore:
     """Flat map from parameter path to Tensor plus Adam moment buffers.
 
-    Parameter names are unique; first/second moment buffers always match
-    the parameter shape. Each parameter carries its own step counter so
-    bias correction stays consistent when a step skips some parameters.
+    Parameter names are unique; first/second moment buffers match the
+    parameter shape. Each parameter carries its own step counter so bias
+    correction stays consistent when a step skips some parameters.
+
+    A fresh store makes each value as it is added and zeroes its moments.
+    A store given a ``source`` takes every value from ``source(name,
+    shape)`` instead, draws nothing and makes no moment buffers; whoever
+    restores the store supplies those.
     """
 
-    def __init__(self):
+    def __init__(self, source: Optional[Callable[[str, tuple], np.ndarray]] = None):
         self._params: Dict[str, Tensor] = {}
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
         self.steps: Dict[str, int] = {}
+        self._source = source
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
+        data = np.asarray(data, dtype=np.float64)
+        return self._put(name, data.shape, lambda: data)
+
+    def normal(self, name: str, shape: tuple, rng: np.random.Generator,
+               std: float = 0.02) -> Tensor:
+        """A truncated-normal parameter (``trunc_normal``), drawn from rng
+        only when the store has no source."""
+        return self._put(name, tuple(shape), lambda: trunc_normal(rng, shape, std))
+
+    def _put(self, name: str, shape: tuple, make: Callable[[], np.ndarray]) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+        if self._source is None:
+            t = Tensor(make(), requires_grad=True, name=name)
+            self.m[name] = np.zeros(shape)
+            self.v[name] = np.zeros(shape)
+        else:
+            t = Tensor(self._source(name, shape), requires_grad=True, name=name)
         self._params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
         self.steps[name] = 0
         return t
 

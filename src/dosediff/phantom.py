@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -285,20 +285,41 @@ def generate_phantom(seed: int, size: int = 64, oar_count: int = 3,
 
 
 class Cursor:
-    """Bounded reads over the body of one container file."""
+    """Bounded reads from the body of one open container file.
 
-    def __init__(self, buf: bytes, what: str):
-        self.view, self.off, self.what = memoryview(buf), 0, what
+    Every read is checked against the file's size before anything is read
+    or allocated, so a length that runs past the end of the file raises
+    TruncatedFileError whatever it claims.
+    """
 
-    def take(self, n: int, part: str) -> memoryview:
+    def __init__(self, f, what: str):
+        self.f, self.what = f, what
+        self.off, self.size = 0, os.fstat(f.fileno()).st_size
+
+    def _claim(self, n: int, part: str) -> None:
         if n < 0:
             raise SampleFormatError(f"negative length {n} for {self.what} {part}")
-        if self.off + n > len(self.view):
+        if self.off + n > self.size:
             raise TruncatedFileError(f"truncated {self.what} while reading {part} "
                                      f"(need {n} bytes at offset {self.off}, "
-                                     f"have {len(self.view)})")
+                                     f"have {self.size})")
         self.off += n
-        return self.view[self.off - n:self.off]
+
+    def _short_read(self, got: int, n: int, part: str) -> None:
+        if got != n:   # the file shrank after it was opened
+            raise TruncatedFileError(f"truncated {self.what} while reading {part} "
+                                     f"(read {got} of {n} bytes)")
+
+    def take(self, n: int, part: str) -> bytes:
+        self._claim(n, part)
+        data = self.f.read(n)
+        self._short_read(len(data), n, part)
+        return data
+
+    def skip(self, n: int, part: str) -> None:
+        """Step over ``n`` bytes without reading them."""
+        self._claim(n, part)
+        self.f.seek(n, os.SEEK_CUR)
 
     def unpack(self, fmt: str, part: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), part))
@@ -309,10 +330,13 @@ class Cursor:
         return str(self.take(n, part), "utf-8")
 
     def array(self, shape: Sequence[int], dtype: str, part: str) -> np.ndarray:
-        """A writable copy of the next row-major array of ``shape``."""
-        count = math.prod(shape)
-        raw = self.take(count * np.dtype(dtype).itemsize, part)
-        return np.frombuffer(raw, dtype=dtype, count=count).reshape(shape).copy()
+        """The next row-major array of ``shape``, read straight into a new
+        writable array."""
+        n = math.prod(shape) * np.dtype(dtype).itemsize
+        self._claim(n, part)
+        out = np.empty(shape, dtype=dtype)
+        self._short_read(self.f.readinto(memoryview(out.reshape(-1)).cast("B")), n, part)
+        return out
 
 
 def pack_text(text: str) -> bytes:
@@ -336,25 +360,26 @@ class Container:
 
     @contextmanager
     def read(self, path) -> Iterator[Cursor]:
-        cur = Cursor(Path(path).read_bytes(), self.what)
-        magic = cur.take(len(self.magic), "magic")
-        if magic != self.magic:
-            raise BadMagicError(f"bad {self.what} magic {bytes(magic)!r}, "
-                                f"expected {self.magic!r}")
-        (version,) = cur.unpack("<H", "version")
-        if version != self.version:
-            raise VersionError(f"unsupported {self.what} version {version:#x}")
-        try:
-            yield cur
-        except SampleFormatError:
-            raise
-        except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                struct.error) as e:
-            raise SampleFormatError(f"malformed {self.what} {path}: "
-                                    f"{type(e).__name__}: {e}") from None
-        if cur.off != len(cur.view):
-            raise SampleFormatError(f"{len(cur.view) - cur.off} trailing bytes after "
-                                    f"the {self.what} in {path}")
+        with open(path, "rb") as f:
+            cur = Cursor(f, self.what)
+            magic = cur.take(len(self.magic), "magic")
+            if magic != self.magic:
+                raise BadMagicError(f"bad {self.what} magic {magic!r}, "
+                                    f"expected {self.magic!r}")
+            (version,) = cur.unpack("<H", "version")
+            if version != self.version:
+                raise VersionError(f"unsupported {self.what} version {version:#x}")
+            try:
+                yield cur
+            except SampleFormatError:
+                raise
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                    struct.error) as e:
+                raise SampleFormatError(f"malformed {self.what} {path}: "
+                                        f"{type(e).__name__}: {e}") from None
+            if cur.off != cur.size:
+                raise SampleFormatError(f"{cur.size - cur.off} trailing bytes after "
+                                        f"the {self.what} in {path}")
 
     def write(self, path, parts: Iterable[bytes]) -> None:
         write_atomic(path, itertools.chain(

@@ -18,7 +18,7 @@ from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
 from .atomic import write_atomic
-from .checkpoint import Checkpoint, restore_into, save_checkpoint
+from .checkpoint import Checkpoint, restore_model, save_checkpoint
 from .config import ConfigError, FusionStrategy, ModelConfig, RunConfig
 from .networks import DoseModel
 from .optim import adam_step
@@ -74,8 +74,14 @@ def load_split(data_dir) -> P.DatasetSplit:
     for key, kind in (("train", list), ("val", list), ("test", list), ("seed", int)):
         if not isinstance(d.get(key), kind):
             raise DataError(f"{manifest}: {key!r} must be a {kind.__name__}")
+    listed_in = {}
     for key in ("train", "val", "test"):
         _check_case_ids(d[key], str(manifest))
+        for cid in d[key]:
+            if cid in listed_in:
+                raise DataError(f"{manifest}: case id {cid!r} is listed in "
+                                f"{listed_in[cid]!r} and again in {key!r}")
+            listed_in[cid] = key
     return P.DatasetSplit(train=d["train"], val=d["val"], test=d["test"], seed=d["seed"])
 
 
@@ -169,11 +175,15 @@ class Trainer:
         self.cond, self.dose = P.normalize_batch(samples)
         self.schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start,
                                         cfg.model.beta_end)
-        self.model = DoseModel(cfg.model, cfg.seed)
         self.rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         self.start_step = 0
-        if resume is not None:
-            restore_into(self.model.store, resume)
+        if resume is None:
+            self.model = DoseModel(cfg.model, cfg.seed)
+        else:
+            if resume.m is None:
+                raise ValueError("the checkpoint was loaded without its Adam moments "
+                                 "(load_checkpoint(moments=False)); training cannot resume")
+            self.model = restore_model(cfg.model, resume)
             self.rng.bit_generator.state = resume.rng_state
             self.start_step = resume.step
 

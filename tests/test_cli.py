@@ -7,7 +7,6 @@ from dosediff import cli
 from dosediff import phantom as P
 from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
-from dosediff.networks import DoseModel
 
 from test_config_checkpoint import (bad_rng_state, drop_config, drop_opt_step,
                                     rename_param, rewrite_checkpoint_header)
@@ -377,9 +376,8 @@ class TestExitCodes:
         tmp, cfg, data, ckpt = trained
         # poison one parameter with NaN and resume from it
         ck = load_checkpoint(ckpt)
-        model = DoseModel(ck.config.model, ck.config.seed)
-        from dosediff.checkpoint import restore_into
-        restore_into(model.store, ck)
+        from dosediff.checkpoint import restore_model
+        model = restore_model(ck.config.model, ck)
         model.store["dn.head.w"].data[:] = np.nan
         rng = np.random.default_rng(0)
         rng.bit_generator.state = ck.rng_state
@@ -537,3 +535,58 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "case id" in err[0]
         assert sorted(p.name for p in tmp.iterdir()) == before
+
+    @pytest.mark.parametrize("cut", ["inside-moments", "trailing-byte"])
+    def test_damaged_checkpoint_is_3_for_sample(self, trained, cut, capsys):
+        # sample steps over the Adam moments but still checks their length
+        tmp, cfg, data, ckpt = trained
+        blob = ckpt.read_bytes()
+        bad = tmp / "bad.bin"
+        bad.write_bytes(blob[:-8] if cut == "inside-moments" else blob + b"\0")
+        capsys.readouterr()
+        assert run(["sample", "--checkpoint", bad, "--data", data,
+                    "--cases", "sample_00000", "--out", tmp / "s"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert ("truncated" if cut == "inside-moments" else "trailing") in err[0]
+        assert not (tmp / "s").exists()
+
+    def test_duplicate_case_ids_are_3(self, trained, capsys):
+        tmp, cfg, data, ckpt = trained
+        capsys.readouterr()
+        assert run(["sample", "--checkpoint", ckpt, "--data", data,
+                    "--cases", "sample_00001,sample_00000,sample_00001",
+                    "--out", tmp / "s"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert "'sample_00001'" in err[0]
+        assert not (tmp / "s").exists()
+
+    @pytest.mark.parametrize("listed", ["train-and-test", "twice-in-test"])
+    def test_split_listing_a_case_twice_is_3(self, trained, listed, capsys):
+        tmp, cfg, data, ckpt = trained
+        split = json.loads((data / "split.json").read_text())
+        again = split["train"][0] if listed == "train-and-test" else split["test"][0]
+        split["test"] = split["test"] + [again]
+        (data / "split.json").write_text(json.dumps(split))
+        capsys.readouterr()
+        assert run(["sample", "--checkpoint", ckpt, "--data", data,
+                    "--out", tmp / "s"]) == 3
+        assert run(["ablate", "--config", cfg, "--data", data, "--out", tmp / "a",
+                    "--strategies", "add-all"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("data error:") for e in err)
+        assert all(repr(again) in e and "'test'" in e for e in err)
+        assert not (tmp / "s").exists()
+
+    def test_compare_with_one_shared_case_writes_nothing(self, trained, capsys):
+        tmp, cfg, data, ckpt = trained
+        for out, cases in (("pa", "sample_00000,sample_00001"), ("pb", "sample_00001")):
+            assert run(["sample", "--checkpoint", ckpt, "--data", data,
+                        "--cases", cases, "--out", tmp / out]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--pred", tmp / "pa", "--truth", data,
+                    "--out", tmp / "ev", "--compare", tmp / "pb"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "two shared cases" in err[0]
+        assert not (tmp / "ev").exists() or not any((tmp / "ev").iterdir())

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosediff import phantom as P
-from dosediff.checkpoint import load_checkpoint, restore_into, save_checkpoint
+from dosediff.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from dosediff.cli import main
 from dosediff.config import (ConfigError, config_from_dict, config_to_dict,
                              load_config, save_config)
 from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
@@ -161,8 +165,7 @@ class TestCheckpoint:
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(p1, cfg, model.store, 2, rng)
         ckpt = load_checkpoint(p1)
-        model2 = DoseModel(ckpt.config.model, ckpt.config.seed)
-        restore_into(model2.store, ckpt)
+        model2 = restore_model(ckpt.config.model, ckpt)
         rng2 = np.random.default_rng(0)
         rng2.bit_generator.state = ckpt.rng_state
         save_checkpoint(p2, ckpt.config, model2.store, ckpt.step, rng2)
@@ -174,8 +177,7 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, model.store, 7, rng)
         ckpt = load_checkpoint(path)
         assert ckpt.step == 7
-        model2 = DoseModel(cfg.model, cfg.seed + 10)  # different init
-        restore_into(model2.store, ckpt)
+        model2 = restore_model(cfg.model, ckpt)
         for name, p in model.store.items():
             assert np.array_equal(p.data, model2.store[name].data)
             assert np.array_equal(model.store.m[name], model2.store.m[name])
@@ -203,9 +205,8 @@ class TestCheckpoint:
         other_cfg = ModelConfig(image_size=16, oar_count=2, base_channels=4,
                                 stage_multipliers=(1,), window=2, heads=2,
                                 fusion=FusionStrategy("add-all"), t_steps=8)
-        other = DoseModel(other_cfg, 0)
         with pytest.raises(ValueError):
-            restore_into(other.store, load_checkpoint(p))
+            restore_model(other_cfg, load_checkpoint(p))
 
     @pytest.mark.parametrize("edit", list(MALFORMED_HEADERS.values()),
                              ids=list(MALFORMED_HEADERS))
@@ -216,7 +217,7 @@ class TestCheckpoint:
         bad = rewrite_checkpoint_header(p, tmp_path / "bad.bin", edit)
         with pytest.raises(SampleFormatError):
             ckpt = load_checkpoint(bad)
-            restore_into(DoseModel(ckpt.config.model, ckpt.config.seed).store, ckpt)
+            restore_model(ckpt.config.model, ckpt)
 
     def test_trailing_bytes(self, tmp_path):
         cfg, model, rng = self.build()
@@ -264,3 +265,105 @@ def test_every_truncation_is_truncated_file_error(valid_files, data):
     cut.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
     with pytest.raises(TruncatedFileError):
         reader(cut)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_truncation_of_a_weights_only_load_is_truncated_file_error(valid_files, data):
+    d, kinds = valid_files
+    path, _ = kinds["checkpoint"]
+    blob = path.read_bytes()
+    cut = d / "cut_weights.bin"
+    cut.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(TruncatedFileError):
+        load_checkpoint(cut, moments=False)
+
+
+# A fresh checkpoint of this run, per fusion strategy, pins the values and
+# the order of every initial draw: any change to either changes its bytes.
+SMOKE_RUN = {
+    "model": {"image_size": 16, "oar_count": 3, "base_channels": 4,
+              "stage_multipliers": [1, 2, 4, 8], "window": 2, "heads": 2,
+              "projector_ratio": 4, "use_projector": True, "fusion": "attn-last2",
+              "t_steps": 50, "beta_end": 0.35},
+    "train": {"steps": 5, "batch_size": 2, "lr": 0.001},
+    "data": {"n_samples": 4, "seed": 1},
+    "seed": 11, "out_dir": "runs/smoke",
+}
+FRESH_SMOKE_SHA256 = {
+    "attn-last2": "853fede9f32dad9e039b74d73937f25737f0b7055ee7d0e1c53e64d3273dec8f",
+    "concatenate": "1bd327c2423cc5bf12b1f5ac41b0f56122de93532032bc897d1707d82cac7e23",
+}
+
+
+@pytest.mark.parametrize("fusion", sorted(FRESH_SMOKE_SHA256))
+def test_fresh_checkpoint_bytes_are_pinned(tmp_path, fusion):
+    d = json.loads(json.dumps(SMOKE_RUN))
+    d["model"]["fusion"] = fusion
+    cfg = config_from_dict(d)
+    p = tmp_path / "fresh.bin"
+    save_checkpoint(p, cfg, DoseModel(cfg.model, cfg.seed).store, 0,
+                    np.random.default_rng(np.random.PCG64(cfg.seed)))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == FRESH_SMOKE_SHA256[fusion]
+
+
+def traced_peak(fn):
+    """(fn's result or the SampleFormatError it raised, the peak bytes
+    tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except SampleFormatError as e:
+            result = e
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWeightsOnlyLoad:
+    def test_arrays_equal_a_full_load(self, tmp_path):
+        cfg, model, rng = TestCheckpoint().build()
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, cfg, model.store, 2, rng)
+        full, light = load_checkpoint(p), load_checkpoint(p, moments=False)
+        assert light.m is None and light.v is None
+        assert list(light.params) == list(full.params)
+        for name, data in full.params.items():
+            assert light.params[name].dtype == data.dtype
+            assert light.params[name].shape == data.shape
+            assert light.params[name].tobytes() == data.tobytes()
+        assert (light.step, light.opt_steps, light.rng_state) == \
+            (full.step, full.opt_steps, full.rng_state)
+        assert config_to_dict(light.config) == config_to_dict(full.config)
+
+    def test_peak_memory_of_a_load(self, tmp_path):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json")
+        model = DoseModel(cfg.model, cfg.seed)
+        p = tmp_path / "desk.bin"
+        save_checkpoint(p, cfg, model.store, 0, np.random.default_rng(0))
+        weights = sum(t.data.nbytes for _, t in model.store.items())
+        _, light = traced_peak(lambda: load_checkpoint(p, moments=False))
+        _, full = traced_peak(lambda: load_checkpoint(p))
+        assert light <= 1.2 * weights
+        assert full <= 3.2 * weights
+
+    def test_shape_past_the_end_of_the_file_allocates_nothing(self, tmp_path):
+        cfg, model, rng = TestCheckpoint().build()
+        p = tmp_path / "c.bin"
+        save_checkpoint(p, cfg, model.store, 1, rng)
+
+        def huge(header: bytes) -> bytes:
+            d = json.loads(header)
+            d["params"][0]["shape"] = [1_000_000, 1_000_000]   # 8 TB of float64
+            return json.dumps(d).encode("utf-8")
+
+        bad = rewrite_checkpoint_header(p, tmp_path / "huge.bin", huge)
+        for moments in (True, False):
+            err, peak = traced_peak(lambda: load_checkpoint(bad, moments=moments))
+            assert isinstance(err, TruncatedFileError) and peak < 8 << 20
+        # sample reads the checkpoint before any case, so no dataset is needed
+        rc, peak = traced_peak(lambda: main([
+            "sample", "--checkpoint", str(bad), "--data", str(tmp_path), "--cases", "x",
+            "--out", str(tmp_path / "s")]))
+        assert rc == 3 and peak < 8 << 20

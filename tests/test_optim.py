@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dosediff.optim import ParamStore, adam_step
+from dosediff.optim import ParamStore, adam_step, trunc_normal
 from dosediff.tensor import ShapeError
 
 
@@ -74,3 +74,25 @@ def test_moments_match_parameter_shapes():
     adam_step(store, {"w": np.ones(2)}, lr=0.01)
     assert store.m["w"].shape == store["w"].shape
     assert store.v["w"].shape == store["w"].shape
+
+
+def trunc_normal_whole_array(rng, shape, std):
+    """Reference: every round re-tests every entry of the array."""
+    x = rng.normal(0.0, std, shape)
+    bad = np.abs(x) > 2.0 * std
+    while bad.any():
+        x[bad] = rng.normal(0.0, std, int(bad.sum()))
+        bad = np.abs(x) > 2.0 * std
+    return x
+
+
+@pytest.mark.parametrize("shape,std", [((7,), 0.02), ((32, 48), 0.02), ((16, 8, 3, 3), 0.3),
+                                       ((1, 4, 3, 3), 1e-3), ((0, 3), 0.02)])
+def test_trunc_normal_matches_the_whole_array_redraw(shape, std):
+    a_rng, b_rng = np.random.default_rng(5), np.random.default_rng(5)
+    a = trunc_normal(a_rng, shape, std)
+    b = trunc_normal_whole_array(b_rng, shape, std)
+    assert a.shape == b.shape == shape
+    assert a.tobytes() == b.tobytes()
+    assert (np.abs(a) <= 2.0 * std).all()
+    assert a_rng.random() == b_rng.random()   # the same number of draws

@@ -201,3 +201,11 @@ def test_overfit_script_writes_curve_and_renders(tmp_path):
     for i in range(2):
         for name in (f"case{i}_pred.pgm", f"case{i}_truth.pgm", f"case{i}_diff.ppm"):
             assert (tmp_path / name).stat().st_size > 0
+
+
+def test_weights_only_checkpoint_cannot_resume(dataset, tmp_path):
+    cfg, data_dir = dataset
+    Trainer(cfg, data_dir, tmp_path / "part").run(steps=2)
+    light = load_checkpoint(tmp_path / "part" / "ckpt_final.bin", moments=False)
+    with pytest.raises(ValueError, match="moments"):
+        Trainer(cfg, data_dir, tmp_path / "resumed", resume=light)
