@@ -274,7 +274,7 @@ def projector_forward(f_in: Tensor, p: ProjectorParams) -> Tensor:
 def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal timestep embedding: sin/cos pairs at geometric frequencies.
 
-    Scalar t gives a [dim] vector, a batch of timesteps a [B, dim] array.
+    A batch of B timesteps gives a [B, dim] array; a scalar t is a batch of one.
     """
     if dim % 2:
         raise ValueError(f"embedding dim must be even, got {dim}")
@@ -283,5 +283,4 @@ def time_embedding(t, dim: int) -> np.ndarray:
     exponents = np.arange(half, dtype=np.float64) / max(half - 1, 1)
     freqs = np.exp(-np.log(10000.0) * exponents)
     ang = t_arr[:, None] * freqs[None, :]
-    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
-    return emb[0] if np.ndim(t) == 0 else emb
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)

@@ -27,7 +27,8 @@ from . import phantom as P
 from . import train as TR
 from .atomic import write_atomic
 from .checkpoint import load_checkpoint, restore_model
-from .config import ConfigError, FusionStrategy, dumps_config, load_config, validate
+from .config import (ConfigError, FusionStrategy, ModelConfig, check_seed, dumps_config,
+                     load_config, validate)
 from .render import write_pgm, write_ppm_diff
 
 
@@ -35,16 +36,15 @@ def _load_cfg(args):
     if getattr(args, "config", None) is None:
         raise ConfigError("--config is required for this command")
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = validate(dataclasses.replace(cfg, seed=args.seed))
+    if args.seed is not None:   # checked by main
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     if args.seed is not None:
-        data = dataclasses.replace(cfg.data, seed=args.seed)
-        cfg = validate(dataclasses.replace(cfg, data=data))
+        cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, seed=args.seed))
     out = Path(args.out or cfg.out_dir)
     split = TR.generate_dataset(cfg, out)
     print(f"wrote {cfg.data.n_samples} samples to {out} "
@@ -55,13 +55,15 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     ckpt = load_checkpoint(args.resume) if args.resume else None
     if args.config:
-        cfg = _load_cfg(args)
-        if ckpt is not None and dumps_config(cfg) != dumps_config(ckpt.config):
-            raise ConfigError("config file does not match the checkpoint's config")
+        cfg = load_config(args.config)
     elif ckpt is not None:
         cfg = ckpt.config
     else:
         raise ConfigError("train needs --config or --resume")
+    if args.seed is not None:   # checked by main
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if ckpt is not None and dumps_config(cfg) != dumps_config(ckpt.config):
+        raise ConfigError("--config or --seed does not match the checkpoint's config")
     if args.steps is not None:
         if ckpt is not None and args.steps < ckpt.step:
             raise ConfigError(f"--steps {args.steps} is below the checkpoint's step "
@@ -130,12 +132,11 @@ def cmd_sample(args) -> int:
     model = restore_model(cfg.model, ckpt)
     schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
     base_seed = args.seed if args.seed is not None else cfg.seed
-    validate(dataclasses.replace(cfg, seed=base_seed))
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for cid in cases:
         truth = P.read_sample(TR.sample_path(args.data, cid))
-        pred = TR.sample_case(model, schedule, truth, (base_seed, TR._case_index(cid)))
+        pred = TR.sample_case(model, schedule, truth, TR.case_seed_key(base_seed, cid))
         P.write_dose_map(out / f"{cid}.spdp", pred,
                          meta={"case": cid, "seed": str(base_seed)})
         write_pgm(out / f"{cid}.pgm", pred)
@@ -155,19 +156,19 @@ def _matched_cases(pred_dir, truth_dir) -> list:
     return preds
 
 
-def _write_metric_files(out: Path, rows: dict) -> None:
+def _metric_files(rows: dict) -> dict:
+    """{file name: text} of metrics.csv and metrics_summary.csv."""
     lines = [",".join(M.MetricsReport.CSV_COLUMNS)]
     for cid in sorted(rows):
         lines.append(rows[cid].csv_row(cid))
-    write_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
-
     summary = ["metric,mean,std,formatted"]
     for attr, col in (("dose_score_relative", "dose_score_rel"),
                       ("dose_score_mae", "dose_score_mae"),
                       ("dvh_score", "dvh_score"), ("hi", "hi")):
         mean, std, text = M.summarize([getattr(r, attr) for r in rows.values()])
         summary.append(f"{col},{mean!r},{std!r},{text}")
-    write_atomic(out / "metrics_summary.csv", "\n".join(summary) + "\n")
+    return {"metrics.csv": "\n".join(lines) + "\n",
+            "metrics_summary.csv": "\n".join(summary) + "\n"}
 
 
 def _score_case(pred_dir, truth_dir, cid: str):
@@ -181,12 +182,11 @@ def _score_case(pred_dir, truth_dir, cid: str):
 def cmd_eval(args) -> int:
     out = Path(args.out)
     cases = _matched_cases(args.pred, args.truth)
-    if args.compare:   # checked before any result file is written
+    if args.compare:
         shared = sorted(set(cases) & set(_matched_cases(args.compare, args.truth)))
         if len(shared) < 2:
             raise TR.DataError("need at least two shared cases for a paired t-test")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = {}
+    files, rows = {}, {}
     for cid in cases:
         pred, truth, rows[cid] = _score_case(args.pred, args.truth, cid)
         curves = []
@@ -194,9 +194,9 @@ def cmd_eval(args) -> int:
             curves.append(M.dvh_curve(pred, mask, structure=f"{name}_pred"))
             curves.append(M.dvh_curve(truth.dose.astype(np.float64), mask,
                                       structure=f"{name}_truth"))
-        write_atomic(out / f"dvh_{cid}.csv", M.dvh_csv(curves))
-        write_atomic(out / f"report_{cid}.txt", rows[cid].kv_text())
-    _write_metric_files(out, rows)
+        files[f"dvh_{cid}.csv"] = M.dvh_csv(curves)
+        files[f"report_{cid}.txt"] = rows[cid].kv_text()
+    files.update(_metric_files(rows))
 
     if args.compare:
         comp_rows = {cid: _score_case(args.compare, args.truth, cid)[2] for cid in shared}
@@ -210,8 +210,11 @@ def cmd_eval(args) -> int:
                 lines.append(f"{col},{t!r},{df},{p!r}")
             except M.DegenerateVarianceError:
                 lines.append(f"{col},nan,{len(shared) - 1},nan")
-        write_atomic(out / "ttest.csv", "\n".join(lines) + "\n")
+        files["ttest.csv"] = "\n".join(lines) + "\n"
 
+    out.mkdir(parents=True, exist_ok=True)   # only after every prediction has scored
+    for name, text in files.items():
+        write_atomic(out / name, text)
     print(f"evaluated {len(cases)} cases -> {out / 'metrics.csv'}")
     return 0
 
@@ -302,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-schedule", help="print beta/alpha_bar tables as CSV")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--beta-start", type=float, default=1e-4)
-    p.add_argument("--beta-end", type=float, default=0.02)
+    p.add_argument("--beta-start", type=float, default=ModelConfig.beta_start)
+    p.add_argument("--beta-end", type=float, default=ModelConfig.beta_end)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dump_schedule)
 
@@ -313,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:   # before any input is read
+            check_seed(args.seed)
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

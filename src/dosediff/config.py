@@ -75,6 +75,12 @@ def check_schedule(t_steps, beta_start, beta_end) -> None:
                           f"t_steps={t_steps}, beta_start={beta_start}, beta_end={beta_end}")
 
 
+def check_seed(seed: int) -> None:
+    """validate's run-seed rule; the CLI checks --seed with it before any read."""
+    if seed < 0:
+        raise ConfigError(f"config.seed must be >= 0, got {seed!r}")
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters for both branches.
@@ -183,9 +189,10 @@ def validate(cfg: RunConfig) -> RunConfig:
     """Return cfg if every field is in range, else raise ConfigError naming
     the field. Float rules also reject NaN and infinities (json.loads accepts them)."""
     cfg.model.validate()
+    check_seed(cfg.seed)
     t, d = cfg.train, cfg.data
     for name, ok, rule in (
-        ("seed", cfg.seed >= 0, ">= 0"), ("data.seed", d.seed >= 0, ">= 0"),
+        ("data.seed", d.seed >= 0, ">= 0"),
         ("train.steps", t.steps >= 1, ">= 1"), ("train.batch_size", t.batch_size >= 1, ">= 1"),
         ("train.checkpoint_every", t.checkpoint_every >= 0, ">= 0"),
         ("train.lr", 0 < t.lr < math.inf, "finite and > 0"),

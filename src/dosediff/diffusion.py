@@ -53,7 +53,7 @@ class DiffusionBatch:
     x_t: np.ndarray
 
 
-def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def make_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Build the beta/alpha/alpha_bar tables.
 
     Beta is interpolated linearly from beta_start to beta_end (a single
@@ -71,9 +71,7 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> N
 
 
 def _per_sample(coef: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Reshape a per-sample coefficient vector for broadcasting over like."""
-    if coef.ndim == 0:
-        return coef
+    """Reshape a per-sample coefficient vector (or a scalar) to broadcast over like."""
     return coef.reshape(coef.shape + (1,) * (like.ndim - 1))
 
 
@@ -88,21 +86,13 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray
     return _per_sample(np.sqrt(ab), x0) * x0 + _per_sample(np.sqrt(1.0 - ab), x0) * eps
 
 
-def predict_x0(x_t: np.ndarray, eps_hat: np.ndarray, t, s: NoiseSchedule,
-               clamp: bool = False) -> np.ndarray:
-    """Invert the corruption given a noise estimate.
-
-    Optionally clamps to the valid normalized dose range [-1, 1]. Small
-    alpha_bar makes the division ill-conditioned but is not an error
-    (float64 throughout).
-    """
+def predict_x0(x_t: np.ndarray, eps_hat: np.ndarray, t, s: NoiseSchedule) -> np.ndarray:
+    """Invert the corruption given a noise estimate (a small alpha_bar is
+    ill-conditioned in float64, but not an error)."""
     if eps_hat.shape != x_t.shape:
         raise ValueError(f"eps_hat shape {eps_hat.shape} != x_t shape {x_t.shape}")
     ab = s.alpha_bar_at(t)
-    x0 = (x_t - _per_sample(np.sqrt(1.0 - ab), x_t) * eps_hat) / _per_sample(np.sqrt(ab), x_t)
-    if clamp:
-        x0 = np.clip(x0, -1.0, 1.0)
-    return x0
+    return (x_t - _per_sample(np.sqrt(1.0 - ab), x_t) * eps_hat) / _per_sample(np.sqrt(ab), x_t)
 
 
 def p_sample_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, s: NoiseSchedule,
@@ -152,16 +142,14 @@ def training_step(model, batch, s: NoiseSchedule, rng: np.random.Generator) -> T
 def sample_loop(model, condition, s: NoiseSchedule, seed, shape) -> np.ndarray:
     """Full reverse pass from pure noise of ``shape`` to a normalized dose map.
 
-    ``seed`` is either an integer or a numpy Generator; outputs are
-    deterministic given the seed.
+    ``model`` returns a Tensor eps_hat; every draw comes from the
+    Generator ``seed``, so outputs are deterministic given its state.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x = rng.standard_normal(shape)
+    x = seed.standard_normal(shape)
     with no_grad():
         for t in range(s.T, 0, -1):
             t_vec = np.full(shape[0], t, dtype=np.int64)
-            eps_hat = model(x, t_vec, condition)
-            eps_hat = eps_hat.data if isinstance(eps_hat, Tensor) else np.asarray(eps_hat)
-            z = rng.standard_normal(shape) if t > 1 else np.zeros(shape)
+            eps_hat = model(x, t_vec, condition).data
+            z = seed.standard_normal(shape) if t > 1 else np.zeros(shape)
             x = p_sample_step(x, t, eps_hat, s, z)
     return x

@@ -59,7 +59,6 @@ class MetricsReport:
     d_stats_truth: Dict[str, Dict[float, float]]
     max_abs_diff: float
     rel_excluded_voxels: int        # sub-floor truth voxels dropped from Eq-style score
-    mask_provenance: str = "body"
 
     CSV_COLUMNS = ("case", "dose_score_rel", "dose_score_mae", "dvh_score", "hi")
 
@@ -76,7 +75,6 @@ class MetricsReport:
             f"hi_truth={self.hi_truth!r}",
             f"max_abs_diff={self.max_abs_diff!r}",
             f"rel_excluded_voxels={self.rel_excluded_voxels}",
-            f"mask_provenance={self.mask_provenance}",
         ]
         for name in sorted(self.d_stats_pred):
             for q in DVH_QS:
@@ -92,8 +90,7 @@ def _masked(dose: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return vals
 
 
-def dose_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray,
-               variant: str = "mae") -> float:
+def dose_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray, variant: str) -> float:
     """Average deviation of prediction from truth over the mask.
 
     variant="relative": mean of (pred - truth) / truth, signed; truth
@@ -139,16 +136,24 @@ def d_stat(dose: np.ndarray, mask: np.ndarray, q_percent: float) -> float:
     return float(vals[idx])
 
 
+def _dq_table(dose: np.ndarray, structures: Dict) -> Dict:
+    """{structure: {q: Dq}} for every structure and q in DVH_QS."""
+    return {name: {q: d_stat(dose, mask, q) for q in DVH_QS} for name, mask in structures.items()}
+
+
+def _mean_dq_gap(d_pred: Dict, d_truth: Dict) -> float:
+    """Mean |Dq(pred) - Dq(truth)| over the tables' structures, in order, and DVH_QS."""
+    return float(np.mean([abs(d_pred[name][q] - d_truth[name][q])
+                          for name in d_pred for q in DVH_QS]))
+
+
 def dvh_score(pred: np.ndarray, truth: np.ndarray,
               structures: Sequence[np.ndarray]) -> float:
     """Mean |Dq(pred) - Dq(truth)| over structures and q in {1, 95, 99}."""
     if len(structures) == 0:
         raise ValueError("empty structure list")
-    diffs = []
-    for mask in structures:
-        for q in DVH_QS:
-            diffs.append(abs(d_stat(pred, mask, q) - d_stat(truth, mask, q)))
-    return float(np.mean(diffs))
+    named = dict(enumerate(structures))
+    return _mean_dq_gap(_dq_table(pred, named), _dq_table(truth, named))
 
 
 def homogeneity_index(dose: np.ndarray, region_mask: np.ndarray) -> float:
@@ -198,23 +203,18 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray, body_mask: np.ndarray,
     """Score a prediction: dose scores over the body, DVH score over the
     given structures, HI over the PTV, ``structures["ptv"]``."""
     ptv = structures["ptv"]
-    d_pred: Dict[str, Dict[float, float]] = {}
-    d_truth: Dict[str, Dict[float, float]] = {}
-    for name, mask in structures.items():
-        d_pred[name] = {q: d_stat(pred, mask, q) for q in DVH_QS}
-        d_truth[name] = {q: d_stat(truth, mask, q) for q in DVH_QS}
+    d_pred, d_truth = _dq_table(pred, structures), _dq_table(truth, structures)
     diff = dose_difference_map(pred, truth)
     return MetricsReport(
         dose_score_relative=dose_score(pred, truth, body_mask, "relative"),
         dose_score_mae=dose_score(pred, truth, body_mask, "mae"),
-        dvh_score=dvh_score(pred, truth, list(structures.values())),
+        dvh_score=_mean_dq_gap(d_pred, d_truth),
         hi=homogeneity_index(pred, ptv),
         hi_truth=homogeneity_index(truth, ptv),
         d_stats_pred=d_pred,
         d_stats_truth=d_truth,
         max_abs_diff=float(np.abs(diff).max()),
         rel_excluded_voxels=relative_excluded_count(truth, body_mask),
-        mask_provenance="body",
     )
 
 

@@ -92,7 +92,7 @@ def _init_conv(store, prefix, c_out, c_in, k, rng) -> ConvParams:
     )
 
 
-def _init_conv_block(store, prefix, channels, rng, t_dim=0) -> ConvBlockParams:
+def _init_conv_block(store, prefix, channels, rng, t_dim) -> ConvBlockParams:
     p = ConvBlockParams(
         ln_g=store.add(f"{prefix}.ln.g", np.ones(channels)),
         ln_b=store.add(f"{prefix}.ln.b", np.zeros(channels)),
@@ -253,7 +253,7 @@ class DoseModel:
 
     def _time_features(self, t) -> Tensor:
         """[B, 1, 1, T] time features; they broadcast over a map's H and W."""
-        emb = time_embedding(np.atleast_1d(t), self.cfg.time_dim_effective)
+        emb = time_embedding(t, self.cfg.time_dim_effective)
         h = T.gelu(T.linear(Tensor(emb[:, None, None, :]), self.time_w1, self.time_b1))
         return T.linear(h, self.time_w2, self.time_b2)
 

@@ -63,7 +63,7 @@ class TruncatedFileError(SampleFormatError):
 
 
 class DoseClampWarning(UserWarning):
-    """Dose values above DOSE_MAX_SCALE were clamped during normalization."""
+    """Dose values above DOSE_MAX_SCALE were capped during normalization."""
 
 
 @dataclass
@@ -447,29 +447,31 @@ def read_dose_map(path) -> np.ndarray:
 # Condition channel order is fixed: CT, PTV, OAR_1..OAR_O.
 
 
-def normalize_batch(samples: Sequence[PhantomSample]):
-    """Stack samples into a condition batch and a dose batch in [-1, 1].
-
-    Doses are mapped by d -> d / DOSE_MAX_SCALE * 2 - 1; values above
-    DOSE_MAX_SCALE are clamped (with a DoseClampWarning).
-    """
+def condition_batch(samples: Sequence[PhantomSample]) -> np.ndarray:
+    """Stack samples' anatomy into a [B, 2 + O, H, W] float64 condition batch."""
     if not samples:
         raise ValueError("empty sample list")
-    h, w = samples[0].ct.shape
-    o = samples[0].oar_count
-    for s in samples:
-        if s.ct.shape != (h, w) or s.oar_count != o:
-            raise ValueError("samples must share H, W and OAR count")
-    cond = np.stack([
+    if len({(s.ct.shape, s.oar_count) for s in samples}) > 1:
+        raise ValueError("samples must share H, W and OAR count")
+    return np.stack([
         np.concatenate([s.ct[None].astype(np.float64),
                         s.ptv[None].astype(np.float64),
                         s.oars.astype(np.float64)], axis=0)
         for s in samples
     ])
+
+
+def normalize_batch(samples: Sequence[PhantomSample]):
+    """Stack samples into a condition batch and a dose batch in [-1, 1].
+
+    Doses are mapped by d -> d / DOSE_MAX_SCALE * 2 - 1; values above
+    DOSE_MAX_SCALE are capped there (with a DoseClampWarning).
+    """
+    cond = condition_batch(samples)
     dose = np.stack([s.dose.astype(np.float64)[None] for s in samples])
     n_over = int((dose > DOSE_MAX_SCALE).sum())
     if n_over:
-        warnings.warn(f"{n_over} dose voxels above {DOSE_MAX_SCALE} clamped",
+        warnings.warn(f"{n_over} dose voxels above {DOSE_MAX_SCALE} capped",
                       DoseClampWarning)
         dose = np.minimum(dose, DOSE_MAX_SCALE)
     return cond, normalize_dose(dose)

@@ -74,13 +74,12 @@ def no_grad():
 class Node:
     """Graph record: producing op, parent tensors, and the local backward."""
 
-    __slots__ = ("kind", "parents", "bwd", "consumed")
+    __slots__ = ("kind", "parents", "bwd")
 
     def __init__(self, kind: str, parents: tuple, bwd: Callable):
         self.kind = kind
         self.parents = parents
-        self.bwd = bwd  # grad_out -> tuple of parent grads (or None)
-        self.consumed = False
+        self.bwd = bwd  # grad_out -> tuple of parent grads; None once consumed
 
 
 class Tensor:
@@ -914,8 +913,9 @@ def backward(root: Tensor, params=None) -> dict:
     (a ParamStore) is given, parameters the graph never touched are
     filled with zeros so the map covers the whole store.
 
-    Graphs are single-use: a second backward through any shared node
-    raises GraphConsumedError.
+    Graphs are single-use: each node frees its closure and parents once
+    it has run, and a second backward through any shared node raises
+    GraphConsumedError.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
@@ -924,21 +924,17 @@ def backward(root: Tensor, params=None) -> dict:
 
     order = _topo_order(root)
     for t in order:
-        if t.node.consumed:
+        if t.node.bwd is None:
             raise GraphConsumedError("backward: graph already consumed")
 
+    # every node in order is an ancestor of root: its gradient is in by its turn
     grads = {id(root): np.ones_like(root.data)}
     named: dict[str, np.ndarray] = {}
     touched = set()  # leaves whose .grad was freshly written this pass
-    for t in reversed(order):
-        g = grads.pop(id(t), None)
-        if g is None:
-            continue
-        parent_grads = t.node.bwd(g)
-        t.node.consumed = True
-        for p, pg in zip(t.node.parents, parent_grads):
-            if pg is None:
-                continue
+    while order:
+        t = order.pop()
+        node = t.node
+        for p, pg in zip(node.parents, node.bwd(grads.pop(id(t)))):
             if p.node is not None:
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else acc + pg
@@ -950,6 +946,7 @@ def backward(root: Tensor, params=None) -> dict:
                     touched.add(id(p))
                 if p.name is not None:
                     named[p.name] = p.grad
+        node.bwd, node.parents = None, ()   # consumed: free the closure and the inputs
 
     if params is not None:
         for name, p in params.items():

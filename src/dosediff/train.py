@@ -232,18 +232,24 @@ class Trainer:
 # sampling + evaluation helpers
 
 
+def case_seed_key(seed: int, case_id: str) -> tuple:
+    """(seed, the id's numeric ``_N`` suffix, else its CRC32): a case's sampling
+    key depends on its id alone, so it is order-independent and stable."""
+    tail = case_id.rsplit("_", 1)[-1]
+    return seed, int(tail) if tail.isdigit() else zlib.crc32(case_id.encode("utf-8"))
+
+
 def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSample,
                 seed_key) -> np.ndarray:
     """Reverse-diffuse one case; returns dose in prescription units.
 
-    The final map is clamped to the valid normalized range before
+    The final map is clipped to the valid normalized range before
     denormalization. seed_key may be any numpy SeedSequence key (ints or
-    sequences of ints), so per-case seeds stay order-independent.
+    sequences of ints); ``case_seed_key`` gives each case its own.
     """
     _check_case_fits(sample, model.cfg)
-    cond_arr, _ = P.normalize_batch([sample])
     with no_grad():
-        stack = model.encode_structure(cond_arr)
+        stack = model.encode_structure(P.condition_batch([sample]))
     rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence(seed_key)))
     x = D.sample_loop(model, stack, schedule, rng, shape=(1, 1) + sample.ct.shape)
     return P.denormalize_dose(np.clip(x[0, 0], -1.0, 1.0))
@@ -302,15 +308,8 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
         reports = []
         for cid, sample in eval_samples.items():
             pred = sample_case(trainer.model, trainer.schedule, sample,
-                               (cfg.seed, _case_index(cid)))
+                               case_seed_key(cfg.seed, cid))
             reports.append(evaluate_case(pred, sample, cid))
         wall = time.perf_counter() - t0
         results.append(AblationRow(strategy=strat.label(), reports=reports, wall_time_s=wall))
     return results
-
-
-def _case_index(case_id: str) -> int:
-    tail = case_id.rsplit("_", 1)[-1]
-    if tail.isdigit():
-        return int(tail)
-    return zlib.crc32(case_id.encode("utf-8"))  # stable across processes

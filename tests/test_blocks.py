@@ -348,14 +348,14 @@ class TestProjector:
 
 class TestTimeEmbedding:
     def test_t0_sin_zero_cos_one(self):
-        e = B.time_embedding(0, 8)
+        e = B.time_embedding(0, 8)[0]
         assert np.array_equal(e[:4], np.zeros(4))
         assert np.array_equal(e[4:], np.ones(4))
 
     @given(st.integers(0, 1000), st.sampled_from([4, 8, 16, 64]))
     @settings(max_examples=50, deadline=None)
     def test_components_bounded(self, t, dim):
-        e = B.time_embedding(t, dim)
+        e = B.time_embedding(t, dim)[0]
         assert np.all(np.abs(e) <= 1.0)
 
     def test_distinct_over_horizon(self):

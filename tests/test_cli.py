@@ -95,6 +95,20 @@ class TestTrainCommand:
         assert run(["train", "--config", p, "--resume", ckpt,
                     "--data", data, "--out", tmp / "x"]) == 2
 
+    def test_resume_seed_must_match_the_checkpoint(self, trained, capsys):
+        # a --seed is never dropped: without --config it must still agree
+        tmp, cfg, data, ckpt = trained
+        mid = tmp / "run" / "ckpt_step000003.bin"
+        capsys.readouterr()
+        assert run(["train", "--resume", mid, "--seed", 99, "--data", data,
+                    "--out", tmp / "x"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+        assert not (tmp / "x").exists()
+        assert run(["train", "--resume", mid, "--seed", CFG["seed"], "--data", data,
+                    "--out", tmp / "y"]) == 0
+        assert (tmp / "y" / "ckpt_final.bin").read_bytes() == ckpt.read_bytes()
+
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_is_config_error(self, trained, steps, capsys):
         tmp, cfg, data, ckpt = trained
@@ -590,3 +604,32 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "two shared cases" in err[0]
         assert not (tmp / "ev").exists() or not any((tmp / "ev").iterdir())
+
+    def test_malformed_compare_prediction_writes_nothing(self, trained, capsys):
+        # both directories are read and scored before the first result file
+        tmp, cfg, data, ckpt = trained
+        cases = "sample_00000,sample_00001,sample_00002"
+        for out, seed in (("pa", 3), ("pb", 4)):
+            assert run(["sample", "--checkpoint", ckpt, "--data", data, "--cases", cases,
+                        "--out", tmp / out, "--seed", seed]) == 0
+        cut = tmp / "pb" / "sample_00001.spdp"
+        cut.write_bytes(cut.read_bytes()[:20])
+        capsys.readouterr()
+        assert run(["eval", "--pred", tmp / "pa", "--truth", data,
+                    "--out", tmp / "ev", "--compare", tmp / "pb"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp / "ev").exists() or not any((tmp / "ev").iterdir())
+
+    @pytest.mark.parametrize("command", ["sample", "train", "train-resume"])
+    def test_negative_seed_is_2_before_any_read(self, ws, command, capsys):
+        tmp, cfg = ws
+        missing = tmp / "nonexistent"
+        argv = {"sample": ["sample", "--checkpoint", missing, "--data", missing],
+                "train": ["train", "--config", cfg, "--resume", missing, "--data", missing],
+                "train-resume": ["train", "--resume", missing, "--data", missing]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--seed", -1, "--out", tmp / "o"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
+        assert not (tmp / "o").exists()

@@ -1,13 +1,17 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module-level ``_private`` name is left with no user.
 
-No linter is a dependency of the project, so this is an ``ast`` scan. A
+No linter is a dependency of the project, so these are ``ast`` scans. A
 module-level import counts as used when the name it binds appears as a
 name anywhere in the module, string annotations included. ``__init__.py``
 (re-exports), ``from __future__`` imports and lines marked ``# noqa``
-are exempt.
+are exempt. A private function, class or constant counts as used when
+some module of the package loads it, reads it as an attribute or
+imports it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,51 @@ def test_scan_finds_an_unused_import(tmp_path):
                    "from typing import List, Optional\n\n"
                    "def f(x: 'Optional[int]') -> List[int]:\n    return [x]\n")
     assert unused_imports(mod) == ["m.py:2: os"]
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """(line, name) of every module-level ``_name`` def, class or assignment."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        out += [(stmt.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def private_orphans(paths) -> list:
+    """Module-level private names that no module in ``paths`` references."""
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    refs = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    return [f"{p.name}:{line}: {name}" for p, tree in trees.items()
+            for line, name in _private_definitions(tree) if not refs[name]]
+
+
+def test_no_private_orphans():
+    assert private_orphans(sorted(SRC.glob("*.py"))) == []
+
+
+def test_scan_finds_a_private_orphan(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("_LIMIT = 3\n_UNUSED: int = 4\n\n"
+                 "def _helper(x):\n    return x + _LIMIT\n\n"
+                 "def _orphan():\n    return _orphan\n\n"
+                 "def _dead():\n    pass\n\n"
+                 "class _Gone:\n    pass\n")
+    b.write_text("from a import _helper\nimport a\n\n"
+                 "def f(y):\n    return a._orphan() or _helper(y)\n")
+    assert private_orphans([a, b]) == ["a.py:2: _UNUSED", "a.py:10: _dead", "a.py:13: _Gone"]

@@ -168,7 +168,7 @@ class TestExamples:
     def test_errors(self):
         empty = np.zeros(4, bool)
         with pytest.raises(M.EmptyMaskError):
-            M.dose_score(np.ones(4), np.ones(4), empty)
+            M.dose_score(np.ones(4), np.ones(4), empty, "mae")
         with pytest.raises(M.EmptyMaskError):
             M.dvh_curve(np.ones(4), empty)
         with pytest.raises(M.EmptyMaskError):
@@ -180,7 +180,7 @@ class TestExamples:
         with pytest.raises(ValueError):
             M.d_stat(np.ones(4), np.ones(4, bool), 0.0)
         with pytest.raises(ValueError):
-            M.dose_score(np.ones(3), np.ones(4), np.ones(4, bool))
+            M.dose_score(np.ones(3), np.ones(4), np.ones(4, bool), "mae")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from dosediff.checkpoint import load_checkpoint
 from dosediff.config import ConfigError, config_from_dict
 from dosediff.networks import FusionStrategy
-from dosediff.train import (DataError, NumericFailure, Trainer, fit_step,
+from dosediff.train import (DataError, NumericFailure, Trainer, case_seed_key, fit_step,
                             fusion_ablation_matrix, generate_dataset, load_split, lr_at,
                             sample_case)
 
@@ -164,6 +164,28 @@ class TestTrainer:
         assert np.array_equal(a, b)
         c = sample_case(trainer.model, trainer.schedule, s, (10, 0))
         assert not np.array_equal(a, c)
+
+
+    def test_sampling_a_case_above_the_dose_scale_warns_nothing(self, dataset):
+        # sample_case builds only the condition; it never reads the truth dose
+        import warnings
+        from dosediff import diffusion as D
+        from dosediff.networks import DoseModel
+        from dosediff.phantom import read_sample
+        cfg, data_dir = dataset
+        model = DoseModel(cfg.model, cfg.seed)
+        sched = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
+        s = read_sample(data_dir / "sample_00000.spdp")
+        hot = dataclasses.replace(s, dose=s.dose * np.float32(2.0))   # PTV mean 2 > 1.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_case(model, sched, hot, (9, 0))
+        assert np.array_equal(got, sample_case(model, sched, s, (9, 0)))
+
+    def test_case_seed_key(self):
+        import zlib
+        assert case_seed_key(7, "sample_00012") == (7, 12)
+        assert case_seed_key(7, "ct-a") == (7, zlib.crc32(b"ct-a"))
 
 
 class TestAblationMatrix:
