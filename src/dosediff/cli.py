@@ -126,16 +126,18 @@ def cmd_sample(args) -> int:
     cases = _resolve_cases(args.cases, args.data)
     if not cases:
         raise TR.DataError("no cases to sample")
+    truths = {cid: P.read_sample(TR.sample_path(args.data, cid)) for cid in cases}
     _keep_freed_memory()
     ckpt = load_checkpoint(args.checkpoint, moments=False)
     cfg = ckpt.config
     model = restore_model(cfg.model, ckpt)
+    for cid, truth in truths.items():
+        TR._check_case_fits(truth, cfg.model, cid)
     schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
     base_seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for cid in cases:
-        truth = P.read_sample(TR.sample_path(args.data, cid))
+    out.mkdir(parents=True, exist_ok=True)   # only once every input has been read
+    for cid, truth in truths.items():
         pred = TR.sample_case(model, schedule, truth, TR.case_seed_key(base_seed, cid))
         P.write_dose_map(out / f"{cid}.spdp", pred,
                          meta={"case": cid, "seed": str(base_seed)})
@@ -227,8 +229,7 @@ def cmd_ablate(args) -> int:
     for strat in strategies:   # every strategy is checked before any trains
         validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, fusion=strat)))
     out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = TR.fusion_ablation_matrix(cfg, strategies, args.data, out)
+    rows = TR.fusion_ablation_matrix(cfg, strategies, args.data, out)   # creates out
     lines = ["strategy,dose_score_rel,dose_score_mae,dvh_score,hi,n_cases"]
     timing = ["strategy,wall_time_s"]
     for row in rows:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .atomic import write_atomic
 
@@ -181,13 +180,42 @@ def _draw_inside(rng: np.random.Generator, region: np.ndarray) -> Tuple[int, int
     return int(ys[i]), int(xs[i])
 
 
+def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian filter of a 2-D array, bitwise equal to SciPy's
+    ``ndimage.gaussian_filter`` at its defaults (truncate 4, mode
+    "reflect", which is numpy's "symmetric" pad).
+
+    ndimage's symmetric 1-D correlation along axis 0, then axis 1: weights
+    exp(-k^2 / (2 sigma^2)) / sum for |k| <= int(4 sigma + 0.5), and
+    ``out = x[i] w_0``, then ``out += (x[i - j] + x[i + j]) w_j`` for j
+    from the radius down to 1. Axis 1 is filtered as axis 0 of the
+    transpose, so every pass reads whole contiguous rows.
+    """
+    r = int(4.0 * sigma + 0.5)
+    k = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * k ** 2)
+    w = w / w.sum()
+    for _ in range(2):
+        n = img.shape[0]
+        pad = np.pad(img, ((r, r), (0, 0)), mode="symmetric")
+        out = pad[r:r + n] * w[r]
+        s = np.empty_like(out)   # one buffer: no fresh pages per tap
+        for j in range(r, 0, -1):
+            np.add(pad[r - j:r - j + n], pad[r + j:r + j + n], out=s)
+            s *= w[r + j]
+            out += s
+        img = out.T
+    return img
+
+
 def generate_phantom(seed: int, size: int = 64, oar_count: int = 3,
                      beam_count: int = DEFAULT_BEAMS) -> PhantomSample:
     """Generate one phantom; a pure function of its arguments.
 
     The body is a random ellipse; CT is a smooth base plus low-amplitude
-    texture; the PTV and OARs are ellipses inside the body, with OARs
-    rejection-sampled away from the PTV (after 100 retries the overlap
+    texture (white noise through :func:`_gaussian_blur`, sigma = size / 16
+    but at least 1); the PTV and OARs are ellipses inside the body, with
+    OARs rejection-sampled away from the PTV (after 100 retries the overlap
     is allowed and recorded in meta). Dose sums beam contributions and
     is normalized so the PTV mean is 1.0.
     """
@@ -209,7 +237,7 @@ def generate_phantom(seed: int, size: int = 64, oar_count: int = 3,
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     r2 = (((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2)
     base = 0.35 + 0.45 * np.clip(1.0 - r2, 0.0, 1.0)
-    texture = gaussian_filter(rng.standard_normal((h, w)), sigma=max(size / 16.0, 1.0))
+    texture = _gaussian_blur(rng.standard_normal((h, w)), max(size / 16.0, 1.0))
     ct = np.clip(base + 0.08 * texture, 0.05, 1.0) * body
 
     # PTV: an off-center ellipse fully clipped to the body

@@ -165,13 +165,13 @@ class Trainer:
                  resume: Optional[Checkpoint] = None):
         self.cfg = cfg
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.train_ids = load_split(data_dir).train
         if not self.train_ids:
             raise DataError("empty training split")
         samples = load_cases(data_dir, self.train_ids)
         for cid, sample in zip(self.train_ids, samples):
             _check_case_fits(sample, cfg.model, cid)
+        self.out_dir.mkdir(parents=True, exist_ok=True)   # only once the data has been read
         self.cond, self.dose = P.normalize_batch(samples)
         self.schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start,
                                         cfg.model.beta_end)

@@ -633,3 +633,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
         assert not (tmp / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sample", "sample-wrong-size"])
+    def test_data_error_leaves_no_out_dir(self, trained, command, capsys):
+        # every input is read before --out is created
+        tmp, cfg, data, ckpt = trained
+        if command == "sample-wrong-size":
+            other = json.loads(json.dumps(CFG))
+            other["model"]["image_size"] = 32
+            (tmp / "other.json").write_text(json.dumps(other))
+            assert run(["gen-data", "--config", tmp / "other.json", "--out", tmp / "other"]) == 0
+        argv = {"train": ["train", "--config", cfg, "--data", tmp / "missing"],
+                "ablate": ["ablate", "--config", cfg, "--data", tmp / "missing",
+                           "--strategies", "attn-last1"],
+                "sample": ["sample", "--checkpoint", ckpt, "--data", data,
+                           "--cases", "sample_00000,sample_00099"],
+                "sample-wrong-size": ["sample", "--checkpoint", ckpt, "--data", tmp / "other",
+                                      "--cases", "sample_00000"]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp / "o"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp / "o").exists()

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no module-level ``_private`` name is left with no user.
+no module-level ``_private`` name is left with no user, and the program
+imports nothing but the standard library and numpy.
 
 No linter is a dependency of the project, so these are ``ast`` scans. A
 module-level import counts as used when the name it binds appears as a
@@ -11,6 +12,9 @@ imports it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -116,3 +120,43 @@ def test_scan_finds_a_private_orphan(tmp_path):
     b.write_text("from a import _helper\nimport a\n\n"
                  "def f(y):\n    return a._orphan() or _helper(y)\n")
     assert private_orphans([a, b]) == ["a.py:2: _UNUSED", "a.py:10: _dead", "a.py:13: _Gone"]
+
+
+def foreign_imports(path: Path) -> list:
+    """Imports anywhere in a module that are neither the standard library,
+    numpy nor the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dosediff"}
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{path.name}:{node.lineno}: {n}" for n in names
+                if n.split(".")[0] not in allowed]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path) == []
+
+
+def test_scan_finds_a_foreign_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import os.path\nimport numpy as np\nfrom . import tensor\n"
+                   "from dosediff.config import ModelConfig\nimport scipy.special\n\n"
+                   "def f():\n    from scipy import ndimage\n    return ndimage\n")
+    assert foreign_imports(mod) == ["m.py:5: scipy.special", "m.py:8: scipy"]
+
+
+def test_no_module_loads_scipy():
+    # in a fresh process, since the tests themselves import scipy as an oracle
+    names = ", ".join(f"dosediff.{p.stem}" for p in MODULES if p.stem != "__main__")
+    code = (f"import sys; import dosediff, {names}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"

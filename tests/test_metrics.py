@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp_special
 
 from dosediff import metrics as M
 
@@ -304,3 +305,16 @@ def test_summarize_formatting():
     mean, std, text = M.summarize([1.0, 2.0, 3.0])
     assert mean == 2.0 and abs(std - 1.0) < 1e-12
     assert text == "2.000±1.000"
+
+
+@pytest.mark.parametrize("df", range(1, 61))
+def test_p_value_matches_scipy_betainc(df):
+    # the two-sided p of paired_t_test is I_x(df / 2, 1 / 2), x = df / (df + t^2)
+    for t in [0.0] + [10.0 ** k for k in range(-8, 4)]:
+        x = df / (df + t * t)
+        want = float(sp_special.betainc(df / 2.0, 0.5, x))
+        assert abs(M._betainc(df / 2.0, 0.5, x) - want) <= 1e-12 * want
+    d = np.random.default_rng(df).standard_normal(df + 1)
+    t, got_df, p = M.paired_t_test(d + 0.3, np.zeros_like(d))
+    assert got_df == df and type(p) is float   # ttest.csv writes repr(p)
+    assert abs(p - sp_special.betainc(df / 2.0, 0.5, df / (df + t * t))) <= 1e-12 * p

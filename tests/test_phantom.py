@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from dosediff import phantom as P
 from dosediff.atomic import write_atomic
@@ -388,3 +389,12 @@ class TestSplit:
         a = P.make_split(ids, seed=9)
         b = P.make_split(ids, seed=9)
         assert a == b
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (256, 256), (300, 300),
+                                   (16, 40), (123, 300), (300, 77)])
+def test_gaussian_blur_is_ndimage_bitwise(shape):
+    # the generator's sigma (size / 16, at least 1) and two others
+    x = np.random.default_rng(shape[0] * 1000 + shape[1]).standard_normal(shape)
+    for sigma in (max(shape[0] / 16.0, 1.0), 1.0, 2.7):
+        assert np.array_equal(P._gaussian_blur(x, sigma), gaussian_filter(x, sigma=sigma))

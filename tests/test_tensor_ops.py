@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp_special
 
 from dosediff import tensor as T
 from dosediff.tensor import (GraphConsumedError, ShapeError, Tensor,
@@ -388,3 +391,56 @@ def test_no_grad_suppresses_graph():
     assert y.node is None
     with pytest.raises(GraphConsumedError):
         backward(y)
+
+
+# ---------------------------------------------------------------------------
+# the numpy erf behind gelu, with SciPy's Cephes erf as the oracle
+
+ERF_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+             6.0, -6.0, 8.0, -8.0, 27.0, -27.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1e300, -1e300, np.inf, -np.inf]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def scipy_gelu(x, g):
+    """gelu's forward and backward formulas with SciPy's erf."""
+    phi = 0.5 * (1.0 + sp_special.erf(x * T._INV_SQRT2))
+    pdf = np.exp(-0.5 * x * x) * T._INV_SQRT_2PI
+    return x * phi, g * (phi + x * pdf)
+
+
+def test_erf_edges_bitwise():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(T._erf(np.array(ERF_EDGES)), sp_special.erf(np.array(ERF_EDGES)))
+    assert np.isnan(T._erf(np.array([np.nan, 0.5]))[0])
+    assert _same_bits(T._erf(np.array(2.0)), sp_special.erf(2.0))
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 2.0, 5.0, 20.0])
+def test_erf_random_draws_bitwise(scale):
+    x = np.random.default_rng(int(scale * 10)).standard_normal((400, 500)) * scale
+    assert _same_bits(T._erf(x), sp_special.erf(x))
+
+
+@given(st.lists(st.one_of(st.floats(-40.0, 40.0), st.floats(allow_nan=False)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_erf_hypothesis_bitwise(values):
+    x = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(T._erf(x), sp_special.erf(x))
+
+
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40), st.integers(0, 2 ** 31))
+@settings(max_examples=200, deadline=None)
+def test_gelu_forward_and_backward_bitwise(values, seed):
+    x = np.array(values + [v for v in ERF_EDGES if abs(v) < 1e3])
+    g = np.random.default_rng(seed).standard_normal(x.shape)
+    y = T.gelu(Tensor(x, requires_grad=True))
+    (gx,) = y.node.bwd(g)
+    want_y, want_gx = scipy_gelu(x, g)
+    assert _same_bits(y.data, want_y) and _same_bits(gx, want_gx)
