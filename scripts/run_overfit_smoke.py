@@ -58,7 +58,7 @@ def main(argv=None):
         log.write("step,loss,lr\n")
         for step in range(args.steps):
             lr = lr_at(step, args.steps, args.lr, 0.5)
-            value = fit_step(model, (dose, cond), sched, rng, lr)
+            value = fit_step(model, (dose, cond), sched, rng, lr, (0.9, 0.999))
             losses.append(value)
             log.write(f"{step},{value!r},{lr!r}\n")
             if step % max(1, args.steps // 10) == 0:

@@ -77,61 +77,58 @@ class ProjectorParams:
 # initialization
 
 
-def init_attention(store: ParamStore, prefix: str, channels: int, heads: int,
-                   rng: np.random.Generator) -> AttentionParams:
+def init_attention(store: ParamStore, prefix: str, channels: int, heads: int) -> AttentionParams:
     if channels % heads:
         raise ValueError(f"{prefix}: channels {channels} not divisible by heads {heads}")
     # the heads split the channels: each has channels // heads of them
     square = (channels, channels)
     return AttentionParams(
-        wq=store.normal(f"{prefix}.wq", square, rng),
-        wk=store.normal(f"{prefix}.wk", square, rng),
-        wv=store.normal(f"{prefix}.wv", square, rng),
-        wo=store.normal(f"{prefix}.wo", square, rng),
+        wq=store.normal(f"{prefix}.wq", square),
+        wk=store.normal(f"{prefix}.wk", square),
+        wv=store.normal(f"{prefix}.wv", square),
+        wo=store.normal(f"{prefix}.wo", square),
         heads=heads,
     )
 
 
 def init_swin_block(store: ParamStore, prefix: str, channels: int, window: int,
-                    shift: bool, heads: int, rng: np.random.Generator,
-                    t_dim: int = 0) -> SwinBlockParams:
+                    shift: bool, heads: int, t_dim: int = 0) -> SwinBlockParams:
     hidden = 4 * channels   # the Swin MLP expansion
     p = SwinBlockParams(
         ln1_g=store.add(f"{prefix}.ln1.g", np.ones(channels)),
         ln1_b=store.add(f"{prefix}.ln1.b", np.zeros(channels)),
-        attn=init_attention(store, f"{prefix}.attn", channels, heads, rng),
+        attn=init_attention(store, f"{prefix}.attn", channels, heads),
         ln2_g=store.add(f"{prefix}.ln2.g", np.ones(channels)),
         ln2_b=store.add(f"{prefix}.ln2.b", np.zeros(channels)),
-        w1=store.normal(f"{prefix}.mlp.w1", (channels, hidden), rng),
+        w1=store.normal(f"{prefix}.mlp.w1", (channels, hidden)),
         b1=store.add(f"{prefix}.mlp.b1", np.zeros(hidden)),
-        w2=store.normal(f"{prefix}.mlp.w2", (hidden, channels), rng),
+        w2=store.normal(f"{prefix}.mlp.w2", (hidden, channels)),
         b2=store.add(f"{prefix}.mlp.b2", np.zeros(channels)),
         window=window, shift=shift,
     )
     if t_dim:
-        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels), rng)
+        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels))
         p.t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
     return p
 
 
-def init_cross_attention(store: ParamStore, prefix: str, c_struct: int, c_noise: int,
-                         rng: np.random.Generator) -> CrossAttentionParams:
+def init_cross_attention(store: ParamStore, prefix: str, c_struct: int,
+                         c_noise: int) -> CrossAttentionParams:
     """Queries and keys are projected to the noise map's width c_noise."""
     return CrossAttentionParams(
-        wq_a=store.normal(f"{prefix}.wq_a", (c_struct, c_noise), rng),
-        wk_b=store.normal(f"{prefix}.wk_b", (c_noise, c_noise), rng),
-        wv_b=store.normal(f"{prefix}.wv_b", (c_noise, c_noise), rng),
+        wq_a=store.normal(f"{prefix}.wq_a", (c_struct, c_noise)),
+        wk_b=store.normal(f"{prefix}.wk_b", (c_noise, c_noise)),
+        wv_b=store.normal(f"{prefix}.wv_b", (c_noise, c_noise)),
     )
 
 
-def init_projector(store: ParamStore, prefix: str, channels: int, ratio: int,
-                   rng: np.random.Generator) -> ProjectorParams:
+def init_projector(store: ParamStore, prefix: str, channels: int, ratio: int) -> ProjectorParams:
     if channels % ratio:
         raise ValueError(f"{prefix}: channels {channels} not divisible by ratio {ratio}")
     hidden = channels // ratio
     # up-projection starts at zero so the residual path is the identity at init
     return ProjectorParams(
-        w_down=store.normal(f"{prefix}.w_down", (channels, hidden), rng),
+        w_down=store.normal(f"{prefix}.w_down", (channels, hidden)),
         b_down=store.add(f"{prefix}.b_down", np.zeros(hidden)),
         w_up=store.add(f"{prefix}.w_up", np.zeros((hidden, channels))),
         b_up=store.add(f"{prefix}.b_up", np.zeros(channels)),

@@ -70,8 +70,10 @@ def cmd_train(args) -> int:
                               f"{ckpt.step}")
         cfg = validate(dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, steps=args.steps)))
-    out = Path(args.out or cfg.out_dir)
-    trainer = TR.Trainer(cfg, args.data, out, resume=ckpt)
+    # no reference kept here: the trainer holds only the normalized arrays
+    trainer = TR.Trainer(cfg, TR.read_cases(args.data, TR.load_split(args.data).train,
+                                            cfg.model, "split.json"),
+                         Path(args.out or cfg.out_dir), resume=ckpt)
     result = trainer.run()
     first = result.losses[0] if result.losses else float("nan")
     last = result.losses[-1] if result.losses else float("nan")
@@ -87,10 +89,7 @@ def _resolve_cases(spec: str, data_dir) -> list:
             return split.all_ids()
         return getattr(split, spec)
     cases = [c for c in spec.split(",") if c]
-    TR._check_case_ids(cases, "--cases")
-    for i, cid in enumerate(cases):
-        if cid in cases[:i]:
-            raise TR.DataError(f"--cases: case id {cid!r} is listed more than once")
+    TR.check_case_ids(cases, "--cases")
     return cases
 
 
@@ -126,13 +125,11 @@ def cmd_sample(args) -> int:
     cases = _resolve_cases(args.cases, args.data)
     if not cases:
         raise TR.DataError("no cases to sample")
-    truths = {cid: P.read_sample(TR.sample_path(args.data, cid)) for cid in cases}
     _keep_freed_memory()
     ckpt = load_checkpoint(args.checkpoint, moments=False)
     cfg = ckpt.config
+    truths = TR.read_cases(args.data, cases, cfg.model, "--cases")
     model = restore_model(cfg.model, ckpt)
-    for cid, truth in truths.items():
-        TR._check_case_fits(truth, cfg.model, cid)
     schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
     base_seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out or cfg.out_dir)

@@ -1,8 +1,11 @@
 """Finite-difference verification of analytic gradients.
 
-The oracle is a central difference of a scalar projection of the op
-output; it never touches the reverse-mode code path beyond calling the
-forward twice per coordinate.
+One central-difference loop, ``finite_diff_scalar_fn``, compares the
+analytic gradient of a scalar closure with (f(x + eps) - f(x - eps)) /
+2 eps at the coordinates it is given, calling the forward twice per
+coordinate under ``no_grad``. ``finite_diff_check`` feeds it one engine
+op, its output projected onto a fixed random array, at every input
+coordinate.
 """
 
 from __future__ import annotations
@@ -14,55 +17,27 @@ import numpy as np
 from .tensor import Tensor, backward, forward_op, no_grad
 
 
-def _scalarize(out: Tensor, projection: np.ndarray) -> Tensor:
-    # fixed random projection turns any output into a scalar with
-    # nonzero sensitivity to every output element
-    return (out * Tensor(projection)).sum()
-
-
 def finite_diff_check(kind: str, inputs: Sequence[np.ndarray],
                       attrs: Optional[dict] = None, eps: float = 1e-5,
                       projection_seed: int = 0) -> float:
     """Max relative error between analytic and central-difference grads.
 
-    Relative error per coordinate is |analytic - numeric| / max(|analytic|, 1e-8);
-    the caller asserts on the returned maximum.
+    The op output is projected onto a fixed random array drawn once from
+    ``projection_seed`` (a scalar with nonzero sensitivity to every output
+    entry), and ``finite_diff_scalar_fn`` checks every coordinate of every
+    input. Relative error per coordinate is
+    |analytic - numeric| / max(|analytic|, 1e-8); the caller asserts on
+    the returned maximum.
     """
     attrs = attrs or {}
-    arrays = [np.asarray(a, dtype=np.float64) for a in inputs]
-
-    def run(arrs) -> tuple:
-        ts = [Tensor(a, requires_grad=True) for a in arrs]
-        out = forward_op(kind, ts, attrs)
-        rng = np.random.default_rng(projection_seed)
-        proj = rng.standard_normal(out.shape) if out.shape else np.asarray(1.0)
-        loss = _scalarize(out, proj)
-        return loss, ts
-
-    loss, ts = run(arrays)
-    backward(loss)
-    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in ts]
-
-    def f(arrs) -> float:
-        with no_grad():
-            loss, _ = run(arrs)
-        return float(loss.data)
-
-    worst = 0.0
-    for i, a in enumerate(arrays):
-        flat = a.reshape(-1)
-        ana = analytic[i].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            fp = f(arrays)
-            flat[j] = orig - eps
-            fm = f(arrays)
-            flat[j] = orig
-            num = (fp - fm) / (2.0 * eps)
-            err = abs(ana[j] - num) / max(abs(ana[j]), 1e-8)
-            worst = max(worst, err)
-    return worst
+    leaves = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in inputs]
+    with no_grad():
+        shape = forward_op(kind, leaves, attrs).shape
+    rng = np.random.default_rng(projection_seed)
+    proj = Tensor(rng.standard_normal(shape) if shape else np.asarray(1.0))
+    coords = [(t, j) for t in leaves for j in range(t.data.size)]
+    return finite_diff_scalar_fn(lambda: (forward_op(kind, leaves, attrs) * proj).sum(),
+                                 coords, eps)
 
 
 def finite_diff_scalar_fn(fn: Callable[[], Tensor], coords: Sequence[tuple],
@@ -70,17 +45,16 @@ def finite_diff_scalar_fn(fn: Callable[[], Tensor], coords: Sequence[tuple],
     """Finite-difference check of an arbitrary scalar-valued closure.
 
     ``fn`` rebuilds the graph from current leaf values on every call;
-    ``coords`` is a list of (array, flat_index) pairs naming which
-    coordinates to perturb. Used for end-to-end model checks where a
-    full Jacobian sweep would be too slow.
+    ``coords`` is a list of (leaf Tensor, flat_index) pairs naming which
+    coordinates to perturb, in place. Model checks pass a few coordinates
+    per parameter, where a full Jacobian sweep would be too slow.
     """
     loss = fn()
     backward(loss)
     worst = 0.0
-    for arr_holder, idx in coords:
-        t, arr = arr_holder, arr_holder.data
-        ana = (t.grad if t.grad is not None else np.zeros_like(arr)).reshape(-1)[idx]
-        flat = arr.reshape(-1)
+    for t, idx in coords:
+        ana = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)[idx]
+        flat = t.data.reshape(-1)
         orig = flat[idx]
         with no_grad():
             flat[idx] = orig + eps

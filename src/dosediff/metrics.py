@@ -116,7 +116,7 @@ def relative_excluded_count(truth: np.ndarray, mask: np.ndarray) -> int:
     return int((t <= RELATIVE_TRUTH_FLOOR).sum())
 
 
-def dvh_curve(dose: np.ndarray, mask: np.ndarray, structure: str = "",
+def dvh_curve(dose: np.ndarray, mask: np.ndarray, structure: str,
               bin_count: int = DVH_BINS, d_max: float = DOSE_MAX_SCALE) -> DvhCurve:
     """Cumulative DVH on a uniform threshold grid from 0 to d_max."""
     vals = _masked(dose, mask)

@@ -78,38 +78,38 @@ class ConvParams:
     b: Tensor
 
 
-def _conv_weight(store, name, shape, rng) -> Tensor:
+def _conv_weight(store, name, shape) -> Tensor:
     # He-style fan-in scaling keeps conv outputs O(1) so the layer norms
     # that follow stay well conditioned at init
     fan_in = int(np.prod(shape[1:]))
-    return store.normal(name, shape, rng, std=float(np.sqrt(2.0 / fan_in)))
+    return store.normal(name, shape, std=float(np.sqrt(2.0 / fan_in)))
 
 
-def _init_conv(store, prefix, c_out, c_in, k, rng) -> ConvParams:
+def _init_conv(store, prefix, c_out, c_in, k) -> ConvParams:
     return ConvParams(
-        w=_conv_weight(store, f"{prefix}.w", (c_out, c_in, k, k), rng),
+        w=_conv_weight(store, f"{prefix}.w", (c_out, c_in, k, k)),
         b=store.add(f"{prefix}.b", np.zeros(c_out)),
     )
 
 
-def _init_conv_block(store, prefix, channels, rng, t_dim) -> ConvBlockParams:
+def _init_conv_block(store, prefix, channels, t_dim) -> ConvBlockParams:
     p = ConvBlockParams(
         ln_g=store.add(f"{prefix}.ln.g", np.ones(channels)),
         ln_b=store.add(f"{prefix}.ln.b", np.zeros(channels)),
-        w=_conv_weight(store, f"{prefix}.conv.w", (channels, channels, 3, 3), rng),
+        w=_conv_weight(store, f"{prefix}.conv.w", (channels, channels, 3, 3)),
         b=store.add(f"{prefix}.conv.b", np.zeros(channels)),
     )
     if t_dim:
-        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels), rng)
+        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels))
         p.t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
     return p
 
 
-def _init_down(store, prefix, c_in, c_out, rng) -> DownParams:
+def _init_down(store, prefix, c_in, c_out) -> DownParams:
     return DownParams(
-        w_main=_conv_weight(store, f"{prefix}.main.w", (c_out, c_in, 3, 3), rng),
+        w_main=_conv_weight(store, f"{prefix}.main.w", (c_out, c_in, 3, 3)),
         b_main=store.add(f"{prefix}.main.b", np.zeros(c_out)),
-        w_skip=_conv_weight(store, f"{prefix}.skip.w", (c_out, c_in, 1, 1), rng),
+        w_skip=_conv_weight(store, f"{prefix}.skip.w", (c_out, c_in, 1, 1)),
     )
 
 
@@ -152,19 +152,19 @@ class DoseModel:
 
     def __init__(self, cfg: ModelConfig, seed: int):
         """A fresh model: every parameter is drawn from ``seed``."""
-        self._build(cfg, ParamStore(), np.random.default_rng(seed))
+        self._build(cfg, ParamStore(np.random.default_rng(seed)))
 
     @classmethod
     def from_source(cls, cfg: ModelConfig, source) -> "DoseModel":
         """The model of ``cfg`` with every parameter ``source(name, shape)``
         (see ParamStore); nothing is drawn."""
         model = cls.__new__(cls)
-        model._build(cfg, ParamStore(source), None)
+        model._build(cfg, ParamStore.from_source(source))
         return model
 
     # -- construction ------------------------------------------------------
 
-    def _make_blocks(self, store, prefix, stage, channels, rng, t_dim) -> list:
+    def _make_blocks(self, store, prefix, stage, channels, t_dim) -> list:
         """The blocks of stage ``stage`` (1-based): conv blocks at stage 1,
         Swin blocks deeper."""
         side = self.cfg.image_size >> (stage - 1)
@@ -172,19 +172,18 @@ class DoseModel:
         for j in range(BLOCKS_PER_STAGE):
             name = f"{prefix}.b{j}"
             if stage == 1:
-                blocks.append(_init_conv_block(store, name, channels, rng, t_dim))
+                blocks.append(_init_conv_block(store, name, channels, t_dim))
             else:
                 blocks.append(B.init_swin_block(
                     store, name, channels, self.cfg.window_for(side),
-                    _SHIFT_PATTERN[j % len(_SHIFT_PATTERN)], self.cfg.heads, rng,
-                    t_dim=t_dim))
+                    _SHIFT_PATTERN[j % len(_SHIFT_PATTERN)], self.cfg.heads, t_dim=t_dim))
         return blocks
 
-    def _make_stage(self, store, prefix, stage, c_in, c_out, rng, t_dim):
-        blocks = self._make_blocks(store, prefix, stage, c_in, rng, t_dim)
-        return StageParams(blocks=blocks, down=_init_down(store, f"{prefix}.down", c_in, c_out, rng))
+    def _make_stage(self, store, prefix, stage, c_in, c_out, t_dim):
+        blocks = self._make_blocks(store, prefix, stage, c_in, t_dim)
+        return StageParams(blocks=blocks, down=_init_down(store, f"{prefix}.down", c_in, c_out))
 
-    def _build(self, cfg: ModelConfig, store: ParamStore, rng) -> None:
+    def _build(self, cfg: ModelConfig, store: ParamStore) -> None:
         cfg.validate()
         self.cfg = cfg
         self.store = store
@@ -194,58 +193,58 @@ class DoseModel:
         concat_mode = self.stage_kinds is None
 
         # shared time-embedding trunk (two-layer MLP on the sinusoidal code)
-        self.time_w1 = store.normal("time.w1", (t_dim, t_dim), rng)
+        self.time_w1 = store.normal("time.w1", (t_dim, t_dim))
         self.time_b1 = store.add("time.b1", np.zeros(t_dim))
-        self.time_w2 = store.normal("time.w2", (t_dim, t_dim), rng)
+        self.time_w2 = store.normal("time.w2", (t_dim, t_dim))
         self.time_b2 = store.add("time.b2", np.zeros(t_dim))
 
         # structure encoder (absent in concatenate mode)
         self.senc_stem = None
         self.senc_stages = []
         if not concat_mode:
-            self.senc_stem = _init_conv(store, "senc.stem", widths[0], cfg.cond_channels, 3, rng)
+            self.senc_stem = _init_conv(store, "senc.stem", widths[0], cfg.cond_channels, 3)
             for i in range(1, cfg.num_stages + 1):
                 self.senc_stages.append(self._make_stage(
-                    store, f"senc.s{i}", i, widths[i - 1], widths[i], rng, t_dim=0))
+                    store, f"senc.s{i}", i, widths[i - 1], widths[i], t_dim=0))
 
         # denoiser encoder
         in_ch = 1 + (cfg.cond_channels if concat_mode else 0)
-        self.dn_stem = _init_conv(store, "dn.stem", widths[0], in_ch, 3, rng)
+        self.dn_stem = _init_conv(store, "dn.stem", widths[0], in_ch, 3)
         self.dn_stages = []
         self.fusers: List[Optional[CrossAttentionParams]] = []
         self.projectors: List[Optional[ProjectorParams]] = []
         for i in range(1, cfg.num_stages + 1):
             self.dn_stages.append(self._make_stage(
-                store, f"dn.enc.s{i}", i, widths[i - 1], widths[i], rng, t_dim=t_dim))
+                store, f"dn.enc.s{i}", i, widths[i - 1], widths[i], t_dim=t_dim))
             if not concat_mode and self.stage_kinds[i - 1] == "attn":
                 self.fusers.append(B.init_cross_attention(
-                    store, f"dn.fuse.s{i}", widths[i], widths[i], rng))
+                    store, f"dn.fuse.s{i}", widths[i], widths[i]))
             else:
                 self.fusers.append(None)
             if not concat_mode and cfg.use_projector:
                 self.projectors.append(B.init_projector(
-                    store, f"dn.proj.s{i}", widths[i], cfg.projector_ratio, rng))
+                    store, f"dn.proj.s{i}", widths[i], cfg.projector_ratio))
             else:
                 self.projectors.append(None)
 
         # middle attention blocks at the bottleneck
         mid_side = cfg.image_size >> cfg.num_stages
         self.mid = [B.init_swin_block(store, f"dn.mid.b{j}", widths[-1], cfg.window_for(mid_side),
-                                      j == 1, cfg.heads, rng, t_dim=t_dim) for j in range(2)]
+                                      j == 1, cfg.heads, t_dim=t_dim) for j in range(2)]
 
         # decoder, deepest stage first
         self.dec_stages = []
         for i in range(cfg.num_stages, 0, -1):
             prefix = f"dn.dec.s{i}"
-            up = _init_conv(store, f"{prefix}.up", widths[i - 1], widths[i], 3, rng)
-            merge = _init_conv(store, f"{prefix}.merge", widths[i - 1], 2 * widths[i - 1], 1, rng)
-            blocks = self._make_blocks(store, prefix, i, widths[i - 1], rng, t_dim)
+            up = _init_conv(store, f"{prefix}.up", widths[i - 1], widths[i], 3)
+            merge = _init_conv(store, f"{prefix}.merge", widths[i - 1], 2 * widths[i - 1], 1)
+            blocks = self._make_blocks(store, prefix, i, widths[i - 1], t_dim)
             self.dec_stages.append(DecoderStageParams(up=up, merge=merge, blocks=blocks))
 
         # output head: near-zero init keeps eps_hat small at the start while
         # still letting gradients reach every upstream group in one step
         self.head = ConvParams(
-            w=store.normal("dn.head.w", (1, widths[0], 3, 3), rng, std=1e-3),
+            w=store.normal("dn.head.w", (1, widths[0], 3, 3), std=1e-3),
             b=store.add("dn.head.b", np.zeros(1)),
         )
 

@@ -1,4 +1,10 @@
-"""Named parameter store and the Adam update."""
+"""Named parameter store and the Adam update.
+
+The store decides where every initial value comes from: a fresh store
+draws each one from the generator it owns, and a restored store takes
+each from its source and draws nothing. ``adam_step`` takes its betas
+from the caller (``train.fit_step``, from the run config).
+"""
 
 from __future__ import annotations
 
@@ -32,28 +38,36 @@ class ParamStore:
     parameter shape. Each parameter carries its own step counter so bias
     correction stays consistent when a step skips some parameters.
 
-    A fresh store makes each value as it is added and zeroes its moments.
-    A store given a ``source`` takes every value from ``source(name,
-    shape)`` instead, draws nothing and makes no moment buffers; whoever
-    restores the store supplies those.
+    A fresh store owns its init stream: ``normal`` draws each value from
+    the generator it was made with, in the order the parameters are
+    added, and every moment starts at zero. A store made by
+    ``from_source`` takes every value from ``source(name, shape)``
+    instead, draws nothing and makes no moment buffers; whoever restores
+    the store supplies those.
     """
 
-    def __init__(self, source: Optional[Callable[[str, tuple], np.ndarray]] = None):
+    def __init__(self, rng: Optional[np.random.Generator]):
         self._params: Dict[str, Tensor] = {}
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
         self.steps: Dict[str, int] = {}
-        self._source = source
+        self._rng = rng
+        self._source: Optional[Callable[[str, tuple], np.ndarray]] = None
+
+    @classmethod
+    def from_source(cls, source: Callable[[str, tuple], np.ndarray]) -> "ParamStore":
+        store = cls(None)
+        store._source = source
+        return store
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         data = np.asarray(data, dtype=np.float64)
         return self._put(name, data.shape, lambda: data)
 
-    def normal(self, name: str, shape: tuple, rng: np.random.Generator,
-               std: float = 0.02) -> Tensor:
-        """A truncated-normal parameter (``trunc_normal``), drawn from rng
-        only when the store has no source."""
-        return self._put(name, tuple(shape), lambda: trunc_normal(rng, shape, std))
+    def normal(self, name: str, shape: tuple, std: float = 0.02) -> Tensor:
+        """A truncated-normal parameter (``trunc_normal``), drawn from the
+        store's generator only when the store has no source."""
+        return self._put(name, tuple(shape), lambda: trunc_normal(self._rng, shape, std))
 
     def _put(self, name: str, shape: tuple, make: Callable[[], np.ndarray]) -> Tensor:
         if name in self._params:
@@ -88,7 +102,7 @@ class ParamStore:
 
 
 def adam_step(store: ParamStore, grads: Dict[str, np.ndarray], lr: float,
-              betas: Tuple[float, float] = (0.9, 0.999)) -> ParamStore:
+              betas: Tuple[float, float]) -> ParamStore:
     """In-place Adam update with bias correction and epsilon 1e-8.
 
     Parameters without an entry in ``grads`` are left untouched (moments

@@ -1,5 +1,10 @@
 """Training loop with deterministic batching, linear LR decay, bit-exact
 checkpoint resume, and the fusion-strategy ablation harness.
+
+Cases enter through one reader, ``read_cases``: ``train``, ``sample`` and
+``ablate`` turn case ids into samples only through it, and it checks each
+id, file and image against the model before the caller writes anything.
+``Trainer`` trains on the cases it is given.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +24,7 @@ from . import metrics as M
 from . import phantom as P
 from .atomic import write_atomic
 from .checkpoint import Checkpoint, restore_model, save_checkpoint
-from .config import ConfigError, FusionStrategy, ModelConfig, RunConfig
+from .config import FusionStrategy, ModelConfig, RunConfig
 from .networks import DoseModel
 from .optim import adam_step
 from .tensor import backward, no_grad
@@ -51,14 +56,21 @@ def sample_path(data_dir, case_id: str) -> Path:
     return Path(data_dir) / f"{case_id}.spdp"
 
 
-def _check_case_ids(ids, source: str) -> None:
-    """Raise DataError unless every id is a plain file name: a non-empty
-    string that names no directory, so ``<dir>/<id>.*`` stays inside dir
-    (and holds no NUL, which no path may)."""
+def check_case_ids(ids, source: str) -> None:
+    """Raise DataError unless every id is a plain file name, named once.
+
+    A plain file name is a non-empty string that names no directory, so
+    ``<dir>/<id>.*`` stays inside dir (and holds no NUL, which no path
+    may). ``source`` says where the ids came from.
+    """
+    seen = set()
     for cid in ids:
         if (not isinstance(cid, str) or cid in ("", ".", "..") or cid != Path(cid).name
                 or "\0" in cid):
             raise DataError(f"{source}: case id {cid!r} is not a plain file name")
+        if cid in seen:
+            raise DataError(f"{source}: case id {cid!r} is listed more than once")
+        seen.add(cid)
 
 
 def load_split(data_dir) -> P.DatasetSplit:
@@ -76,7 +88,7 @@ def load_split(data_dir) -> P.DatasetSplit:
             raise DataError(f"{manifest}: {key!r} must be a {kind.__name__}")
     listed_in = {}
     for key in ("train", "val", "test"):
-        _check_case_ids(d[key], str(manifest))
+        check_case_ids(d[key], f"{manifest} {key!r}")
         for cid in d[key]:
             if cid in listed_in:
                 raise DataError(f"{manifest}: case id {cid!r} is listed in "
@@ -85,26 +97,35 @@ def load_split(data_dir) -> P.DatasetSplit:
     return P.DatasetSplit(train=d["train"], val=d["val"], test=d["test"], seed=d["seed"])
 
 
-def load_cases(data_dir, ids: Sequence[str]) -> List[P.PhantomSample]:
-    out = []
+def read_cases(data_dir, ids: Sequence[str], model_cfg: ModelConfig,
+               source: str) -> Dict[str, P.PhantomSample]:
+    """{id: sample} for ``ids``, in order: the one reader of cases.
+
+    It checks, in order, that every id is a plain file name named once
+    (``check_case_ids``), that each file is present and well formed, and
+    that each case has the model's image side and OAR count. Any failure
+    is a DataError that names the case.
+    """
+    check_case_ids(ids, source)
+    size = model_cfg.image_size
+    cases = {}
     for cid in ids:
-        p = sample_path(data_dir, cid)
-        if not p.exists():
-            raise DataError(f"missing sample file: {p}")
-        out.append(P.read_sample(p))
-    return out
-
-
-def _check_case_fits(sample: P.PhantomSample, cfg: ModelConfig, case_id: str = "case") -> None:
-    """Raise DataError unless a case has the model's image side and OAR count."""
-    size = cfg.image_size
-    if sample.ct.shape != (size, size):
-        h, w = sample.ct.shape
-        raise DataError(f"{case_id} is {h}x{w} px but the model is configured for "
-                        f"{size}x{size} (model.image_size)")
-    if sample.oar_count != cfg.oar_count:
-        raise DataError(f"{case_id} has {sample.oar_count} OARs but the model is configured "
-                        f"for {cfg.oar_count} (model.oar_count)")
+        path = sample_path(data_dir, cid)
+        if not path.exists():
+            raise DataError(f"{cid}: missing sample file {path}")
+        try:
+            sample = P.read_sample(path)
+        except P.SampleFormatError as e:
+            raise DataError(f"{cid}: {e}") from None
+        if sample.ct.shape != (size, size):
+            h, w = sample.ct.shape
+            raise DataError(f"{cid} is {h}x{w} px but the model is configured for "
+                            f"{size}x{size} (model.image_size)")
+        if sample.oar_count != model_cfg.oar_count:
+            raise DataError(f"{cid} has {sample.oar_count} OARs but the model is configured "
+                            f"for {model_cfg.oar_count} (model.oar_count)")
+        cases[cid] = sample
+    return cases
 
 
 def generate_dataset(cfg: RunConfig, out_dir) -> P.DatasetSplit:
@@ -131,7 +152,7 @@ def generate_dataset(cfg: RunConfig, out_dir) -> P.DatasetSplit:
 
 
 def fit_step(model: DoseModel, batch, schedule: D.NoiseSchedule, rng: np.random.Generator,
-             lr: float, betas: Tuple[float, float] = (0.9, 0.999)) -> float:
+             lr: float, betas: Tuple[float, float]) -> float:
     """One optimization step on ``batch`` = (x0, condition); returns the loss.
 
     Corrupts x0 and predicts the noise (``diffusion.training_step``), then
@@ -161,18 +182,18 @@ class Trainer:
     resumed from a checkpoint continues bit-exactly.
     """
 
-    def __init__(self, cfg: RunConfig, data_dir, out_dir,
+    def __init__(self, cfg: RunConfig, samples: Dict[str, P.PhantomSample], out_dir,
                  resume: Optional[Checkpoint] = None):
+        """Train ``cfg``'s model on ``samples`` ({id: case}, read by
+        ``read_cases``), writing into out_dir, fresh or from ``resume``."""
+        if not samples:
+            raise DataError("empty training split")
+        if resume is not None and resume.m is None:
+            raise ValueError("the checkpoint was loaded without its Adam moments "
+                             "(load_checkpoint(moments=False)); training cannot resume")
         self.cfg = cfg
         self.out_dir = Path(out_dir)
-        self.train_ids = load_split(data_dir).train
-        if not self.train_ids:
-            raise DataError("empty training split")
-        samples = load_cases(data_dir, self.train_ids)
-        for cid, sample in zip(self.train_ids, samples):
-            _check_case_fits(sample, cfg.model, cid)
-        self.out_dir.mkdir(parents=True, exist_ok=True)   # only once the data has been read
-        self.cond, self.dose = P.normalize_batch(samples)
+        self.cond, self.dose = P.normalize_batch(list(samples.values()))
         self.schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start,
                                         cfg.model.beta_end)
         self.rng = np.random.default_rng(np.random.PCG64(cfg.seed))
@@ -180,12 +201,10 @@ class Trainer:
         if resume is None:
             self.model = DoseModel(cfg.model, cfg.seed)
         else:
-            if resume.m is None:
-                raise ValueError("the checkpoint was loaded without its Adam moments "
-                                 "(load_checkpoint(moments=False)); training cannot resume")
             self.model = restore_model(cfg.model, resume)
             self.rng.bit_generator.state = resume.rng_state
             self.start_step = resume.step
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def _batch(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self.dose.shape[0]
@@ -193,17 +212,14 @@ class Trainer:
         idx = self.rng.integers(0, n, size=k)
         return self.dose[idx], self.cond[idx]
 
-    def run(self, steps: Optional[int] = None) -> TrainResult:
+    def run(self) -> TrainResult:
         cfg = self.cfg
         total = cfg.train.steps
-        if steps is not None and steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {steps}")
-        end_step = total if steps is None else min(total, self.start_step + steps)
         losses = []
         log_path = self.out_dir / "loss_log.csv"
         with open(log_path, "w") as log:
             log.write("step,loss,lr\n")
-            for step in range(self.start_step, end_step):
+            for step in range(self.start_step, total):
                 lr = lr_at(step, total, cfg.train.lr, cfg.train.decay_start_frac)
                 try:
                     value = fit_step(self.model, self._batch(), self.schedule, self.rng,
@@ -213,12 +229,12 @@ class Trainer:
                 losses.append(value)
                 log.write(f"{step},{value!r},{lr!r}\n")
                 every = cfg.train.checkpoint_every
-                if every and (step + 1) % every == 0 and (step + 1) < end_step:
+                if every and (step + 1) % every == 0 and (step + 1) < total:
                     self._save(self.out_dir / f"ckpt_step{step + 1:06d}.bin", step + 1)
         final = self.out_dir / "ckpt_final.bin"
-        self._save(final, end_step)
+        self._save(final, total)
         return TrainResult(losses=losses, final_checkpoint=final,
-                           steps_run=end_step - self.start_step)
+                           steps_run=total - self.start_step)
 
     def _save(self, path: Path, step: int) -> None:
         for name, p in self.model.store.items():   # no checkpoint of a diverged model
@@ -247,7 +263,6 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
     denormalization. seed_key may be any numpy SeedSequence key (ints or
     sequences of ints); ``case_seed_key`` gives each case its own.
     """
-    _check_case_fits(sample, model.cfg)
     with no_grad():
         stack = model.encode_structure(P.condition_batch([sample]))
     rng = np.random.default_rng(np.random.PCG64(np.random.SeedSequence(seed_key)))
@@ -291,11 +306,13 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
     Every run shares the dataset, the training step budget, and the base
     seed; only the fusion wiring differs. Evaluation samples each test
     case (the training cases if the test split is empty) with a per-case
-    seed and scores against ground truth.
+    seed and scores against ground truth. Every case is read and checked
+    once, before the first strategy trains.
     """
     split = load_split(data_dir)
-    eval_ids = split.test if split.test else split.train
-    eval_samples = {cid: P.read_sample(sample_path(data_dir, cid)) for cid in eval_ids}
+    train_cases = read_cases(data_dir, split.train, cfg.model, "split.json")
+    eval_cases = (read_cases(data_dir, split.test, cfg.model, "split.json") if split.test
+                  else train_cases)
 
     results = []
     for strat in strategies:
@@ -303,10 +320,10 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
         run_cfg = dataclasses.replace(
             cfg, model=dataclasses.replace(cfg.model, fusion=strat))
         run_dir = Path(out_root) / f"ablate_{strat.label()}"
-        trainer = Trainer(run_cfg, data_dir, run_dir)
+        trainer = Trainer(run_cfg, train_cases, run_dir)
         trainer.run()
         reports = []
-        for cid, sample in eval_samples.items():
+        for cid, sample in eval_cases.items():
             pred = sample_case(trainer.model, trainer.schedule, sample,
                                case_seed_key(cfg.seed, cid))
             reports.append(evaluate_case(pred, sample, cid))

@@ -125,14 +125,14 @@ def test_criterion_2_diffusion_algebra():
 def test_criterion_3_attention_invariants():
     with criterion(3, "attention invariants", 30):
         rng = np.random.default_rng(1)
-        store = ParamStore()
+        store = ParamStore(rng)
 
         # attention rows sum to 1
-        ap = init_attention(store, "a", 8, 2, rng)
+        ap = init_attention(store, "a", 8, 2)
         win = Tensor(rng.standard_normal((6, 4, 4, 8)))
         _, attn = window_attention(win, ap, return_weights=True)
         assert np.abs(attn.data.sum(-1) - 1).max() < 1e-6
-        cp = init_cross_attention(store, "c", 8, 8, rng)
+        cp = init_cross_attention(store, "c", 8, 8)
         _, wts = cross_attention_fuse(Tensor(rng.standard_normal((2, 4, 4, 8))),
                                       Tensor(rng.standard_normal((2, 4, 4, 8))),
                                       cp, return_weights=True)
@@ -146,8 +146,8 @@ def test_criterion_3_attention_invariants():
 
         # zeroed residual branches give the exact identity
         for shift in (False, True):
-            st2 = ParamStore()
-            sp = init_swin_block(st2, "b", 4, 2, shift, 2, np.random.default_rng(2))
+            st2 = ParamStore(np.random.default_rng(2))
+            sp = init_swin_block(st2, "b", 4, 2, shift, 2)
             st2["b.attn.wo"].data[:] = 0
             st2["b.mlp.w2"].data[:] = 0
             st2["b.mlp.b2"].data[:] = 0
@@ -210,7 +210,8 @@ def test_criterion_5_overfit_smoke():
         model = DoseModel(cfg, 0)
         rng = np.random.default_rng(np.random.PCG64(0))
 
-        losses = [fit_step(model, (dose, cond), sched, rng, lr_at(step, 2000, 2e-3, 0.5))
+        losses = [fit_step(model, (dose, cond), sched, rng, lr_at(step, 2000, 2e-3, 0.5),
+                           (0.9, 0.999))
                   for step in range(2000)]
 
         step0 = losses[0]
@@ -242,7 +243,7 @@ def test_criterion_6_metric_oracles():
             assert abs(mae - want) <= 1e-12 * max(abs(want), 1.0)
             for q in (1.0, 95.0, 99.0):
                 assert M.d_stat(pred, mask, q) == oracle_d_stat(pred, mask, q)
-            got = M.dvh_curve(pred, mask, bin_count=64, d_max=1.3).volume_pct
+            got = M.dvh_curve(pred, mask, "", bin_count=64, d_max=1.3).volume_pct
             assert np.abs(got - oracle_dvh_curve(pred, mask, 64, 1.3)).max() <= 1e-10
             hi = M.homogeneity_index(pred, mask)
             assert abs(hi - oracle_hi(pred, mask)) <= 1e-12 * max(hi, 1.0)
@@ -254,7 +255,7 @@ def test_criterion_6_metric_oracles():
 
         for seed in range(100):
             pred, truth, mask = random_case(10_000 + seed, n=200)
-            curve = M.dvh_curve(pred, mask, bin_count=40)
+            curve = M.dvh_curve(pred, mask, "", bin_count=40)
             assert np.all(np.diff(curve.volume_pct) <= 0)
             vals = [M.d_stat(pred, mask, q) for q in (1, 50, 95, 99)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))

@@ -52,7 +52,7 @@ class TestBackwardExamples:
             backward(y.sum())
 
     def test_unreachable_leaves_get_zero(self):
-        store = ParamStore()
+        store = ParamStore(None)
         a = store.add("a", np.ones(3))
         store.add("b", np.ones(2))  # never used in the graph
         grads = backward(T.mul(a, a).sum(), store)

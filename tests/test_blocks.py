@@ -60,8 +60,8 @@ class TestCyclicShift:
 
 
 def make_attention(c=4, heads=2, seed=0):
-    store = ParamStore()
-    p = B.init_attention(store, "a", c, heads, np.random.default_rng(seed))
+    store = ParamStore(np.random.default_rng(seed))
+    p = B.init_attention(store, "a", c, heads)
     return store, p
 
 
@@ -172,9 +172,8 @@ class TestWindowAttentionOp:
 
 
 def make_swin(c=4, window=2, shift=False, heads=2, seed=1, t_dim=0):
-    store = ParamStore()
-    p = B.init_swin_block(store, "blk", c, window, shift, heads,
-                          np.random.default_rng(seed), t_dim=t_dim)
+    store = ParamStore(np.random.default_rng(seed))
+    p = B.init_swin_block(store, "blk", c, window, shift, heads, t_dim=t_dim)
     return store, p
 
 
@@ -232,8 +231,8 @@ class TestSwinBlock:
 
 
 def make_cross(ca=4, cb=4, seed=0):
-    store = ParamStore()
-    p = B.init_cross_attention(store, "x", ca, cb, np.random.default_rng(seed))
+    store = ParamStore(np.random.default_rng(seed))
+    p = B.init_cross_attention(store, "x", ca, cb)
     return store, p
 
 
@@ -327,23 +326,23 @@ class TestCrossAttention:
 
 class TestProjector:
     def test_zero_params_give_identity(self):
-        store = ParamStore()
-        p = B.init_projector(store, "p", 8, 4, np.random.default_rng(0))
+        store = ParamStore(np.random.default_rng(0))
+        p = B.init_projector(store, "p", 8, 4)
         store["p.w_down"].data[:] = 0.0  # up-projection already zero at init
         x = rng_tensor((2, 3, 3, 8), seed=1)
         assert np.array_equal(B.projector_forward(x, p).data, x.data)
 
     def test_shape_preserved_and_hidden_dim(self):
-        store = ParamStore()
-        p = B.init_projector(store, "p", 32, 4, np.random.default_rng(0))
+        store = ParamStore(np.random.default_rng(0))
+        p = B.init_projector(store, "p", 32, 4)
         assert store["p.w_down"].shape == (32, 8)
         x = rng_tensor((1, 2, 2, 32), seed=2)
         assert B.projector_forward(x, p).shape == x.shape
 
     def test_non_divisible_ratio_rejected(self):
-        store = ParamStore()
+        store = ParamStore(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            B.init_projector(store, "p", 6, 4, np.random.default_rng(0))
+            B.init_projector(store, "p", 6, 4)
 
 
 class TestTimeEmbedding:

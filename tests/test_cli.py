@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -634,7 +635,8 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:") and "seed" in err[0]
         assert not (tmp / "o").exists()
 
-    @pytest.mark.parametrize("command", ["train", "ablate", "sample", "sample-wrong-size"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "sample", "sample-wrong-size",
+                                         "ablate-wrong-size"])
     def test_data_error_leaves_no_out_dir(self, trained, command, capsys):
         # every input is read before --out is created
         tmp, cfg, data, ckpt = trained
@@ -643,15 +645,25 @@ class TestExitCodes:
             other["model"]["image_size"] = 32
             (tmp / "other.json").write_text(json.dumps(other))
             assert run(["gen-data", "--config", tmp / "other.json", "--out", tmp / "other"]) == 0
+        if command == "ablate-wrong-size":
+            # a test case that does not fit the model, which only evaluation reads
+            shutil.copytree(data, tmp / "mixed")
+            bad = json.loads((data / "split.json").read_text())["test"][0]
+            P.write_sample(tmp / "mixed" / f"{bad}.spdp",
+                           P.generate_phantom(0, size=32, oar_count=2))
         argv = {"train": ["train", "--config", cfg, "--data", tmp / "missing"],
                 "ablate": ["ablate", "--config", cfg, "--data", tmp / "missing",
                            "--strategies", "attn-last1"],
                 "sample": ["sample", "--checkpoint", ckpt, "--data", data,
                            "--cases", "sample_00000,sample_00099"],
                 "sample-wrong-size": ["sample", "--checkpoint", ckpt, "--data", tmp / "other",
-                                      "--cases", "sample_00000"]}[command]
+                                      "--cases", "sample_00000"],
+                "ablate-wrong-size": ["ablate", "--config", cfg, "--data", tmp / "mixed",
+                                      "--strategies", "add-all"]}[command]
         capsys.readouterr()
         assert run(argv + ["--out", tmp / "o"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+        if command == "ablate-wrong-size":
+            assert bad in err[0]
         assert not (tmp / "o").exists()

@@ -157,7 +157,7 @@ class TestCheckpoint:
         # a couple of optimizer steps so moments are nontrivial
         for _ in range(2):
             grads = {n: rng.standard_normal(p.shape) for n, p in model.store.items()}
-            adam_step(model.store, grads, 1e-3)
+            adam_step(model.store, grads, 1e-3, (0.9, 0.999))
         return cfg, model, rng
 
     def test_save_load_save_byte_identical(self, tmp_path):

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level ``_private`` name is left with no user, and the program
-imports nothing but the standard library and numpy.
+no module-level ``_private`` name is left with no user, no module reads
+another module's private name, the program imports nothing but the
+standard library and numpy, and the number of parameters with a default
+value does not grow.
 
 No linter is a dependency of the project, so these are ``ast`` scans. A
 module-level import counts as used when the name it binds appears as a
@@ -160,3 +162,79 @@ def test_no_module_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]"
+
+
+def _module_aliases(tree: ast.Module) -> set:
+    """Names a module binds to a module of the package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level and not node.module) or node.module == "dosediff"):
+            out |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.asname for alias in node.names
+                    if alias.asname and alias.name.startswith("dosediff.")}
+    return out
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_reads(path: Path) -> list:
+    """Private names a module takes from another module of the package:
+    ``from .m import _x`` or ``alias._x`` where alias is a package module."""
+    tree = ast.parse(path.read_text())
+    aliases = _module_aliases(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "dosediff"
+                                                 or (node.module or "").startswith("dosediff.")):
+            out += [(node.lineno, alias.name) for alias in node.names if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and _private(node.attr)):
+            out.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_reads_another_modules_private_name(path):
+    assert foreign_private_reads(path) == []
+
+
+def test_scan_finds_a_foreign_private_read(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from . import train as TR\nfrom .tensor import Tensor, _make\n"
+                   "import dosediff.phantom as P\nfrom dosediff import config\n\n"
+                   "def f(x):\n    return (TR._check(x), P._blur, config._rule, TR.ok,\n"
+                   "            x._own, TR.__name__, Tensor._slot)\n")
+    assert foreign_private_reads(mod) == ["m.py:2: _make", "m.py:7: P._blur",
+                                          "m.py:7: TR._check", "m.py:7: config._rule"]
+
+
+# Function parameters in the package that have a default value. Lower it
+# when a default goes; a new one must replace an old one.
+SETTABLE_PARAMETERS = 38
+
+
+def settable_parameters(paths) -> int:
+    """The number of function parameters (lambdas included) with a default."""
+    count = 0
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
+
+
+def test_settable_parameters_do_not_grow():
+    assert settable_parameters(sorted(SRC.glob("*.py"))) <= SETTABLE_PARAMETERS
+
+
+def test_scan_counts_settable_parameters(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("def f(a, b=1, *args, c=2, d, **kw):\n    pass\n\n"
+                   "class K:\n    def m(self, x=None, y=()):\n        pass\n\n"
+                   "g = lambda z=0: z\n\nasync def h(q, r=3):\n    pass\n")
+    assert settable_parameters([mod]) == 6

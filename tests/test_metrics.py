@@ -85,7 +85,7 @@ def test_d_stat_matches_bruteforce(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_dvh_curve_matches_bruteforce(seed):
     pred, _, mask = random_case(seed)
-    curve = M.dvh_curve(pred, mask, bin_count=64, d_max=1.3)
+    curve = M.dvh_curve(pred, mask, "", bin_count=64, d_max=1.3)
     want = oracle_dvh_curve(pred, mask, 64, 1.3)
     assert np.abs(curve.volume_pct - want).max() <= REL_TOL * 100
 
@@ -130,14 +130,14 @@ class TestExamples:
     def test_constant_dose_dvh_is_step(self):
         dose = np.full(30, 0.6)
         mask = np.ones(30, bool)
-        c = M.dvh_curve(dose, mask, bin_count=126, d_max=1.25)
+        c = M.dvh_curve(dose, mask, "", bin_count=126, d_max=1.25)
         assert np.all(c.volume_pct[c.dose <= 0.6] == 100.0)
         assert np.all(c.volume_pct[c.dose > 0.6] == 0.0)
 
     def test_uniform_ramp_half_volume(self):
         dose = np.arange(1.0, 101.0)
         mask = np.ones(100, bool)
-        c = M.dvh_curve(dose, mask, bin_count=3, d_max=101.0)
+        c = M.dvh_curve(dose, mask, "", bin_count=3, d_max=101.0)
         # middle threshold 50.5: doses 51..100 remain, i.e. 50%
         assert c.dose[1] == 50.5
         assert c.volume_pct[1] == 50.0
@@ -171,7 +171,7 @@ class TestExamples:
         with pytest.raises(M.EmptyMaskError):
             M.dose_score(np.ones(4), np.ones(4), empty, "mae")
         with pytest.raises(M.EmptyMaskError):
-            M.dvh_curve(np.ones(4), empty)
+            M.dvh_curve(np.ones(4), empty, "")
         with pytest.raises(M.EmptyMaskError):
             M.d_stat(np.ones(4), empty, 95)
         with pytest.raises(ValueError):
@@ -192,7 +192,7 @@ class TestExamples:
 @settings(max_examples=100, deadline=None)
 def test_dvh_monotone_and_bounded(seed):
     pred, _, mask = random_case(seed, n=200)
-    c = M.dvh_curve(pred, mask, bin_count=40)
+    c = M.dvh_curve(pred, mask, "", bin_count=40)
     assert np.all(np.diff(c.volume_pct) <= 0)
     assert c.volume_pct[0] == 100.0  # nonnegative dose: everything >= 0
     assert np.all((0 <= c.volume_pct) & (c.volume_pct <= 100))

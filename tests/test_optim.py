@@ -6,7 +6,7 @@ from dosediff.tensor import ShapeError
 
 
 def make_store():
-    store = ParamStore()
+    store = ParamStore(None)
     store.add("w", np.array([1.0, 2.0]))
     store.add("b", np.array([0.5]))
     return store
@@ -14,14 +14,14 @@ def make_store():
 
 def test_zero_gradient_leaves_parameters_unchanged():
     store = make_store()
-    adam_step(store, {"w": np.zeros(2), "b": np.zeros(1)}, lr=0.1)
+    adam_step(store, {"w": np.zeros(2), "b": np.zeros(1)}, lr=0.1, betas=(0.9, 0.999))
     assert np.array_equal(store["w"].data, [1.0, 2.0])
     assert np.array_equal(store["b"].data, [0.5])
 
 
 def test_single_step_matches_hand_derived_update():
     # step 1 with g=1: m_hat = v_hat = 1, so p <- p - lr / (1 + eps)
-    store = ParamStore()
+    store = ParamStore(None)
     store.add("p", np.array([1.0]))
     adam_step(store, {"p": np.array([1.0])}, lr=0.1, betas=(0.9, 0.999))
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
@@ -35,7 +35,7 @@ def test_two_identical_runs_bit_identical():
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = {"w": rng.standard_normal(2), "b": rng.standard_normal(1)}
-            adam_step(store, g, lr=0.05)
+            adam_step(store, g, lr=0.05, betas=(0.9, 0.999))
         return store["w"].data.copy(), store["b"].data.copy()
 
     w1, b1 = run()
@@ -45,7 +45,7 @@ def test_two_identical_runs_bit_identical():
 
 def test_params_absent_from_grads_untouched():
     store = make_store()
-    adam_step(store, {"w": np.array([0.1, 0.1])}, lr=0.1)
+    adam_step(store, {"w": np.array([0.1, 0.1])}, lr=0.1, betas=(0.9, 0.999))
     assert np.array_equal(store["b"].data, [0.5])
     assert store.steps["b"] == 0
     assert store.steps["w"] == 1
@@ -54,13 +54,13 @@ def test_params_absent_from_grads_untouched():
 def test_shape_mismatch_rejected():
     store = make_store()
     with pytest.raises(ShapeError):
-        adam_step(store, {"w": np.zeros(3)}, lr=0.1)
+        adam_step(store, {"w": np.zeros(3)}, lr=0.1, betas=(0.9, 0.999))
 
 
 def test_unknown_parameter_rejected():
     store = make_store()
     with pytest.raises(KeyError):
-        adam_step(store, {"nope": np.zeros(1)}, lr=0.1)
+        adam_step(store, {"nope": np.zeros(1)}, lr=0.1, betas=(0.9, 0.999))
 
 
 def test_duplicate_name_rejected():
@@ -71,7 +71,7 @@ def test_duplicate_name_rejected():
 
 def test_moments_match_parameter_shapes():
     store = make_store()
-    adam_step(store, {"w": np.ones(2)}, lr=0.01)
+    adam_step(store, {"w": np.ones(2)}, lr=0.01, betas=(0.9, 0.999))
     assert store.m["w"].shape == store["w"].shape
     assert store.v["w"].shape == store["w"].shape
 

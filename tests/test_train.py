@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dosediff.checkpoint import load_checkpoint
-from dosediff.config import ConfigError, config_from_dict
+from dosediff.config import config_from_dict
 from dosediff.networks import FusionStrategy
 from dosediff.train import (DataError, NumericFailure, Trainer, case_seed_key, fit_step,
                             fusion_ablation_matrix, generate_dataset, load_split, lr_at,
-                            sample_case)
+                            read_cases, sample_case)
 
 
 def tiny_cfg_dict(**train_kw):
@@ -26,6 +26,10 @@ def tiny_cfg_dict(**train_kw):
         "seed": 4,
         "out_dir": "unused",
     }
+
+
+def train_cases(cfg, data_dir):
+    return read_cases(data_dir, load_split(data_dir).train, cfg.model, "split.json")
 
 
 @pytest.fixture()
@@ -71,7 +75,7 @@ class TestGenerateDataset:
 class TestTrainer:
     def test_loss_log_and_decreasing_smoke(self, dataset, tmp_path):
         cfg, data_dir = dataset
-        trainer = Trainer(cfg, data_dir, tmp_path / "run")
+        trainer = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "run")
         result = trainer.run()
         assert result.steps_run == 8
         log = (tmp_path / "run" / "loss_log.csv").read_text().splitlines()
@@ -93,57 +97,50 @@ class TestTrainer:
         sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
         model = DoseModel(cfg, 0)
         rng = np.random.default_rng(np.random.PCG64(0))
-        losses = [fit_step(model, (dose, cond), sched, rng, lr_at(step, 200, 2e-3, 0.5))
+        losses = [fit_step(model, (dose, cond), sched, rng, lr_at(step, 200, 2e-3, 0.5),
+                           (0.9, 0.999))
                   for step in range(200)]
         assert np.mean(losses[-10:]) < losses[0]
 
     def test_resume_is_bit_exact(self, dataset, tmp_path):
         cfg, data_dir = dataset
         # uninterrupted reference run
-        full = Trainer(cfg, data_dir, tmp_path / "full")
+        full = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "full")
         full.run()
         ref = (tmp_path / "full" / "ckpt_final.bin").read_bytes()
         # interrupted at step 4, then resumed
-        part = Trainer(cfg, data_dir, tmp_path / "part")
-        part.run(steps=4)
-        resumed = Trainer(cfg, data_dir, tmp_path / "resumed",
-                          resume=load_checkpoint(tmp_path / "part" / "ckpt_final.bin"))
+        part = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "part")
+        part.run()
+        resumed = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "resumed",
+                          resume=load_checkpoint(tmp_path / "part" / "ckpt_step000004.bin"))
         resumed.run()
         got = (tmp_path / "resumed" / "ckpt_final.bin").read_bytes()
         assert got == ref
 
-    @pytest.mark.parametrize("steps", [0, -2])
-    def test_run_steps_below_one_raises_and_writes_nothing(self, dataset, tmp_path, steps):
-        cfg, data_dir = dataset
-        Trainer(cfg, data_dir, tmp_path / "part").run(steps=4)
-        resumed = Trainer(cfg, data_dir, tmp_path / "resumed",
-                          resume=load_checkpoint(tmp_path / "part" / "ckpt_final.bin"))
-        with pytest.raises(ConfigError, match="steps"):
-            resumed.run(steps=steps)
-        assert list((tmp_path / "resumed").iterdir()) == []
-
     def test_non_finite_parameters_are_never_checkpointed(self, dataset, tmp_path):
         cfg, data_dir = dataset
         # the Python API skips config validation; an infinite lr diverges in one step
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, lr=float("inf")))
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, lr=float("inf"),
+                                                                 steps=1))
         with np.errstate(invalid="ignore"), pytest.raises(NumericFailure, match="non-finite"):
-            Trainer(cfg, data_dir, tmp_path / "run").run(1)
+            Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "run").run()
         assert not (tmp_path / "run" / "ckpt_final.bin").exists()
 
     def test_intermediate_checkpoint_resume(self, dataset, tmp_path):
         cfg, data_dir = dataset
-        full = Trainer(cfg, data_dir, tmp_path / "full")
+        full = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "full")
         full.run()
         mid = tmp_path / "full" / "ckpt_step000004.bin"
         assert mid.exists()
-        resumed = Trainer(cfg, data_dir, tmp_path / "resumed", resume=load_checkpoint(mid))
+        resumed = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "resumed",
+                          resume=load_checkpoint(mid))
         resumed.run()
         assert (tmp_path / "resumed" / "ckpt_final.bin").read_bytes() == \
             (tmp_path / "full" / "ckpt_final.bin").read_bytes()
 
     def test_checkpoint_carries_step_and_config(self, dataset, tmp_path):
         cfg, data_dir = dataset
-        Trainer(cfg, data_dir, tmp_path / "run").run()
+        Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "run").run()
         ckpt = load_checkpoint(tmp_path / "run" / "ckpt_final.bin")
         assert ckpt.step == 8
         assert ckpt.config.model.image_size == 16
@@ -151,11 +148,11 @@ class TestTrainer:
     def test_missing_data_raises(self, tmp_path):
         cfg = config_from_dict(tiny_cfg_dict())
         with pytest.raises(DataError):
-            Trainer(cfg, tmp_path / "nowhere", tmp_path / "run")
+            Trainer(cfg, train_cases(cfg, tmp_path / "nowhere"), tmp_path / "run")
 
     def test_sampling_deterministic_per_case(self, dataset, tmp_path):
         cfg, data_dir = dataset
-        trainer = Trainer(cfg, data_dir, tmp_path / "run")
+        trainer = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "run")
         trainer.run()
         from dosediff.phantom import read_sample
         s = read_sample(data_dir / "sample_00000.spdp")
@@ -227,7 +224,7 @@ def test_overfit_script_writes_curve_and_renders(tmp_path):
 
 def test_weights_only_checkpoint_cannot_resume(dataset, tmp_path):
     cfg, data_dir = dataset
-    Trainer(cfg, data_dir, tmp_path / "part").run(steps=2)
-    light = load_checkpoint(tmp_path / "part" / "ckpt_final.bin", moments=False)
+    Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "part").run()
+    light = load_checkpoint(tmp_path / "part" / "ckpt_step000004.bin", moments=False)
     with pytest.raises(ValueError, match="moments"):
-        Trainer(cfg, data_dir, tmp_path / "resumed", resume=light)
+        Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "resumed", resume=light)
