@@ -92,7 +92,7 @@ def init_attention(store: ParamStore, prefix: str, channels: int, heads: int) ->
 
 
 def init_swin_block(store: ParamStore, prefix: str, channels: int, window: int,
-                    shift: bool, heads: int, t_dim: int = 0) -> SwinBlockParams:
+                    shift: bool, heads: int, t_dim: int) -> SwinBlockParams:
     hidden = 4 * channels   # the Swin MLP expansion
     p = SwinBlockParams(
         ln1_g=store.add(f"{prefix}.ln1.g", np.ones(channels)),
@@ -182,28 +182,16 @@ def cyclic_shift(x: Tensor, dy: int, dx: int) -> Tensor:
 # attention
 
 
-def window_attention(windows: Tensor, p: AttentionParams, return_weights: bool = False):
-    """Multi-head self-attention inside each [w, w, C] window.
-
-    Per window and head: A = softmax(Q K^T / sqrt(d_k)), outputs are the
-    attention-weighted sums of values; heads are concatenated and passed
-    through the output projection. The windows are run through the
-    engine's ``window-attention`` op as a map of one unshifted window each.
-    """
-    win = _map_shape(windows, "window_attention")[1]
-    return T.window_attention(windows, p.wq, p.wk, p.wv, p.wo, p.heads, win, 0,
-                              return_weights=return_weights)
-
-
-def swin_block(x: Tensor, p: SwinBlockParams, t_emb: Optional[Tensor] = None) -> Tensor:
+def swin_block(x: Tensor, p: SwinBlockParams, t_emb: Optional[Tensor]) -> Tensor:
     """Windowed-attention block with optional cyclic shift.
 
     The attention branch is one ``window-attention`` node: with ``shift``
     set, windows are offset by half a window (toroidally, no mask).
     Pre-normalization before each sub-layer; residual connections around
-    the attention and MLP branches; the time embedding t_emb [B, 1, 1, T]
-    enters as a per-channel bias after its per-block projection. With the
-    residual branch outputs zeroed the block is the exact identity.
+    the attention and MLP branches; a time embedding t_emb [B, 1, 1, T]
+    (None for none) enters as a per-channel bias after its per-block
+    projection. With the residual branch outputs zeroed the block is the
+    exact identity.
     """
     _map_shape(x, "swin_block")
     win, a = p.window, p.attn

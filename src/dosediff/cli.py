@@ -136,7 +136,7 @@ def cmd_sample(args) -> int:
     out.mkdir(parents=True, exist_ok=True)   # only once every input has been read
     for cid, truth in truths.items():
         pred = TR.sample_case(model, schedule, truth, TR.case_seed_key(base_seed, cid))
-        P.write_dose_map(out / f"{cid}.spdp", pred,
+        P.write_dose_map(TR.sample_path(out, cid), pred,
                          meta={"case": cid, "seed": str(base_seed)})
         write_pgm(out / f"{cid}.pgm", pred)
         write_ppm_diff(out / f"{cid}_diff.ppm",
@@ -173,7 +173,7 @@ def _metric_files(rows: dict) -> dict:
 def _score_case(pred_dir, truth_dir, cid: str):
     """Read one prediction and its truth case and score it:
     (prediction, truth, report)."""
-    pred = P.read_dose_map(Path(pred_dir) / f"{cid}.spdp").astype(np.float64)
+    pred = P.read_dose_map(TR.sample_path(pred_dir, cid)).astype(np.float64)
     truth = P.read_sample(TR.sample_path(truth_dir, cid))
     return pred, truth, TR.evaluate_case(pred, truth, cid)
 
@@ -320,8 +320,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TR.DataError, P.SampleFormatError, M.EmptyMaskError, FileNotFoundError,
-            FileExistsError, IsADirectoryError, NotADirectoryError) as e:
+    except (TR.DataError, P.SampleFormatError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except TR.NumericFailure as e:

@@ -173,6 +173,7 @@ class DataParams:
     n_samples: int = 16
     beam_count: int = 5
     seed: int = 0
+    # train/val/test, mirroring a 220/20/80 patient split
     split_ratios: tuple[float, float, float] = (0.6875, 0.0625, 0.25)
 
 

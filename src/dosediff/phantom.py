@@ -39,7 +39,6 @@ DOSE_ONLY_FLAG = 0x8000
 GENERATOR_VERSION = 1
 MU_PER_PIXEL = 0.02       # attenuation per traversed body pixel
 SIGMA_FRACTION = 0.06     # lateral beam profile sigma as a fraction of H
-DEFAULT_BEAMS = 5
 MAX_PLACEMENT_RETRIES = 100
 
 DOSE_MAX_SCALE = 1.25     # prescription units mapped to +1 in [-1, 1]
@@ -208,8 +207,7 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return img
 
 
-def generate_phantom(seed: int, size: int = 64, oar_count: int = 3,
-                     beam_count: int = DEFAULT_BEAMS) -> PhantomSample:
+def generate_phantom(seed: int, size: int, oar_count: int, beam_count: int) -> PhantomSample:
     """Generate one phantom; a pure function of its arguments.
 
     The body is a random ellipse; CT is a smooth base plus low-amplitude
@@ -378,8 +376,11 @@ class Container:
 
     Reading checks the magic, the version and every length, rejects
     trailing bytes, and turns any failure to decode the body into a
-    SampleFormatError. Writing goes to a temporary file in the target
-    directory that replaces the target only once it is complete.
+    SampleFormatError. Every SampleFormatError out of a read, the
+    caller's own included, starts with the file's path and keeps its
+    subclass, so no caller adds the file's name. Writing goes to a
+    temporary file in the target directory that replaces the target only
+    once it is complete.
     """
 
     magic: bytes
@@ -388,26 +389,29 @@ class Container:
 
     @contextmanager
     def read(self, path) -> Iterator[Cursor]:
-        with open(path, "rb") as f:
-            cur = Cursor(f, self.what)
-            magic = cur.take(len(self.magic), "magic")
-            if magic != self.magic:
-                raise BadMagicError(f"bad {self.what} magic {magic!r}, "
-                                    f"expected {self.magic!r}")
-            (version,) = cur.unpack("<H", "version")
-            if version != self.version:
-                raise VersionError(f"unsupported {self.what} version {version:#x}")
-            try:
-                yield cur
-            except SampleFormatError:
-                raise
-            except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                    struct.error) as e:
-                raise SampleFormatError(f"malformed {self.what} {path}: "
-                                        f"{type(e).__name__}: {e}") from None
-            if cur.off != cur.size:
-                raise SampleFormatError(f"{cur.size - cur.off} trailing bytes after "
-                                        f"the {self.what} in {path}")
+        try:
+            with open(path, "rb") as f:
+                cur = Cursor(f, self.what)
+                magic = cur.take(len(self.magic), "magic")
+                if magic != self.magic:
+                    raise BadMagicError(f"bad {self.what} magic {magic!r}, "
+                                        f"expected {self.magic!r}")
+                (version,) = cur.unpack("<H", "version")
+                if version != self.version:
+                    raise VersionError(f"unsupported {self.what} version {version:#x}")
+                try:
+                    yield cur
+                except SampleFormatError:
+                    raise
+                except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                        struct.error) as e:
+                    raise SampleFormatError(f"malformed {self.what}: "
+                                            f"{type(e).__name__}: {e}") from None
+                if cur.off != cur.size:
+                    raise SampleFormatError(f"{cur.size - cur.off} trailing bytes after "
+                                            f"the {self.what}")
+        except SampleFormatError as e:
+            raise type(e)(f"{path}: {e}") from None
 
     def write(self, path, parts: Iterable[bytes]) -> None:
         write_atomic(path, itertools.chain(
@@ -450,14 +454,14 @@ def read_sample(path) -> PhantomSample:
                          dose=data[2 + o], meta=meta)
 
 
-def write_dose_map(path, dose: np.ndarray, meta: Dict[str, str] | None = None) -> None:
+def write_dose_map(path, dose: np.ndarray, meta: Dict[str, str]) -> None:
     """Dose-only variant of the sample format (predictions)."""
     d = np.asarray(dose, dtype=np.float32)
     h, w = d.shape
     DOSE_MAP_FILE.write(path, [
         struct.pack("<HHH", h, w, 0),
         np.ascontiguousarray(d, dtype="<f4").tobytes(),
-        _encode_meta(meta or {}),
+        _encode_meta(meta),
     ])
 
 
@@ -518,11 +522,12 @@ def denormalize_dose(n: np.ndarray) -> np.ndarray:
 
 
 def make_split(ids: Sequence[str], seed: int,
-               ratios: Tuple[float, float, float] = (0.6875, 0.0625, 0.25)) -> DatasetSplit:
-    """Deterministic disjoint train/val/test partition.
+               ratios: Tuple[float, float, float]) -> DatasetSplit:
+    """Deterministic disjoint train/val/test partition by ``ratios``
+    (``DataParams.split_ratios``).
 
-    The default ratios mirror a 220/20/80 patient split. Counts use
-    floor allocation with the remainder going to train, then val.
+    Counts use floor allocation with the remainder going to train, then
+    val.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")

@@ -363,9 +363,8 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
     return out.reshape(B, Hp, Wp, Cout)[:, :Ho, :Wo], bwd
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip), zero padding, optional bias.
+def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int) -> Tensor:
+    """2-D cross-correlation (no kernel flip), zero padding, bias b or None.
 
     x: [B, H, W, Cin], w: [Cout, Cin, kh, kw], b: [Cout] -> [B, Ho, Wo, Cout].
     Forward and backward are one GEMM per kernel tap, taps summed in order.
@@ -530,8 +529,7 @@ def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
 
 
 def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                     heads: int, window: int, shift: int = 0,
-                     return_weights: bool = False):
+                     heads: int, window: int, shift: int, return_weights: bool = False):
     """Shifted-window multi-head self-attention of a [B, H, W, C] map.
 
     The map is rolled by -shift on both spatial axes and tiled into
@@ -613,7 +611,7 @@ def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
 # nonlinearities / normalization / reductions
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Tensor, axis: int) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -789,11 +787,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
-               t_bias: Optional[Tensor] = None) -> Tensor:
+               t_bias: Optional[Tensor]) -> Tensor:
     """Pre-norm conv residual block of a [B, H, W, C] map, one graph node:
     ``x + ((conv2d(relu(layer_norm(x, gamma, beta)), w, padding=1) + b) + t_bias)``
-    with w [C, C, 3, 3], b [C] and an optional t_bias that broadcasts to x
-    (a [B, 1, 1, C] time bias).
+    with w [C, C, 3, 3], b [C] and t_bias None or a tensor that broadcasts
+    to x (a [B, 1, 1, C] time bias).
 
     Layer norm and ReLU run in cache-sized blocks of image rows, the ReLU
     writing straight into the interior of the zero-bordered buffer that the
@@ -925,13 +923,14 @@ _OPS = {
 OP_NAMES = tuple(_OPS)
 
 
-def forward_op(kind: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None) -> Tensor:
-    """Run a catalog op by name. Raises UnknownOpError for unlisted kinds."""
+def forward_op(kind: str, inputs: Sequence[Tensor], attrs: dict) -> Tensor:
+    """Run a catalog op by name, ``attrs`` as keyword arguments. Raises
+    UnknownOpError for unlisted kinds."""
     try:
         fn = _OPS[kind]
     except KeyError:
         raise UnknownOpError(f"unknown op kind: {kind!r}") from None
-    return fn(*inputs, **(attrs or {}))
+    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------

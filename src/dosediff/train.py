@@ -103,8 +103,10 @@ def read_cases(data_dir, ids: Sequence[str], model_cfg: ModelConfig,
 
     It checks, in order, that every id is a plain file name named once
     (``check_case_ids``), that each file is present and well formed, and
-    that each case has the model's image side and OAR count. Any failure
-    is a DataError that names the case.
+    that each case has the model's image side and OAR count. A malformed
+    file raises the container's SampleFormatError, whose message starts
+    with the file's path and so names the case; every other failure is a
+    DataError that names the case.
     """
     check_case_ids(ids, source)
     size = model_cfg.image_size
@@ -113,10 +115,7 @@ def read_cases(data_dir, ids: Sequence[str], model_cfg: ModelConfig,
         path = sample_path(data_dir, cid)
         if not path.exists():
             raise DataError(f"{cid}: missing sample file {path}")
-        try:
-            sample = P.read_sample(path)
-        except P.SampleFormatError as e:
-            raise DataError(f"{cid}: {e}") from None
+        sample = P.read_sample(path)
         if sample.ct.shape != (size, size):
             h, w = sample.ct.shape
             raise DataError(f"{cid} is {h}x{w} px but the model is configured for "
@@ -272,6 +271,9 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
 
 def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
                   case: str) -> M.MetricsReport:
+    """Score one prediction against its truth case; ``eval`` and
+    ``ablate`` both score through it. Every input it cannot score, an
+    empty structure mask included, is a DataError that names the case."""
     if pred_dose.shape != truth.dose.shape:
         raise DataError(f"case {case}: prediction is {pred_dose.shape} but its truth "
                         f"case is {truth.dose.shape}")
@@ -281,8 +283,11 @@ def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
     for what, dose in (("prediction", pred_dose), ("truth", truth.dose)):  # HI divides by it
         if truth.ptv.any() and dose[truth.ptv].astype(np.float64).mean() <= 0.0:
             raise DataError(f"case {case}: {what} has no positive mean dose in the PTV")
-    return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
-                             truth.body, truth.structures())
+    try:
+        return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
+                                 truth.body, truth.structures())
+    except M.EmptyMaskError as e:
+        raise DataError(f"case {case}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from dosediff import metrics as M
 from dosediff import phantom as P
 from dosediff.blocks import (cross_attention_fuse, cyclic_shift, init_attention,
                              init_cross_attention, init_swin_block, swin_block,
-                             window_attention, window_merge, window_partition)
+                             window_merge, window_partition)
 from dosediff.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dosediff.cli import main as cli_main
 from dosediff.gradcheck import finite_diff_check, finite_diff_scalar_fn
 from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
 from dosediff.optim import ParamStore
-from dosediff.tensor import OP_NAMES, Tensor, backward, mse_loss, no_grad
+from dosediff.tensor import OP_NAMES, Tensor, backward, mse_loss, no_grad, window_attention
 from dosediff.train import fit_step, lr_at, sample_case
 
 from op_points import op_point
@@ -130,7 +130,8 @@ def test_criterion_3_attention_invariants():
         # attention rows sum to 1
         ap = init_attention(store, "a", 8, 2)
         win = Tensor(rng.standard_normal((6, 4, 4, 8)))
-        _, attn = window_attention(win, ap, return_weights=True)
+        _, attn = window_attention(win, ap.wq, ap.wk, ap.wv, ap.wo, ap.heads, 4, 0,
+                                   return_weights=True)
         assert np.abs(attn.data.sum(-1) - 1).max() < 1e-6
         cp = init_cross_attention(store, "c", 8, 8)
         _, wts = cross_attention_fuse(Tensor(rng.standard_normal((2, 4, 4, 8))),
@@ -147,12 +148,12 @@ def test_criterion_3_attention_invariants():
         # zeroed residual branches give the exact identity
         for shift in (False, True):
             st2 = ParamStore(np.random.default_rng(2))
-            sp = init_swin_block(st2, "b", 4, 2, shift, 2)
+            sp = init_swin_block(st2, "b", 4, 2, shift, 2, 0)
             st2["b.attn.wo"].data[:] = 0
             st2["b.mlp.w2"].data[:] = 0
             st2["b.mlp.b2"].data[:] = 0
             xin = Tensor(rng.standard_normal((1, 4, 4, 4)))
-            assert np.array_equal(swin_block(xin, sp).data, xin.data)
+            assert np.array_equal(swin_block(xin, sp, None).data, xin.data)
 
         # row argmax invariant under positive scaling of K
         a_map = Tensor(rng.standard_normal((1, 4, 4, 8)))

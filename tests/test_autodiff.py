@@ -87,7 +87,7 @@ def test_gradcheck_strided_conv():
     rng = np.random.default_rng(5)
     err = finite_diff_check(
         "conv2d", [rng.standard_normal((1, 8, 8, 2)), rng.standard_normal((3, 2, 3, 3))],
-        {"stride": 2, "padding": 1})
+        {"b": None, "stride": 2, "padding": 1})
     assert err < GRAD_TOL
 
 

@@ -69,13 +69,15 @@ class TestWindowAttention:
     def test_uniform_rows_for_equal_tokens(self):
         store, p = make_attention()
         windows = Tensor(np.ones((2, 2, 2, 4)))  # all pixels identical
-        _, attn = B.window_attention(windows, p, return_weights=True)
+        _, attn = T.window_attention(windows, p.wq, p.wk, p.wv, p.wo, p.heads, 2, 0,
+                                     return_weights=True)
         assert np.allclose(attn.data, 0.25, atol=1e-12)
 
     def test_single_pixel_window(self):
         store, p = make_attention()
         win = rng_tensor((3, 1, 1, 4), seed=5)
-        out, attn = B.window_attention(win, p, return_weights=True)
+        out, attn = T.window_attention(win, p.wq, p.wk, p.wv, p.wo, p.heads, 1, 0,
+                                       return_weights=True)
         assert np.allclose(attn.data, 1.0, atol=0)
         # output must be W_o applied to the value projection
         tok = win.data.reshape(3, 4)
@@ -84,14 +86,14 @@ class TestWindowAttention:
 
     def test_rows_sum_to_one(self):
         store, p = make_attention()
-        _, attn = B.window_attention(rng_tensor((4, 2, 2, 4), seed=3), p,
-                                     return_weights=True)
+        _, attn = T.window_attention(rng_tensor((4, 2, 2, 4), seed=3), p.wq, p.wk, p.wv,
+                                     p.wo, p.heads, 2, 0, return_weights=True)
         assert np.abs(attn.data.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_channel_mismatch(self):
         store, p = make_attention(c=4)
         with pytest.raises(ShapeError):
-            B.window_attention(rng_tensor((1, 2, 2, 6)), p)
+            T.window_attention(rng_tensor((1, 2, 2, 6)), p.wq, p.wk, p.wv, p.wo, p.heads, 2, 0)
 
 
 def composed_window_attention(x, p, window, shift):
@@ -168,7 +170,7 @@ class TestWindowAttentionOp:
     def test_bad_shapes_rejected(self, shape, heads, window):
         store, p = make_attention()
         with pytest.raises(ShapeError):
-            T.window_attention(rng_tensor(shape), p.wq, p.wk, p.wv, p.wo, heads, window)
+            T.window_attention(rng_tensor(shape), p.wq, p.wk, p.wv, p.wo, heads, window, 0)
 
 
 def make_swin(c=4, window=2, shift=False, heads=2, seed=1, t_dim=0):
@@ -185,26 +187,26 @@ class TestSwinBlock:
         store["blk.mlp.w2"].data[:] = 0.0
         store["blk.mlp.b2"].data[:] = 0.0
         x = rng_tensor((2, 4, 4, 4), seed=7)
-        out = B.swin_block(x, p)
+        out = B.swin_block(x, p, None)
         assert np.array_equal(out.data, x.data)
 
     def test_output_shape_equals_input_shape(self):
         store, p = make_swin()
         x = rng_tensor((3, 8, 8, 4), seed=2)
-        assert B.swin_block(x, p).shape == x.shape
+        assert B.swin_block(x, p, None).shape == x.shape
 
     def test_shifted_and_unshifted_compose(self):
         s1, p1 = make_swin(shift=False, seed=1)
         s2, p2 = make_swin(shift=True, seed=2)
         x = rng_tensor((1, 4, 4, 4), seed=3)
-        y = B.swin_block(B.swin_block(x, p1), p2)
+        y = B.swin_block(B.swin_block(x, p1, None), p2, None)
         assert y.shape == x.shape
 
     def test_time_bias_enters_once(self):
         store, p = make_swin(t_dim=6)
         x = rng_tensor((2, 4, 4, 4), seed=4)
         t_emb = Tensor(np.random.default_rng(5).standard_normal((2, 1, 1, 6)))
-        y0 = B.swin_block(x, p)
+        y0 = B.swin_block(x, p, None)
         y1 = B.swin_block(x, p, t_emb)
         assert not np.array_equal(y0.data, y1.data)
 
@@ -221,7 +223,7 @@ class TestSwinBlock:
         proj = np.random.default_rng(13).standard_normal((1, 4, 4, 4))
 
         def loss():
-            return (B.swin_block(x, p) * Tensor(proj)).sum()
+            return (B.swin_block(x, p, None) * Tensor(proj)).sum()
 
         coords = [(x, i) for i in range(0, 64, 7)]
         for name in ("blk.attn.wq", "blk.attn.wo", "blk.mlp.w1", "blk.ln1.g"):

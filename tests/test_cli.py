@@ -58,8 +58,9 @@ class TestGenData:
 
     def test_default_ratios_at_320(self, tmp_path):
         # ratio check happens at the split level; see test_phantom for 320
+        from dosediff.config import DataParams
         from dosediff.phantom import make_split
-        s = make_split([str(i) for i in range(320)], 0)
+        s = make_split([str(i) for i in range(320)], 0, DataParams.split_ratios)
         assert (len(s.train), len(s.val), len(s.test)) == (220, 20, 80)
 
 
@@ -182,7 +183,7 @@ class TestEvalCommand:
         pred.mkdir()
         for cid in ("sample_00000", "sample_00002"):
             s = P.read_sample(data / f"{cid}.spdp")
-            P.write_dose_map(pred / f"{cid}.spdp", s.dose)
+            P.write_dose_map(pred / f"{cid}.spdp", s.dose, meta={})
         assert run(["eval", "--pred", pred, "--truth", data,
                     "--out", tmp / "ev"]) == 0
         lines = (tmp / "ev" / "metrics.csv").read_text().splitlines()
@@ -215,7 +216,7 @@ class TestEvalCommand:
         pred = tmp / "sp"
         pred.mkdir()
         s = P.read_sample(data / "sample_00000.spdp")
-        P.write_dose_map(pred / "sample_00000.spdp", s.dose)
+        P.write_dose_map(pred / "sample_00000.spdp", s.dose, meta={})
         run(["eval", "--pred", pred, "--truth", data, "--out", tmp / "ev3"])
         dvh = (tmp / "ev3" / "dvh_sample_00000.csv").read_text().splitlines()
         assert dvh[0] == "structure,dose,volume_pct"
@@ -243,7 +244,7 @@ class TestEvalCommand:
         tmp, cfg, data, ckpt = trained
         pred = tmp / "orphan"
         pred.mkdir()
-        P.write_dose_map(pred / "ghost.spdp", np.zeros((16, 16), np.float32))
+        P.write_dose_map(pred / "ghost.spdp", np.zeros((16, 16), np.float32), meta={})
         assert run(["eval", "--pred", pred, "--truth", data,
                     "--out", tmp / "evx"]) == 3
 
@@ -420,51 +421,79 @@ class TestExitCodes:
         assert len(err) == 2 and all(e.startswith("data error:") for e in err)
 
     def test_empty_mask_in_eval_is_3(self, tmp_path, capsys):
-        s = P.generate_phantom(3, size=16, oar_count=2)
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
         s.ptv[:] = False
         (tmp_path / "truth").mkdir()
         (tmp_path / "pred").mkdir()
         P.write_sample(tmp_path / "truth" / "c.spdp", s)
-        P.write_dose_map(tmp_path / "pred" / "c.spdp", s.dose)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", s.dose, meta={})
         assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
                     "--out", tmp_path / "ev"]) == 3
         assert capsys.readouterr().err.startswith("data error:")
 
     def test_eval_prediction_shape_mismatch_is_3(self, tmp_path, capsys):
-        s = P.generate_phantom(3, size=32, oar_count=2)
+        s = P.generate_phantom(3, size=32, oar_count=2, beam_count=5)
         (tmp_path / "truth").mkdir()
         (tmp_path / "pred").mkdir()
         P.write_sample(tmp_path / "truth" / "c.spdp", s)
-        P.write_dose_map(tmp_path / "pred" / "c.spdp", np.ones((16, 16), np.float32))
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", np.ones((16, 16), np.float32), meta={})
         assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
                     "--out", tmp_path / "ev"]) == 3
         assert capsys.readouterr().err.startswith("data error:")
 
     def test_eval_non_finite_prediction_is_3(self, tmp_path, capsys):
-        s = P.generate_phantom(3, size=16, oar_count=2)
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
         (tmp_path / "truth").mkdir()
         (tmp_path / "pred").mkdir()
         P.write_sample(tmp_path / "truth" / "c.spdp", s)
         pred = s.dose.copy()
         pred[4, 5], pred[8, 8] = np.nan, np.inf
-        P.write_dose_map(tmp_path / "pred" / "c.spdp", pred)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", pred, meta={})
         assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
                     "--out", tmp_path / "ev"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: case c: prediction has 2 non-finite voxels"]
 
     def test_eval_prediction_zero_in_ptv_is_3(self, tmp_path, capsys):
-        s = P.generate_phantom(3, size=16, oar_count=2)
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
         (tmp_path / "truth").mkdir()
         (tmp_path / "pred").mkdir()
         P.write_sample(tmp_path / "truth" / "c.spdp", s)
         pred = s.dose.copy()
         pred[s.ptv] = 0.0
-        P.write_dose_map(tmp_path / "pred" / "c.spdp", pred)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", pred, meta={})
         assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
                     "--out", tmp_path / "ev"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: case c: prediction has no positive mean dose in the PTV"]
+
+    @pytest.mark.parametrize("side,keep", [("truth", 100), ("pred", 30)])
+    def test_eval_truncated_file_is_3_and_named(self, tmp_path, side, keep, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", s.dose, meta={})
+        bad = tmp_path / side / "c.spdp"
+        bad.write_bytes(bad.read_bytes()[:keep])
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {bad}: truncated ")
+        assert not (tmp_path / "ev").exists()
+
+    def test_eval_empty_oar_mask_names_the_case(self, tmp_path, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
+        s.oars[1] = False
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", s.dose, meta={})
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: case c: mask selects no voxels"]
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("text", [
         "{not json", "[]", '{"train": []}',
@@ -650,7 +679,7 @@ class TestExitCodes:
             shutil.copytree(data, tmp / "mixed")
             bad = json.loads((data / "split.json").read_text())["test"][0]
             P.write_sample(tmp / "mixed" / f"{bad}.spdp",
-                           P.generate_phantom(0, size=32, oar_count=2))
+                           P.generate_phantom(0, size=32, oar_count=2, beam_count=5))
         argv = {"train": ["train", "--config", cfg, "--data", tmp / "missing"],
                 "ablate": ["ablate", "--config", cfg, "--data", tmp / "missing",
                            "--strategies", "attn-last1"],

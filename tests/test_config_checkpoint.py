@@ -244,7 +244,7 @@ class TestCheckpoint:
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("valid")
-    sample = P.generate_phantom(5, size=16, oar_count=2)
+    sample = P.generate_phantom(5, size=16, oar_count=2, beam_count=5)
     P.write_sample(d / "s.spdp", sample)
     P.write_dose_map(d / "d.spdp", sample.dose, meta={"case": "x"})
     cfg = tiny_run_config()

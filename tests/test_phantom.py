@@ -9,6 +9,9 @@ from scipy.ndimage import gaussian_filter
 
 from dosediff import phantom as P
 from dosediff.atomic import write_atomic
+from dosediff.config import DataParams
+
+from test_config_checkpoint import valid_files  # noqa: F401 (fixture)
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +57,9 @@ class TestGenerate:
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            P.generate_phantom(0, size=8)
+            P.generate_phantom(0, size=8, oar_count=3, beam_count=5)
         with pytest.raises(ValueError):
-            P.generate_phantom(0, size=16, oar_count=0)
+            P.generate_phantom(0, size=16, oar_count=0, beam_count=5)
 
 
 def test_beam_dose_mu_zero_constant_along_depth():
@@ -168,7 +171,7 @@ class TestBeamDoseMatchesPerPixelMarch:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_phantom_body_bitwise(self, seed):
         """The generator's own bodies, centroids and beams at 64 px."""
-        s = P.generate_phantom(seed, size=64)
+        s = P.generate_phantom(seed, size=64, oar_count=3, beam_count=5)
         pys, pxs = np.nonzero(s.ptv)
         centroid = (float(pys.mean()), float(pxs.mean()))
         for a in s.meta["beam_angles"].split(","):
@@ -210,7 +213,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("seed,size", sorted(GOLDEN))
 def test_generator_golden_digests(seed, size):
-    s = P.generate_phantom(seed, size)
+    s = P.generate_phantom(seed, size, 3, 5)
     got = {"ct": sha256(s.ct.tobytes()), "ptv": sha256(s.ptv.tobytes()),
            "oars": sha256(s.oars.tobytes()), "dose": sha256(s.dose.tobytes()),
            "meta": sha256(json.dumps(s.meta, sort_keys=True).encode())}
@@ -289,7 +292,7 @@ class TestSampleIO:
 
     def test_trailing_bytes(self, sample, tmp_path):
         P.write_sample(tmp_path / "s.spdp", sample)
-        P.write_dose_map(tmp_path / "d.spdp", sample.dose)
+        P.write_dose_map(tmp_path / "d.spdp", sample.dose, meta={})
         for name, reader in (("s.spdp", P.read_sample), ("d.spdp", P.read_dose_map)):
             bad = tmp_path / f"long_{name}"
             bad.write_bytes((tmp_path / name).read_bytes() + b"\0")
@@ -334,6 +337,30 @@ class TestSampleIO:
         assert list(tmp_path.iterdir()) == [path]
 
 
+# damage to a container file: (edit of its bytes, the SampleFormatError it raises)
+DAMAGES = {
+    "bad-magic": (lambda b: b"XXXX" + b[4:], P.BadMagicError),
+    "wrong-version": (lambda b: b[:4] + b"\x09\x00" + b[6:], P.VersionError),
+    "truncated-header": (lambda b: b[:7], P.TruncatedFileError),
+    "truncated-body": (lambda b: b[:-10], P.TruncatedFileError),
+    "trailing-bytes": (lambda b: b + b"\0", P.SampleFormatError),
+}
+
+
+@pytest.mark.parametrize("kind", ["sample", "dose map", "checkpoint"])
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_container_error_starts_with_the_path(valid_files, kind, damage):
+    d, kinds = valid_files
+    path, reader = kinds[kind]
+    edit, cls = DAMAGES[damage]
+    bad = d / f"{damage}_{path.name}"
+    bad.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(cls) as e:
+        reader(bad)
+    assert type(e.value) is cls
+    assert str(e.value).startswith(f"{bad}: ")
+
+
 class TestNormalize:
     def test_affine_endpoints(self):
         assert P.normalize_dose(np.array(0.0)) == -1.0
@@ -375,19 +402,20 @@ class TestNormalize:
 class TestSplit:
     def test_disjoint_exhaustive(self):
         ids = [f"s{i:03d}" for i in range(37)]
-        split = P.make_split(ids, seed=5)
+        split = P.make_split(ids, seed=5, ratios=DataParams.split_ratios)
         combined = split.train + split.val + split.test
         assert sorted(combined) == sorted(ids)
         assert len(set(combined)) == len(ids)
 
     def test_default_ratios_mirror_220_20_80(self):
-        split = P.make_split([f"s{i}" for i in range(320)], seed=0)
+        split = P.make_split([f"s{i}" for i in range(320)], seed=0,
+                             ratios=DataParams.split_ratios)
         assert (len(split.train), len(split.val), len(split.test)) == (220, 20, 80)
 
     def test_deterministic(self):
         ids = [f"s{i}" for i in range(20)]
-        a = P.make_split(ids, seed=9)
-        b = P.make_split(ids, seed=9)
+        a = P.make_split(ids, seed=9, ratios=DataParams.split_ratios)
+        b = P.make_split(ids, seed=9, ratios=DataParams.split_ratios)
         assert a == b
 
 

@@ -15,7 +15,7 @@ def t(x):
 
 class TestForwardExamples:
     def test_add(self):
-        assert np.array_equal(forward_op("add", [t([1, 2]), t([3, 4])]).data, [4, 6])
+        assert np.array_equal(forward_op("add", [t([1, 2]), t([3, 4])], {}).data, [4, 6])
 
     def test_softmax_uniform(self):
         out = forward_op("softmax", [t([0.0, 0, 0, 0])], {"axis": 0})
@@ -24,7 +24,7 @@ class TestForwardExamples:
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 3))
-        out = forward_op("matmul", [t(np.eye(3)), t(a)])
+        out = forward_op("matmul", [t(np.eye(3)), t(a)], {})
         assert np.allclose(out.data, a)
 
     def test_relu_gelu_values(self):
@@ -41,7 +41,7 @@ class TestForwardExamples:
         assert np.array_equal(r.data, [[3, 4], [1, 2]])
 
     def test_mse(self):
-        assert forward_op("mse-loss", [t([1.0, 2]), t([1.0, 4])]).item() == 2.0
+        assert forward_op("mse-loss", [t([1.0, 2]), t([1.0, 4])], {}).item() == 2.0
 
     def test_upsample_nearest(self):
         x = t(np.arange(4.0).reshape(1, 2, 2, 1))
@@ -55,14 +55,14 @@ class TestForwardExamples:
         # 1x1 kernel of value 2 is elementwise doubling
         x = t(np.arange(9.0).reshape(1, 3, 3, 1))
         w = t(np.full((1, 1, 1, 1), 2.0))
-        out = T.conv2d(x, w, stride=1, padding=0)
+        out = T.conv2d(x, w, None, stride=1, padding=0)
         assert np.array_equal(out.data, 2.0 * x.data)
 
     def test_conv2d_matches_direct_sum(self):
         # per-output-pixel sum over the zero-padded window, strided and padded
         rng = np.random.default_rng(3)
         x, w = rng.standard_normal((2, 5, 6, 3)), rng.standard_normal((4, 3, 3, 2))
-        out = T.conv2d(t(x), t(w), stride=2, padding=1).data
+        out = T.conv2d(t(x), t(w), None, stride=2, padding=1).data
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         ref = np.zeros((2, 3, 4, 4))
         for i in range(3):
@@ -106,7 +106,7 @@ class TestFoldedBiasParity:
                   rng.standard_normal(w_shape[0])]
         fused = _value_and_grads(lambda x, w, b: T.conv2d(x, w, b, stride, padding), arrays)
         split = _value_and_grads(
-            lambda x, w, b: T.add(T.conv2d(x, w, stride=stride, padding=padding), b), arrays)
+            lambda x, w, b: T.add(T.conv2d(x, w, None, stride=stride, padding=padding), b), arrays)
         for got, want in zip(fused, split):
             assert np.array_equal(got, want)
 
@@ -190,7 +190,8 @@ class TestConv2dParity:
         arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
         if biased:
             arrays.append(rng.standard_normal(w_shape[0]))
-        got = _value_and_grads(lambda *a: T.conv2d(*a, stride=1, padding=padding), arrays)
+        got = _value_and_grads(lambda x, w, b=None: T.conv2d(x, w, b, stride=1, padding=padding),
+                               arrays)
         want = _value_and_grads(lambda *a: reference_conv2d(*a, stride=1, padding=padding),
                                 arrays)
         _assert_close(got[0], want[0], 1e-13)
@@ -268,19 +269,20 @@ class TestConvBlockParity:
                   rng.standard_normal(c)]
         if time_bias:
             arrays.append(rng.standard_normal((x_shape[0], 1, 1, c)))
-        fused = _value_and_grads(T.conv_block, arrays)
+        no_t = [] if time_bias else [None]   # conv_block's t_bias when there is none
+        fused = _value_and_grads(lambda *a: T.conv_block(*a, *no_t), arrays)
         split = _value_and_grads(composed_conv_block, arrays)
         for got, want in zip(fused, split):
             assert np.array_equal(got, want)
         with no_grad():
-            out = T.conv_block(*[t(a) for a in arrays])
+            out = T.conv_block(*[t(a) for a in arrays], *no_t)
         assert np.array_equal(out.data, split[0])
 
     def test_single_graph_node(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((1, 4, 4, 2)), requires_grad=True)
         out = T.conv_block(x, t(np.ones(2)), t(np.zeros(2)), t(rng.standard_normal((2, 2, 3, 3))),
-                           t(np.zeros(2)))
+                           t(np.zeros(2)), None)
         assert out.node.kind == "conv-block"
         assert out.node.parents[0] is x
 
@@ -295,8 +297,7 @@ class TestConvBlockParity:
         c = x_shape[-1]
         args = [t(np.ones(x_shape)), t(np.ones(c)), t(np.zeros(c)), t(np.ones(w_shape)),
                 t(np.zeros(c))]
-        if t_shape is not None:
-            args.append(t(np.ones(t_shape)))
+        args.append(None if t_shape is None else t(np.ones(t_shape)))
         with pytest.raises(ShapeError, match="conv-block"):
             T.conv_block(*args)
 
@@ -310,9 +311,9 @@ SHAPE_TABLE = [
     ("scalar-mul", [(7,)], {"value": 3.0}, (7,)),
     ("matmul", [(3, 4), (4, 5)], {}, (3, 5)),
     ("matmul", [(2, 6, 3, 4), (2, 6, 4, 5)], {}, (2, 6, 3, 5)),
-    ("conv2d", [(2, 8, 8, 3), (5, 3, 3, 3)], {"stride": 1, "padding": 1}, (2, 8, 8, 5)),
-    ("conv2d", [(1, 8, 8, 2), (4, 2, 3, 3)], {"stride": 2, "padding": 1}, (1, 4, 4, 4)),
-    ("conv2d", [(1, 1, 1, 2), (4, 2, 3, 3)], {"stride": 2, "padding": 1}, (1, 1, 1, 4)),
+    ("conv2d", [(2, 8, 8, 3), (5, 3, 3, 3)], {"b": None, "stride": 1, "padding": 1}, (2, 8, 8, 5)),
+    ("conv2d", [(1, 8, 8, 2), (4, 2, 3, 3)], {"b": None, "stride": 2, "padding": 1}, (1, 4, 4, 4)),
+    ("conv2d", [(1, 1, 1, 2), (4, 2, 3, 3)], {"b": None, "stride": 2, "padding": 1}, (1, 1, 1, 4)),
     ("upsample-nearest2", [(1, 4, 4, 3)], {}, (1, 8, 8, 3)),
     ("reshape", [(3, 4)], {"shape": (2, 6)}, (2, 6)),
     ("permute", [(2, 3, 4)], {"axes": (2, 0, 1)}, (4, 2, 3)),
@@ -342,7 +343,7 @@ def test_output_shape_is_pure_function_of_input_shapes(kind, shapes, attrs, expe
 class TestErrors:
     def test_unknown_op(self):
         with pytest.raises(UnknownOpError, match="no-such-op"):
-            forward_op("no-such-op", [t([1.0])])
+            forward_op("no-such-op", [t([1.0])], {})
 
     def test_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="matmul"):
@@ -350,9 +351,9 @@ class TestErrors:
         with pytest.raises(ShapeError, match="add"):
             T.add(t(np.ones((2, 3))), t(np.ones((4, 5))))
         with pytest.raises(ShapeError, match="conv2d"):
-            T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 5, 3, 3))))
+            T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 5, 3, 3))), None, 1, 0)
         with pytest.raises(ShapeError, match="conv2d"):
-            T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 3, 3, 3))), t(np.ones(3)))
+            T.conv2d(t(np.ones((1, 4, 4, 3))), t(np.ones((2, 3, 3, 3))), t(np.ones(3)), 1, 0)
         with pytest.raises(ShapeError, match="linear"):
             T.linear(t(np.ones((2, 4))), t(np.ones((3, 5))), t(np.ones(5)))
         with pytest.raises(ShapeError, match="linear"):
