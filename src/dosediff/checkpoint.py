@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ class Checkpoint:
     m: Optional[Dict[str, np.ndarray]]    # None when loaded without moments
     v: Optional[Dict[str, np.ndarray]]
     opt_steps: Dict[str, int]
+    model: DoseModel = field(init=False)   # the config's model over these parameters
 
 
 def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
@@ -56,8 +57,10 @@ def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
 
 
 def load_checkpoint(path, moments: bool = True) -> Checkpoint:
-    """Read a checkpoint; any malformed header or payload raises
-    SampleFormatError.
+    """Read a checkpoint and build its config's model over its parameters
+    (``restore_model``); any malformed header or payload, and any parameter
+    that does not fit the model, raises SampleFormatError that names the
+    file.
 
     Every tensor is read straight from the file into its own array. With
     ``moments=False`` the Adam moments are stepped over, not read (their
@@ -65,33 +68,40 @@ def load_checkpoint(path, moments: bool = True) -> Checkpoint:
     sample, not to resume training.
     """
     with CKPT_FILE.read(path) as cur:
-        header = json.loads(cur.text("header"))
-        cfg = config_from_dict(header["config"])
-        np.random.PCG64().state = header["rng_state"]   # raises unless a PCG64 state
-        params: Dict[str, np.ndarray] = {}
-        m: Dict[str, np.ndarray] = {}
-        v: Dict[str, np.ndarray] = {}
-        for entry in header["params"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            part = f"tensor data for {name!r}"
-            params[name] = cur.array(shape, "<f8", part)
-            for moment in (m, v):
-                if moments:
-                    moment[name] = cur.array(shape, "<f8", part)
-                else:
-                    cur.skip(params[name].nbytes, part)
-        if set(header["opt_steps"]) != set(params):
-            raise SampleFormatError("optimizer step counts do not match the parameter list")
-        ckpt = Checkpoint(
-            config=cfg,
-            step=int(header["step"]),
-            rng_state=header["rng_state"],
-            params=params,
-            m=m if moments else None,
-            v=v if moments else None,
-            opt_steps={k: int(x) for k, x in header["opt_steps"].items()},
-        )
+        ckpt = _read_body(cur, moments)
+        ckpt.model = restore_model(ckpt.config.model, ckpt)
     return ckpt
+
+
+def _read_body(cur, moments: bool) -> Checkpoint:
+    # returning drops the parsed header before load_checkpoint builds the
+    # model, so a load never holds both on top of the tensors
+    header = json.loads(cur.text("header"))
+    cfg = config_from_dict(header["config"])
+    np.random.PCG64().state = header["rng_state"]   # raises unless a PCG64 state
+    params: Dict[str, np.ndarray] = {}
+    m: Dict[str, np.ndarray] = {}
+    v: Dict[str, np.ndarray] = {}
+    for entry in header["params"]:
+        name, shape = entry["name"], tuple(entry["shape"])
+        part = f"tensor data for {name!r}"
+        params[name] = cur.array(shape, "<f8", part)
+        for moment in (m, v):
+            if moments:
+                moment[name] = cur.array(shape, "<f8", part)
+            else:
+                cur.skip(params[name].nbytes, part)
+    if set(header["opt_steps"]) != set(params):
+        raise SampleFormatError("optimizer step counts do not match the parameter list")
+    return Checkpoint(
+        config=cfg,
+        step=int(header["step"]),
+        rng_state=header["rng_state"],
+        params=params,
+        m=m if moments else None,
+        v=v if moments else None,
+        opt_steps={k: int(x) for k, x in header["opt_steps"].items()},
+    )
 
 
 def restore_model(cfg: ModelConfig, ckpt: Checkpoint) -> DoseModel:
@@ -100,7 +110,8 @@ def restore_model(cfg: ModelConfig, ckpt: Checkpoint) -> DoseModel:
     them, and the per-parameter step counts always.
 
     A checkpoint whose parameter names or shapes differ from the model's
-    raises SampleFormatError.
+    raises SampleFormatError; ``load_checkpoint`` runs this on the file's
+    own config inside the read, so there the error names the file.
     """
     def take(name: str, shape: tuple) -> np.ndarray:
         if name not in ckpt.params:

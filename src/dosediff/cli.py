@@ -26,7 +26,7 @@ from . import metrics as M
 from . import phantom as P
 from . import train as TR
 from .atomic import write_atomic
-from .checkpoint import load_checkpoint, restore_model
+from .checkpoint import load_checkpoint
 from .config import (ConfigError, FusionStrategy, ModelConfig, check_seed, dumps_config,
                      load_config, validate)
 from .render import write_pgm, write_ppm_diff
@@ -129,13 +129,12 @@ def cmd_sample(args) -> int:
     ckpt = load_checkpoint(args.checkpoint, moments=False)
     cfg = ckpt.config
     truths = TR.read_cases(args.data, cases, cfg.model, "--cases")
-    model = restore_model(cfg.model, ckpt)
     schedule = D.make_schedule(cfg.model.t_steps, cfg.model.beta_start, cfg.model.beta_end)
     base_seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)   # only once every input has been read
     for cid, truth in truths.items():
-        pred = TR.sample_case(model, schedule, truth, TR.case_seed_key(base_seed, cid))
+        pred = TR.sample_case(ckpt.model, schedule, truth, TR.case_seed_key(base_seed, cid))
         P.write_dose_map(TR.sample_path(out, cid), pred,
                          meta={"case": cid, "seed": str(base_seed)})
         write_pgm(out / f"{cid}.pgm", pred)

@@ -17,6 +17,21 @@ branch), optionally followed by a bottleneck projector. The
 "concatenate" strategy instead stacks the anatomy channels onto the
 noisy dose at the input and drops the structure encoder entirely.
 
+Each unit (stride-1 conv, conv block, Swin block, encoder stage,
+decoder stage, head) has one builder. It adds the unit's parameters to
+the ParamStore, in the order that fixes every initial draw, and returns
+the unit's forward as a closure over them. A conv or the head maps
+``x``, a block ``(h, t_feat)``. An encoder stage ``(h, t_feat, f)`` runs
+its blocks, the stride-2 conv plus its 1x1 shortcut, then fuses ``f``
+(add or cross-attention, then the projector); ``f`` is None where
+nothing is fused, and t_feat is None in the structure encoder. Both
+branches run their stem and stages through one loop, ``_encode``. Its
+maps are the denoiser's skip stack: a decoder stage ``(h, skips,
+t_feat)`` pops its skip as it merges it, so no skip outlives its use.
+The closures call ``T.*`` and the block functions through module
+globals at call time, so code that rebinds those names (a tracer, a
+test) sees every call.
+
 Feature maps inside both branches are channels-last [B, H, W, C]. The
 model's inputs and outputs keep the NCHW layout of the data: x_t and
 eps_hat are [B, 1, H, W] and the condition is [B, 2+O, H, W]. The
@@ -35,10 +50,8 @@ import numpy as np
 
 from . import blocks as B
 from . import tensor as T
-from .blocks import (CrossAttentionParams, ProjectorParams, SwinBlockParams,
-                     cross_attention_fuse, projector_forward, swin_block,
-                     time_embedding)
-from .config import FusionStrategy, ModelConfig  # noqa: F401  (FusionStrategy re-exported)
+from .blocks import cross_attention_fuse, projector_forward, swin_block, time_embedding
+from .config import ModelConfig
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor
 
@@ -52,30 +65,10 @@ class ConditionStack:
 
 
 # ---------------------------------------------------------------------------
-# per-unit parameter groups
+# unit builders: each adds its parameters and returns its forward
 
 
-@dataclass
-class ConvBlockParams:
-    ln_g: Tensor
-    ln_b: Tensor
-    w: Tensor
-    b: Tensor
-    t_w: Optional[Tensor] = None
-    t_b: Optional[Tensor] = None
-
-
-@dataclass
-class DownParams:
-    w_main: Tensor
-    b_main: Tensor
-    w_skip: Tensor
-
-
-@dataclass
-class ConvParams:
-    w: Tensor
-    b: Tensor
+BLOCKS_PER_STAGE = 3
 
 
 def _conv_weight(store, name, shape) -> Tensor:
@@ -85,66 +78,98 @@ def _conv_weight(store, name, shape) -> Tensor:
     return store.normal(name, shape, std=float(np.sqrt(2.0 / fan_in)))
 
 
-def _init_conv(store, prefix, c_out, c_in, k) -> ConvParams:
-    return ConvParams(
-        w=_conv_weight(store, f"{prefix}.w", (c_out, c_in, k, k)),
-        b=store.add(f"{prefix}.b", np.zeros(c_out)),
-    )
+def _conv(store, prefix, c_out, c_in, k):
+    """Stride 1, "same" padding for the odd kernel."""
+    w = _conv_weight(store, f"{prefix}.w", (c_out, c_in, k, k))
+    b = store.add(f"{prefix}.b", np.zeros(c_out))
+    return lambda x: T.conv2d(x, w, b, 1, k // 2)
 
 
-def _init_conv_block(store, prefix, channels, t_dim) -> ConvBlockParams:
-    p = ConvBlockParams(
-        ln_g=store.add(f"{prefix}.ln.g", np.ones(channels)),
-        ln_b=store.add(f"{prefix}.ln.b", np.zeros(channels)),
-        w=_conv_weight(store, f"{prefix}.conv.w", (channels, channels, 3, 3)),
-        b=store.add(f"{prefix}.conv.b", np.zeros(channels)),
-    )
-    if t_dim:
-        p.t_w = store.normal(f"{prefix}.t.w", (t_dim, channels))
-        p.t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
-    return p
+def _conv_block(store, prefix, channels, t_dim):
+    ln_g = store.add(f"{prefix}.ln.g", np.ones(channels))
+    ln_b = store.add(f"{prefix}.ln.b", np.zeros(channels))
+    w = _conv_weight(store, f"{prefix}.conv.w", (channels, channels, 3, 3))
+    b = store.add(f"{prefix}.conv.b", np.zeros(channels))
+    if not t_dim:
+        return lambda h, t_feat: T.conv_block(h, ln_g, ln_b, w, b, None)
+    t_w = store.normal(f"{prefix}.t.w", (t_dim, channels))
+    t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
+    return lambda h, t_feat: T.conv_block(h, ln_g, ln_b, w, b, T.linear(t_feat, t_w, t_b))
 
 
-def _init_down(store, prefix, c_in, c_out) -> DownParams:
-    return DownParams(
-        w_main=_conv_weight(store, f"{prefix}.main.w", (c_out, c_in, 3, 3)),
-        b_main=store.add(f"{prefix}.main.b", np.zeros(c_out)),
-        w_skip=_conv_weight(store, f"{prefix}.skip.w", (c_out, c_in, 1, 1)),
-    )
+def _swin_block(store, prefix, channels, window, shift, heads, t_dim):
+    p = B.init_swin_block(store, prefix, channels, window, shift, heads, t_dim)
+    return lambda h, t_feat: swin_block(h, p, t_feat)
 
 
-def _conv(x: Tensor, p: ConvParams) -> Tensor:
-    # stride 1, "same" padding for the odd kernel
-    return T.conv2d(x, p.w, p.b, 1, p.w.shape[-1] // 2)
+def _blocks(store, cfg: ModelConfig, prefix, count, channels, side, t_dim) -> list:
+    """``count`` residual blocks on a side x side map: conv blocks at the
+    input resolution, Swin blocks below it, every odd one shifted."""
+    if side == cfg.image_size:
+        return [_conv_block(store, f"{prefix}.b{j}", channels, t_dim) for j in range(count)]
+    return [_swin_block(store, f"{prefix}.b{j}", channels, cfg.window_for(side), j % 2 == 1,
+                        cfg.heads, t_dim) for j in range(count)]
 
 
-def _conv_block(x: Tensor, p: ConvBlockParams, t_feat: Optional[Tensor]) -> Tensor:
-    t_bias = None
-    if t_feat is not None and p.t_w is not None:
-        t_bias = T.linear(t_feat, p.t_w, p.t_b)
-    return T.conv_block(x, p.ln_g, p.ln_b, p.w, p.b, t_bias)
+def _encoder_stage(store, cfg: ModelConfig, prefix, i, t_dim, fusion: Optional[str]):
+    """Encoder stage ``i`` (1-based) named ``prefix.s<i>``; ``fusion`` is
+    "add", "attn" or None (the stage fuses nothing)."""
+    c_in, c_out = cfg.stage_channels()[i - 1:i + 1]
+    blocks = _blocks(store, cfg, f"{prefix}.s{i}", BLOCKS_PER_STAGE, c_in,
+                     cfg.image_size >> (i - 1), t_dim)
+    w_main = _conv_weight(store, f"{prefix}.s{i}.down.main.w", (c_out, c_in, 3, 3))
+    b_main = store.add(f"{prefix}.s{i}.down.main.b", np.zeros(c_out))
+    w_skip = _conv_weight(store, f"{prefix}.s{i}.down.skip.w", (c_out, c_in, 1, 1))
+    fuser = proj = None
+    if fusion == "attn":
+        fuser = B.init_cross_attention(store, f"dn.fuse.s{i}", c_out, c_out)
+    if fusion and cfg.use_projector:
+        proj = B.init_projector(store, f"dn.proj.s{i}", c_out, cfg.projector_ratio)
+
+    def stage(h, t_feat, f):
+        for block in blocks:
+            h = block(h, t_feat)
+        # stride-2 conv with a 1x1 stride-2 residual shortcut
+        h = T.conv2d(h, w_main, b_main, 2, 1) + T.conv2d(h, w_skip, None, 2, 0)
+        if f is None:
+            return h
+        h = h + f if fuser is None else cross_attention_fuse(f, h, fuser)
+        return h if proj is None else projector_forward(h, proj)
+    return stage
 
 
-def _downsample(x: Tensor, p: DownParams) -> Tensor:
-    # stride-2 conv with a 1x1 stride-2 residual shortcut
-    return T.conv2d(x, p.w_main, p.b_main, 2, 1) + T.conv2d(x, p.w_skip, None, 2, 0)
+def _decoder_stage(store, cfg: ModelConfig, i, t_dim):
+    """Decoder stage ``i``: upsample the deeper map, merge the skip popped
+    from ``skips``, run the blocks at the resolution of encoder stage ``i``."""
+    prefix = f"dn.dec.s{i}"
+    c_out, c_in = cfg.stage_channels()[i - 1:i + 1]
+    up = _conv(store, f"{prefix}.up", c_out, c_in, 3)
+    merge = _conv(store, f"{prefix}.merge", c_out, 2 * c_out, 1)
+    blocks = _blocks(store, cfg, prefix, BLOCKS_PER_STAGE, c_out, cfg.image_size >> (i - 1), t_dim)
+
+    def stage(h, skips, t_feat):
+        h = merge(T.concat([up(T.upsample2(h)), skips.pop()], axis=-1))
+        for block in blocks:
+            h = block(h, t_feat)
+        return h
+    return stage
 
 
-@dataclass
-class StageParams:
-    blocks: list          # ConvBlockParams or SwinBlockParams
-    down: DownParams
+def _head(store, channels):
+    # near-zero init keeps eps_hat small at the start while still letting
+    # gradients reach every upstream group in one step
+    w = store.normal("dn.head.w", (1, channels, 3, 3), std=1e-3)
+    b = store.add("dn.head.b", np.zeros(1))
+    return lambda h: T.conv2d(h, w, b, 1, 1)
 
 
-@dataclass
-class DecoderStageParams:
-    up: ConvParams
-    merge: ConvParams
-    blocks: list
-
-
-BLOCKS_PER_STAGE = 3
-_SHIFT_PATTERN = (False, True, False)
+def _encode(stem, stages, x: Tensor, t_feat, features) -> List[Tensor]:
+    """The stem's output and every stage's: [h_0, h_1, ..., h_S]. Stage i
+    fuses ``features[i]``; ``features`` is None when no stage fuses."""
+    maps = [stem(x)]
+    for i, stage in enumerate(stages):
+        maps.append(stage(maps[-1], t_feat, None if features is None else features[i]))
+    return maps
 
 
 class DoseModel:
@@ -162,35 +187,15 @@ class DoseModel:
         model._build(cfg, ParamStore.from_source(source))
         return model
 
-    # -- construction ------------------------------------------------------
-
-    def _make_blocks(self, store, prefix, stage, channels, t_dim) -> list:
-        """The blocks of stage ``stage`` (1-based): conv blocks at stage 1,
-        Swin blocks deeper."""
-        side = self.cfg.image_size >> (stage - 1)
-        blocks = []
-        for j in range(BLOCKS_PER_STAGE):
-            name = f"{prefix}.b{j}"
-            if stage == 1:
-                blocks.append(_init_conv_block(store, name, channels, t_dim))
-            else:
-                blocks.append(B.init_swin_block(
-                    store, name, channels, self.cfg.window_for(side),
-                    _SHIFT_PATTERN[j % len(_SHIFT_PATTERN)], self.cfg.heads, t_dim=t_dim))
-        return blocks
-
-    def _make_stage(self, store, prefix, stage, c_in, c_out, t_dim):
-        blocks = self._make_blocks(store, prefix, stage, c_in, t_dim)
-        return StageParams(blocks=blocks, down=_init_down(store, f"{prefix}.down", c_in, c_out))
-
     def _build(self, cfg: ModelConfig, store: ParamStore) -> None:
         cfg.validate()
         self.cfg = cfg
         self.store = store
-        self.stage_kinds = cfg.fusion.stage_kinds(cfg.num_stages)
+        kinds = cfg.fusion.stage_kinds(cfg.num_stages)
+        self.concat_mode = kinds is None
+        stages = range(1, cfg.num_stages + 1)
         widths = cfg.stage_channels()          # [C, C*m1, ..., C*mS]
         t_dim = cfg.time_dim_effective
-        concat_mode = self.stage_kinds is None
 
         # shared time-embedding trunk (two-layer MLP on the sinusoidal code)
         self.time_w1 = store.normal("time.w1", (t_dim, t_dim))
@@ -199,54 +204,20 @@ class DoseModel:
         self.time_b2 = store.add("time.b2", np.zeros(t_dim))
 
         # structure encoder (absent in concatenate mode)
-        self.senc_stem = None
-        self.senc_stages = []
-        if not concat_mode:
-            self.senc_stem = _init_conv(store, "senc.stem", widths[0], cfg.cond_channels, 3)
-            for i in range(1, cfg.num_stages + 1):
-                self.senc_stages.append(self._make_stage(
-                    store, f"senc.s{i}", i, widths[i - 1], widths[i], t_dim=0))
+        if not self.concat_mode:
+            self.senc_stem = _conv(store, "senc.stem", widths[0], cfg.cond_channels, 3)
+            self.senc_stages = [_encoder_stage(store, cfg, "senc", i, t_dim=0, fusion=None)
+                                for i in stages]
 
-        # denoiser encoder
-        in_ch = 1 + (cfg.cond_channels if concat_mode else 0)
-        self.dn_stem = _init_conv(store, "dn.stem", widths[0], in_ch, 3)
-        self.dn_stages = []
-        self.fusers: List[Optional[CrossAttentionParams]] = []
-        self.projectors: List[Optional[ProjectorParams]] = []
-        for i in range(1, cfg.num_stages + 1):
-            self.dn_stages.append(self._make_stage(
-                store, f"dn.enc.s{i}", i, widths[i - 1], widths[i], t_dim=t_dim))
-            if not concat_mode and self.stage_kinds[i - 1] == "attn":
-                self.fusers.append(B.init_cross_attention(
-                    store, f"dn.fuse.s{i}", widths[i], widths[i]))
-            else:
-                self.fusers.append(None)
-            if not concat_mode and cfg.use_projector:
-                self.projectors.append(B.init_projector(
-                    store, f"dn.proj.s{i}", widths[i], cfg.projector_ratio))
-            else:
-                self.projectors.append(None)
-
-        # middle attention blocks at the bottleneck
-        mid_side = cfg.image_size >> cfg.num_stages
-        self.mid = [B.init_swin_block(store, f"dn.mid.b{j}", widths[-1], cfg.window_for(mid_side),
-                                      j == 1, cfg.heads, t_dim=t_dim) for j in range(2)]
-
-        # decoder, deepest stage first
-        self.dec_stages = []
-        for i in range(cfg.num_stages, 0, -1):
-            prefix = f"dn.dec.s{i}"
-            up = _init_conv(store, f"{prefix}.up", widths[i - 1], widths[i], 3)
-            merge = _init_conv(store, f"{prefix}.merge", widths[i - 1], 2 * widths[i - 1], 1)
-            blocks = self._make_blocks(store, prefix, i, widths[i - 1], t_dim)
-            self.dec_stages.append(DecoderStageParams(up=up, merge=merge, blocks=blocks))
-
-        # output head: near-zero init keeps eps_hat small at the start while
-        # still letting gradients reach every upstream group in one step
-        self.head = ConvParams(
-            w=store.normal("dn.head.w", (1, widths[0], 3, 3), std=1e-3),
-            b=store.add("dn.head.b", np.zeros(1)),
-        )
+        in_ch = 1 + (cfg.cond_channels if self.concat_mode else 0)
+        self.dn_stem = _conv(store, "dn.stem", widths[0], in_ch, 3)
+        self.dn_stages = [_encoder_stage(store, cfg, "dn.enc", i, t_dim,
+                                         None if self.concat_mode else kinds[i - 1])
+                          for i in stages]
+        self.mid = _blocks(store, cfg, "dn.mid", 2, widths[-1],
+                           cfg.image_size >> cfg.num_stages, t_dim)
+        self.dec_stages = [_decoder_stage(store, cfg, i, t_dim) for i in reversed(stages)]
+        self.head = _head(store, widths[0])
 
     # -- forward -----------------------------------------------------------
 
@@ -256,14 +227,6 @@ class DoseModel:
         h = T.gelu(T.linear(Tensor(emb[:, None, None, :]), self.time_w1, self.time_b1))
         return T.linear(h, self.time_w2, self.time_b2)
 
-    def _run_blocks(self, h: Tensor, blocks, t_feat: Optional[Tensor]) -> Tensor:
-        for blk in blocks:
-            if isinstance(blk, SwinBlockParams):
-                h = swin_block(h, blk, t_feat)
-            else:
-                h = _conv_block(h, blk, t_feat)
-        return h
-
     def encode_structure(self, y: np.ndarray) -> ConditionStack:
         """Extract the per-stage anatomical feature maps f_1..f_S from y."""
         cfg = self.cfg
@@ -271,15 +234,11 @@ class DoseModel:
         if y.ndim != 4 or y.shape[1] != cfg.cond_channels:
             raise ShapeError(f"condition must be [B, {cfg.cond_channels}, H, W] "
                              f"(CT, PTV, {cfg.oar_count} OARs), got {y.shape}")
-        if self.stage_kinds is None:
+        if self.concat_mode:
             return ConditionStack(y=y, features=None)
-        h = _conv(Tensor(y.transpose(0, 2, 3, 1)), self.senc_stem)
-        features = []
-        for stage in self.senc_stages:
-            h = self._run_blocks(h, stage.blocks, None)
-            h = _downsample(h, stage.down)
-            features.append(h)
-        return ConditionStack(y=y, features=features)
+        maps = _encode(self.senc_stem, self.senc_stages, Tensor(y.transpose(0, 2, 3, 1)),
+                       None, None)
+        return ConditionStack(y=y, features=maps[1:])
 
     def predict_noise(self, x_t, t, cond) -> Tensor:
         """Denoiser forward pass: eps_hat of the same shape as x_t."""
@@ -292,34 +251,15 @@ class DoseModel:
         x = x.reshape((b, hh, ww, 1))
         t_feat = self._time_features(t)
 
-        if self.stage_kinds is None:
+        if self.concat_mode:
             x = T.concat([x, Tensor(cond.y.transpose(0, 2, 3, 1))], axis=-1)
-        h = _conv(x, self.dn_stem)
-        skips = [h]
-        for i, stage in enumerate(self.dn_stages):
-            h = self._run_blocks(h, stage.blocks, t_feat)
-            h = _downsample(h, stage.down)
-            if self.stage_kinds is not None:
-                f_i = cond.features[i]
-                if self.stage_kinds[i] == "attn":
-                    h = cross_attention_fuse(f_i, h, self.fusers[i])
-                else:
-                    h = h + f_i
-                if self.projectors[i] is not None:
-                    h = projector_forward(h, self.projectors[i])
-            if i < len(self.dn_stages) - 1:
-                skips.append(h)
-
-        for blk in self.mid:
-            h = swin_block(h, blk, t_feat)
-
-        for dec in self.dec_stages:
-            h = _conv(T.upsample2(h), dec.up)
-            h = T.concat([h, skips.pop()], axis=-1)
-            h = _conv(h, dec.merge)
-            h = self._run_blocks(h, dec.blocks, t_feat)
-
-        return _conv(h, self.head).reshape((b, 1, hh, ww))
+        skips = _encode(self.dn_stem, self.dn_stages, x, t_feat, cond.features)
+        h = skips.pop()
+        for block in self.mid:
+            h = block(h, t_feat)
+        for stage in self.dec_stages:
+            h = stage(h, skips, t_feat)
+        return self.head(h).reshape((b, 1, hh, ww))
 
     def __call__(self, x_t, t, cond) -> Tensor:
         return self.predict_noise(x_t, t, cond)

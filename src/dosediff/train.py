@@ -23,7 +23,7 @@ from . import diffusion as D
 from . import metrics as M
 from . import phantom as P
 from .atomic import write_atomic
-from .checkpoint import Checkpoint, restore_model, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .config import FusionStrategy, ModelConfig, RunConfig
 from .networks import DoseModel
 from .optim import adam_step
@@ -200,7 +200,7 @@ class Trainer:
         if resume is None:
             self.model = DoseModel(cfg.model, cfg.seed)
         else:
-            self.model = restore_model(cfg.model, resume)
+            self.model = resume.model
             self.rng.bit_generator.state = resume.rng_state
             self.start_step = resume.step
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,8 +19,9 @@ from dosediff.blocks import (cross_attention_fuse, cyclic_shift, init_attention,
                              window_merge, window_partition)
 from dosediff.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dosediff.cli import main as cli_main
+from dosediff.config import FusionStrategy, ModelConfig
 from dosediff.gradcheck import finite_diff_check, finite_diff_scalar_fn
-from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
+from dosediff.networks import DoseModel
 from dosediff.optim import ParamStore
 from dosediff.tensor import OP_NAMES, Tensor, backward, mse_loss, no_grad, window_attention
 from dosediff.train import fit_step, lr_at, sample_case

@@ -418,7 +418,9 @@ class TestExitCodes:
         assert run(["train", "--resume", bad, "--data", data,
                     "--out", tmp / "t"]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(e.startswith("data error:") for e in err)
+        # the parameter check runs inside the read too, so every line names the file
+        assert len(err) == 2 and all(e.startswith(f"data error: {bad}:") for e in err)
+        assert not (tmp / "s").exists() and not (tmp / "t").exists()
 
     def test_empty_mask_in_eval_is_3(self, tmp_path, capsys):
         s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)

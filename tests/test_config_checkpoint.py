@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from dosediff import phantom as P
 from dosediff.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dosediff.cli import main
-from dosediff.config import (ConfigError, config_from_dict, config_to_dict,
-                             load_config, save_config)
-from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
+from dosediff.config import (ConfigError, FusionStrategy, ModelConfig, config_from_dict,
+                             config_to_dict, load_config, save_config)
+from dosediff.networks import DoseModel
 from dosediff.optim import adam_step
 from dosediff.phantom import BadMagicError, SampleFormatError, TruncatedFileError
 
@@ -123,7 +123,6 @@ class TestConfig:
         # one schema, importable from both modules, whose checks are config errors
         from dosediff import config, networks
         assert networks.ModelConfig is config.ModelConfig
-        assert networks.FusionStrategy is config.FusionStrategy
         for bad in ("mystery", "attn-last", "attn-lastx", "attn-last-1"):
             with pytest.raises(ConfigError):
                 FusionStrategy.parse(bad)
@@ -279,8 +278,9 @@ def test_every_truncation_of_a_weights_only_load_is_truncated_file_error(valid_f
         load_checkpoint(cut, moments=False)
 
 
-# A fresh checkpoint of this run, per fusion strategy, pins the values and
-# the order of every initial draw: any change to either changes its bytes.
+# A fresh checkpoint of this run, per fusion strategy (a "-no-projector"
+# suffix turns the projector off), pins the values and the order of every
+# initial draw: any change to either changes its bytes.
 SMOKE_RUN = {
     "model": {"image_size": 16, "oar_count": 3, "base_channels": 4,
               "stage_multipliers": [1, 2, 4, 8], "window": 2, "heads": 2,
@@ -291,7 +291,11 @@ SMOKE_RUN = {
     "seed": 11, "out_dir": "runs/smoke",
 }
 FRESH_SMOKE_SHA256 = {
+    "add-all": "2655cc90f01d83e6c95e49a7bc10ad57b0bde4a5c89806c713b5af409dae7167",
+    "attn-all": "30fd32523801dbe25d05e2a8fdd69f4264520237293842045376f1203ef705cf",
     "attn-last2": "853fede9f32dad9e039b74d73937f25737f0b7055ee7d0e1c53e64d3273dec8f",
+    "attn-last2-no-projector":
+        "997ee163edaeb1e7c2c8e5b64ff68f8130964e76adeeabc56743348395c93760",
     "concatenate": "1bd327c2423cc5bf12b1f5ac41b0f56122de93532032bc897d1707d82cac7e23",
 }
 
@@ -299,7 +303,8 @@ FRESH_SMOKE_SHA256 = {
 @pytest.mark.parametrize("fusion", sorted(FRESH_SMOKE_SHA256))
 def test_fresh_checkpoint_bytes_are_pinned(tmp_path, fusion):
     d = json.loads(json.dumps(SMOKE_RUN))
-    d["model"]["fusion"] = fusion
+    d["model"]["fusion"] = fusion.removesuffix("-no-projector")
+    d["model"]["use_projector"] = not fusion.endswith("-no-projector")
     cfg = config_from_dict(d)
     p = tmp_path / "fresh.bin"
     save_checkpoint(p, cfg, DoseModel(cfg.model, cfg.seed).store, 0,

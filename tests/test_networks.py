@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dosediff import diffusion as D
-from dosediff import networks as N
 from dosediff import tensor as T
+from dosediff.config import FusionStrategy, ModelConfig
 from dosediff.gradcheck import finite_diff_scalar_fn
-from dosediff.networks import (ConditionStack, DoseModel, FusionStrategy,
-                               ModelConfig)
+from dosediff.networks import ConditionStack, DoseModel
 from dosediff.tensor import ShapeError, Tensor, _topo_order, backward, no_grad
+
+from test_tensor_ops import composed_conv_block
 
 
 def tiny_cfg(**kw):
@@ -247,31 +248,26 @@ def test_training_loss_reshape_permute_budget():
     assert kinds.count("add") <= 94
 
 
-def _composed_conv_block(x, p, t_feat):
-    """The chain of catalog ops that one ``conv-block`` node replaces."""
-    y = T.conv2d(T.relu(T.layer_norm(x, p.ln_g, p.ln_b)), p.w, p.b, 1, 1)
-    if t_feat is not None and p.t_w is not None:
-        y = y + T.linear(t_feat, p.t_w, p.t_b)
-    return x + y
-
-
 def test_fused_conv_blocks_keep_every_gradient_bitwise(monkeypatch):
     """The ``conv-block`` nodes change no bit of a training loss or of any
-    parameter gradient. The stem output feeds both the first denoiser
-    block and a decoder skip, so this also pins the order in which its
-    gradient terms are summed."""
-    runs = []
-    for block in (N._conv_block, _composed_conv_block):
-        monkeypatch.setattr(N, "_conv_block", block)
-        cfg = tiny_cfg()
-        m = DoseModel(cfg, 0)
-        rng = np.random.default_rng(4)
-        sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
-        loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
-                                   rng.random((2, 5, 16, 16))), sched, rng)
-        runs.append((loss.data, backward(loss, m.store)))
-    (fused_loss, fused), (loss, grads) = runs
-    assert np.array_equal(fused_loss, loss)
-    assert fused.keys() == grads.keys()
-    for name in grads:
-        assert np.array_equal(fused[name], grads[name]), name
+    parameter gradient, in every wiring of the stage closures. The stem
+    output feeds both the first denoiser block and a decoder skip, so this
+    also pins the order in which its gradient terms are summed."""
+    fused_block = T.conv_block
+    for fusion, use_projector in (("concatenate", True), ("add-all", True), ("attn-all", True),
+                                  ("attn-last2", True), ("attn-last2", False)):
+        runs = []
+        for block in (fused_block, composed_conv_block):
+            monkeypatch.setattr(T, "conv_block", block)
+            cfg = tiny_cfg(fusion=FusionStrategy.parse(fusion), use_projector=use_projector)
+            m = DoseModel(cfg, 0)
+            rng = np.random.default_rng(4)
+            sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
+            loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
+                                       rng.random((2, 5, 16, 16))), sched, rng)
+            runs.append((loss.data, backward(loss, m.store)))
+        (fused_loss, fused), (loss, grads) = runs
+        assert np.array_equal(fused_loss, loss), fusion
+        assert fused.keys() == grads.keys()
+        for name in grads:
+            assert np.array_equal(fused[name], grads[name]), (fusion, use_projector, name)

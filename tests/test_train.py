@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dosediff.checkpoint import load_checkpoint
-from dosediff.config import config_from_dict
-from dosediff.networks import FusionStrategy
+from dosediff.config import FusionStrategy, config_from_dict
 from dosediff.train import (DataError, NumericFailure, Trainer, case_seed_key, fit_step,
                             fusion_ablation_matrix, generate_dataset, load_split, lr_at,
                             read_cases, sample_case)
@@ -86,7 +85,8 @@ class TestTrainer:
         """Smoke-run oracle: short training on 4 tiny phantoms cuts the loss."""
         from dosediff import diffusion as D
         from dosediff import phantom as P
-        from dosediff.networks import DoseModel, FusionStrategy, ModelConfig
+        from dosediff.config import FusionStrategy, ModelConfig
+        from dosediff.networks import DoseModel
 
         cfg = ModelConfig(image_size=16, oar_count=3, base_channels=4,
                           stage_multipliers=(1, 2, 4, 8), window=2, heads=2,
