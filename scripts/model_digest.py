@@ -1,25 +1,34 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per model wiring, over everything a model computes.
+"""Print one SHA-256 per model wiring, over everything a model computes,
+and one over a checkpoint round trip.
 
-Each line digests, in order: the fresh parameters (names and bytes), a
-seeded training loss, every parameter gradient of that loss (names and
-bytes) and a no-grad ``eps_hat``. The wirings are every fusion strategy
-at 16 px, attn-last2 without the projector, and ``configs/desk.json``.
-Two trees that print the same lines build and run bit-identical models,
-so a refactor that claims bitwise outputs can be checked by running this
-script before and after it and comparing the output.
+Each wiring line digests, in order: the fresh parameters (names and
+bytes), a seeded training loss, every parameter gradient of that loss
+(names and bytes) and a no-grad ``eps_hat``. The wirings are every
+fusion strategy at 16 px, attn-last2 without the projector, and
+``configs/desk.json``. The checkpoint line saves the desk model after
+two seeded Adam steps, loads it with and then without the Adam moments,
+and digests each loaded store: per parameter its name, data, moments
+(when loaded) and step count.
+Two trees that print the same lines build, run, save and load
+bit-identical models, so a refactor that claims bitwise outputs can be
+checked by running this script before and after it and comparing the
+output.
 
     PYTHONPATH=src python scripts/model_digest.py
 """
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from dosediff import diffusion as D
+from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.config import FusionStrategy, ModelConfig, load_config
 from dosediff.networks import DoseModel
+from dosediff.optim import adam_step
 from dosediff.tensor import backward, no_grad
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
@@ -42,13 +51,16 @@ def wirings():
     yield "desk.json", load_config(DESK).model
 
 
-def digest(cfg: ModelConfig) -> str:
-    h = hashlib.sha256()
-
+def putter(h):
     def put(name: str, a: np.ndarray) -> None:
         h.update(name.encode())
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return put
 
+
+def digest(cfg: ModelConfig) -> str:
+    h = hashlib.sha256()
+    put = putter(h)
     model = DoseModel(cfg, 3)
     for name, p in model.store.items():
         put(name, p.data)
@@ -67,9 +79,33 @@ def digest(cfg: ModelConfig) -> str:
     return h.hexdigest()
 
 
+def checkpoint_digest() -> str:
+    cfg = load_config(DESK)
+    model = DoseModel(cfg.model, cfg.seed)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        grads = {n: rng.standard_normal(p.shape) for n, p in model.store.items()}
+        adam_step(model.store, grads, cfg.train.lr, (cfg.train.beta1, cfg.train.beta2))
+    h = hashlib.sha256()
+    put = putter(h)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "desk.bin"
+        save_checkpoint(path, cfg, model.store, 2, rng)
+        for moments in (True, False):
+            store = load_checkpoint(path, moments).model.store
+            for name, p in store.items():
+                put(name, p.data)
+                for tag, moment in (("m", store.m), ("v", store.v)):
+                    if name in moment:
+                        put(f"{tag}:{name}", moment[name])
+                h.update(f"steps:{store.steps[name]}".encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     for label, cfg in wirings():
         print(f"{digest(cfg)} {label}")
+    print(f"{checkpoint_digest()} desk.json checkpoint")
 
 
 if __name__ == "__main__":

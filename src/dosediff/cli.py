@@ -4,8 +4,10 @@ evaluation, ablation sweeps, and schedule dumps.
 Exit codes: 0 success, 2 config or argument error (config.validate's
 rules), 3 data error (a missing or malformed input, a case id that is
 not a plain file name, or a path of the wrong kind: an --out naming a
-file, a checkpoint naming a directory), 4 numeric failure; any other
-fault, such as a full disk, is a traceback.
+file, a checkpoint naming a directory), 4 numeric failure (a non-finite
+loss or parameter, or an ``ablate`` prediction that cannot be scored,
+which ``eval`` calls a data error); any other fault, such as a full
+disk, is a traceback.
 Every command is deterministic given (config, seed): reruns produce
 byte-identical result files (wall-clock timings are segregated into
 their own file).

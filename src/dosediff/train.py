@@ -35,7 +35,13 @@ class DataError(Exception):
 
 
 class NumericFailure(Exception):
-    """Non-finite loss or parameters during training (CLI exit code 4)."""
+    """Non-finite loss or parameters during training, or a prediction of
+    the program's own that cannot be scored (CLI exit code 4)."""
+
+
+class PredictionError(DataError):
+    """A prediction that cannot be scored: a data error in ``eval``, whose
+    predictions are inputs, a NumericFailure in ``ablate``, which made it."""
 
 
 def lr_at(step: int, total_steps: int, lr0: float, decay_start_frac: float) -> float:
@@ -187,7 +193,7 @@ class Trainer:
         ``read_cases``), writing into out_dir, fresh or from ``resume``."""
         if not samples:
             raise DataError("empty training split")
-        if resume is not None and resume.m is None:
+        if resume is not None and not resume.model.store.m:
             raise ValueError("the checkpoint was loaded without its Adam moments "
                              "(load_checkpoint(moments=False)); training cannot resume")
         self.cfg = cfg
@@ -273,16 +279,19 @@ def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
                   case: str) -> M.MetricsReport:
     """Score one prediction against its truth case; ``eval`` and
     ``ablate`` both score through it. Every input it cannot score, an
-    empty structure mask included, is a DataError that names the case."""
+    empty structure mask included, is a DataError that names the case; a
+    fault of the prediction (its shape, a non-finite voxel, no positive
+    PTV mean) is the subclass PredictionError."""
     if pred_dose.shape != truth.dose.shape:
-        raise DataError(f"case {case}: prediction is {pred_dose.shape} but its truth "
-                        f"case is {truth.dose.shape}")
+        raise PredictionError(f"case {case}: prediction is {pred_dose.shape} but its "
+                              f"truth case is {truth.dose.shape}")
     bad = np.count_nonzero(~np.isfinite(pred_dose))
     if bad:
-        raise DataError(f"case {case}: prediction has {bad} non-finite voxels")
-    for what, dose in (("prediction", pred_dose), ("truth", truth.dose)):  # HI divides by it
+        raise PredictionError(f"case {case}: prediction has {bad} non-finite voxels")
+    for what, dose, error in (("prediction", pred_dose, PredictionError),
+                              ("truth", truth.dose, DataError)):   # HI divides by it
         if truth.ptv.any() and dose[truth.ptv].astype(np.float64).mean() <= 0.0:
-            raise DataError(f"case {case}: {what} has no positive mean dose in the PTV")
+            raise error(f"case {case}: {what} has no positive mean dose in the PTV")
     try:
         return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
                                  truth.body, truth.structures())
@@ -312,7 +321,9 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
     seed; only the fusion wiring differs. Evaluation samples each test
     case (the training cases if the test split is empty) with a per-case
     seed and scores against ground truth. Every case is read and checked
-    once, before the first strategy trains.
+    once, before the first strategy trains, so a prediction that cannot
+    be scored is the trained model's failure: a NumericFailure that names
+    the strategy and the case.
     """
     split = load_split(data_dir)
     train_cases = read_cases(data_dir, split.train, cfg.model, "split.json")
@@ -331,7 +342,10 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
         for cid, sample in eval_cases.items():
             pred = sample_case(trainer.model, trainer.schedule, sample,
                                case_seed_key(cfg.seed, cid))
-            reports.append(evaluate_case(pred, sample, cid))
+            try:
+                reports.append(evaluate_case(pred, sample, cid))
+            except PredictionError as e:
+                raise NumericFailure(f"strategy {strat.label()}: {e}") from None
         wall = time.perf_counter() - t0
         results.append(AblationRow(strategy=strat.label(), reports=reports, wall_time_s=wall))
     return results

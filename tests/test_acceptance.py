@@ -17,7 +17,7 @@ from dosediff import phantom as P
 from dosediff.blocks import (cross_attention_fuse, cyclic_shift, init_attention,
                              init_cross_attention, init_swin_block, swin_block,
                              window_merge, window_partition)
-from dosediff.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main as cli_main
 from dosediff.config import FusionStrategy, ModelConfig
 from dosediff.gradcheck import finite_diff_check, finite_diff_scalar_fn
@@ -336,7 +336,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
             (data / "sample_00000.spdp").read_bytes()
 
         ck = load_checkpoint(ckpt)
-        model = restore_model(ck.config.model, ck)
+        model = ck.model
         rng = np.random.default_rng(0)
         rng.bit_generator.state = ck.rng_state
         save_checkpoint(tmp_path / "rt.bin", ck.config, model.store, ck.step, rng)

@@ -6,6 +6,7 @@ import pytest
 
 from dosediff import cli
 from dosediff import phantom as P
+from dosediff import train as TR
 from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
 
@@ -279,6 +280,22 @@ class TestAblateCommand:
             "config error: attn-last9 exceeds 2 stages"]
         assert not (tmp / "abx").exists()
 
+    def test_unscorable_prediction_is_4_naming_strategy_and_case(self, trained, monkeypatch,
+                                                                  capsys):
+        tmp, cfg, data, ckpt = trained
+        split = json.loads((data / "split.json").read_text())
+        first = (split["test"] or split["train"])[0]
+        monkeypatch.setattr(TR, "sample_case",
+                            lambda model, schedule, sample, key: np.zeros(sample.ct.shape))
+        capsys.readouterr()
+        assert run(["ablate", "--config", cfg, "--data", data,
+                    "--out", tmp / "ab", "--strategies", "attn-last1,attn-last2"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"numeric failure: strategy attn-last1: case {first}: prediction has no "
+            f"positive mean dose in the PTV"]
+        assert (tmp / "ab" / "ablate_attn-last1" / "ckpt_final.bin").exists()
+        assert sorted(f.name for f in (tmp / "ab").iterdir()) == ["ablate_attn-last1"]
+
 
 class TestDumpSchedule:
     def test_csv_output(self, tmp_path):
@@ -392,8 +409,7 @@ class TestExitCodes:
         tmp, cfg, data, ckpt = trained
         # poison one parameter with NaN and resume from it
         ck = load_checkpoint(ckpt)
-        from dosediff.checkpoint import restore_model
-        model = restore_model(ck.config.model, ck)
+        model = ck.model
         model.store["dn.head.w"].data[:] = np.nan
         rng = np.random.default_rng(0)
         rng.bit_generator.state = ck.rng_state
@@ -468,6 +484,18 @@ class TestExitCodes:
                     "--out", tmp_path / "ev"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: case c: prediction has no positive mean dose in the PTV"]
+
+    def test_eval_all_zero_prediction_is_3(self, tmp_path, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_sample(tmp_path / "truth" / "c.spdp", s)
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", np.zeros((16, 16), np.float32), meta={})
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: case c: prediction has no positive mean dose in the PTV"]
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("side,keep", [("truth", 100), ("pred", 30)])
     def test_eval_truncated_file_is_3_and_named(self, tmp_path, side, keep, capsys):

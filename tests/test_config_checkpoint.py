@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosediff import phantom as P
-from dosediff.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
 from dosediff.config import (ConfigError, FusionStrategy, ModelConfig, config_from_dict,
                              config_to_dict, load_config, save_config)
@@ -164,7 +165,7 @@ class TestCheckpoint:
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(p1, cfg, model.store, 2, rng)
         ckpt = load_checkpoint(p1)
-        model2 = restore_model(ckpt.config.model, ckpt)
+        model2 = ckpt.model
         rng2 = np.random.default_rng(0)
         rng2.bit_generator.state = ckpt.rng_state
         save_checkpoint(p2, ckpt.config, model2.store, ckpt.step, rng2)
@@ -176,7 +177,7 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, model.store, 7, rng)
         ckpt = load_checkpoint(path)
         assert ckpt.step == 7
-        model2 = restore_model(cfg.model, ckpt)
+        model2 = ckpt.model
         for name, p in model.store.items():
             assert np.array_equal(p.data, model2.store[name].data)
             assert np.array_equal(model.store.m[name], model2.store.m[name])
@@ -201,11 +202,15 @@ class TestCheckpoint:
         cfg, model, rng = self.build()
         p = tmp_path / "c.bin"
         save_checkpoint(p, cfg, model.store, 1, rng)
-        other_cfg = ModelConfig(image_size=16, oar_count=2, base_channels=4,
-                                stage_multipliers=(1,), window=2, heads=2,
-                                fusion=FusionStrategy("add-all"), t_steps=8)
-        with pytest.raises(ValueError):
-            restore_model(other_cfg, load_checkpoint(p))
+
+        def other_model(header: bytes) -> bytes:
+            d = json.loads(header)
+            d["config"]["model"].update(stage_multipliers=[1], fusion="add-all")
+            return json.dumps(d).encode("utf-8")
+
+        bad = rewrite_checkpoint_header(p, tmp_path / "other.bin", other_model)
+        with pytest.raises(SampleFormatError, match=f"^{re.escape(str(bad))}: "):
+            load_checkpoint(bad)
 
     @pytest.mark.parametrize("edit", list(MALFORMED_HEADERS.values()),
                              ids=list(MALFORMED_HEADERS))
@@ -215,8 +220,7 @@ class TestCheckpoint:
         save_checkpoint(p, cfg, model.store, 1, rng)
         bad = rewrite_checkpoint_header(p, tmp_path / "bad.bin", edit)
         with pytest.raises(SampleFormatError):
-            ckpt = load_checkpoint(bad)
-            restore_model(ckpt.config.model, ckpt)
+            load_checkpoint(bad)
 
     def test_trailing_bytes(self, tmp_path):
         cfg, model, rng = self.build()
@@ -332,14 +336,16 @@ class TestWeightsOnlyLoad:
         p = tmp_path / "c.bin"
         save_checkpoint(p, cfg, model.store, 2, rng)
         full, light = load_checkpoint(p), load_checkpoint(p, moments=False)
-        assert light.m is None and light.v is None
-        assert list(light.params) == list(full.params)
-        for name, data in full.params.items():
-            assert light.params[name].dtype == data.dtype
-            assert light.params[name].shape == data.shape
-            assert light.params[name].tobytes() == data.tobytes()
-        assert (light.step, light.opt_steps, light.rng_state) == \
-            (full.step, full.opt_steps, full.rng_state)
+        fs, ls = full.model.store, light.model.store
+        assert ls.m == {} and ls.v == {}
+        assert list(fs.m) == list(fs.v) == fs.names()
+        assert ls.names() == fs.names()
+        for name, t in fs.items():
+            assert ls[name].data.dtype == t.data.dtype
+            assert ls[name].shape == t.shape
+            assert ls[name].data.tobytes() == t.data.tobytes()
+        assert (light.step, ls.steps, light.rng_state) == \
+            (full.step, fs.steps, full.rng_state)
         assert config_to_dict(light.config) == config_to_dict(full.config)
 
     def test_peak_memory_of_a_load(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dosediff.config import FusionStrategy, config_from_dict
 from dosediff.train import (DataError, NumericFailure, Trainer, case_seed_key, fit_step,
                             fusion_ablation_matrix, generate_dataset, load_split, lr_at,
                             read_cases, sample_case)
+from dosediff.tensor import Tensor
 
 
 def tiny_cfg_dict(**train_kw):
@@ -25,6 +27,30 @@ def tiny_cfg_dict(**train_kw):
         "seed": 4,
         "out_dir": "unused",
     }
+
+
+def arrays_reached(root):
+    """Every ndarray reachable from ``root`` through containers, object
+    attributes, closure cells and a Tensor's data (a gradient is not
+    parameter state)."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or inspect.ismodule(obj) or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            todo.extend(obj)
+        elif inspect.isfunction(obj):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
 
 
 def train_cases(cfg, data_dir):
@@ -116,6 +142,18 @@ class TestTrainer:
         resumed.run()
         got = (tmp_path / "resumed" / "ckpt_final.bin").read_bytes()
         assert got == ref
+
+    def test_a_resumed_checkpoint_holds_no_stale_array(self, dataset, tmp_path):
+        cfg, data_dir = dataset
+        Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "part").run()
+        ckpt = load_checkpoint(tmp_path / "part" / "ckpt_step000004.bin")
+        resumed = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "resumed", resume=ckpt)
+        resumed.run()
+        store = resumed.model.store
+        live = {id(a) for n, p in store.items() for a in (p.data, store.m[n], store.v[n])}
+        reached = list(arrays_reached(ckpt))
+        assert len(reached) == len(live)
+        assert all(id(a) in live for a in reached)
 
     def test_non_finite_parameters_are_never_checkpointed(self, dataset, tmp_path):
         cfg, data_dir = dataset
