@@ -17,20 +17,22 @@ branch), optionally followed by a bottleneck projector. The
 "concatenate" strategy instead stacks the anatomy channels onto the
 noisy dose at the input and drops the structure encoder entirely.
 
-Each unit (stride-1 conv, conv block, Swin block, encoder stage,
-decoder stage, head) has one builder. It adds the unit's parameters to
-the ParamStore, in the order that fixes every initial draw, and returns
-the unit's forward as a closure over them. A conv or the head maps
-``x``, a block ``(h, t_feat)``. An encoder stage ``(h, t_feat, f)`` runs
-its blocks, the stride-2 conv plus its 1x1 shortcut, then fuses ``f``
-(add or cross-attention, then the projector); ``f`` is None where
-nothing is fused, and t_feat is None in the structure encoder. Both
-branches run their stem and stages through one loop, ``_encode``. Its
-maps are the denoiser's skip stack: a decoder stage ``(h, skips,
-t_feat)`` pops its skip as it merges it, so no skip outlives its use.
-The closures call ``T.*`` and the block functions through module
-globals at call time, so code that rebinds those names (a tracer, a
-test) sees every call.
+Each unit (stride-1 conv, conv block, Swin block, cross-attention
+fuser, projector, encoder stage, decoder stage, head) has one builder.
+It adds the unit's parameters to the ParamStore, in the order that
+fixes every initial draw, and returns the unit's forward as a closure
+over them. A conv, the projector or the head maps ``x``, a block ``(h,
+t_feat)``, the fuser ``(f, h)``. Each closure hands its engine op or
+block forward explicit tensors, so a fused op changes one call. An
+encoder stage ``(h, t_feat, f)`` runs its blocks, the stride-2 conv
+plus its 1x1 shortcut, then fuses ``f`` (add or cross-attention, then
+the projector); ``f`` is None where nothing is fused, and t_feat is
+None in the structure encoder. Both branches run their stem and stages
+through one loop, ``_encode``. Its maps are the denoiser's skip stack:
+a decoder stage ``(h, skips, t_feat)`` pops its skip as it merges it,
+so no skip outlives its use. The closures call ``T.*`` and the block
+functions through module globals at call time, so code that rebinds
+those names (a tracer, a test) sees every call.
 
 Feature maps inside both branches are channels-last [B, H, W, C]. The
 model's inputs and outputs keep the NCHW layout of the data: x_t and
@@ -48,7 +50,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import blocks as B
 from . import tensor as T
 from .blocks import cross_attention_fuse, projector_forward, swin_block, time_embedding
 from .config import ModelConfig
@@ -98,8 +99,44 @@ def _conv_block(store, prefix, channels, t_dim):
 
 
 def _swin_block(store, prefix, channels, window, shift, heads, t_dim):
-    p = B.init_swin_block(store, prefix, channels, window, shift, heads, t_dim)
-    return lambda h, t_feat: swin_block(h, p, t_feat)
+    """The heads split the channels; a shifted block rolls its windows by
+    half a window."""
+    ln1_g = store.add(f"{prefix}.ln1.g", np.ones(channels))
+    ln1_b = store.add(f"{prefix}.ln1.b", np.zeros(channels))
+    attn = [store.normal(f"{prefix}.attn.{n}", (channels, channels))
+            for n in ("wq", "wk", "wv", "wo")]
+    ln2_g = store.add(f"{prefix}.ln2.g", np.ones(channels))
+    ln2_b = store.add(f"{prefix}.ln2.b", np.zeros(channels))
+    hidden = 4 * channels   # the Swin MLP expansion
+    w1 = store.normal(f"{prefix}.mlp.w1", (channels, hidden))
+    b1 = store.add(f"{prefix}.mlp.b1", np.zeros(hidden))
+    w2 = store.normal(f"{prefix}.mlp.w2", (hidden, channels))
+    b2 = store.add(f"{prefix}.mlp.b2", np.zeros(channels))
+    pre = (ln1_g, ln1_b, *attn, heads, window, window // 2 if shift and window > 1 else 0)
+    mlp = (ln2_g, ln2_b, w1, b1, w2, b2)
+    if not t_dim:
+        return lambda h, t_feat: swin_block(h, *pre, None, *mlp)
+    t_w = store.normal(f"{prefix}.t.w", (t_dim, channels))
+    t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
+    return lambda h, t_feat: swin_block(h, *pre, T.linear(t_feat, t_w, t_b), *mlp)
+
+
+def _cross_attention(store, prefix, c_struct, c_noise):
+    """``(f, h)``: queries from ``f``, keys and values from ``h``, at h's width."""
+    wq_a = store.normal(f"{prefix}.wq_a", (c_struct, c_noise))
+    wk_b = store.normal(f"{prefix}.wk_b", (c_noise, c_noise))
+    wv_b = store.normal(f"{prefix}.wv_b", (c_noise, c_noise))
+    return lambda f, h: cross_attention_fuse(f, h, wq_a, wk_b, wv_b)
+
+
+def _projector(store, prefix, channels, ratio):
+    hidden = channels // ratio
+    w_down = store.normal(f"{prefix}.w_down", (channels, hidden))
+    b_down = store.add(f"{prefix}.b_down", np.zeros(hidden))
+    # up-projection starts at zero so the residual path is the identity at init
+    w_up = store.add(f"{prefix}.w_up", np.zeros((hidden, channels)))
+    b_up = store.add(f"{prefix}.b_up", np.zeros(channels))
+    return lambda h: projector_forward(h, w_down, b_down, w_up, b_up)
 
 
 def _blocks(store, cfg: ModelConfig, prefix, count, channels, side, t_dim) -> list:
@@ -120,11 +157,11 @@ def _encoder_stage(store, cfg: ModelConfig, prefix, i, t_dim, fusion: Optional[s
     w_main = _conv_weight(store, f"{prefix}.s{i}.down.main.w", (c_out, c_in, 3, 3))
     b_main = store.add(f"{prefix}.s{i}.down.main.b", np.zeros(c_out))
     w_skip = _conv_weight(store, f"{prefix}.s{i}.down.skip.w", (c_out, c_in, 1, 1))
-    fuser = proj = None
+    fuse = proj = None
     if fusion == "attn":
-        fuser = B.init_cross_attention(store, f"dn.fuse.s{i}", c_out, c_out)
+        fuse = _cross_attention(store, f"dn.fuse.s{i}", c_out, c_out)
     if fusion and cfg.use_projector:
-        proj = B.init_projector(store, f"dn.proj.s{i}", c_out, cfg.projector_ratio)
+        proj = _projector(store, f"dn.proj.s{i}", c_out, cfg.projector_ratio)
 
     def stage(h, t_feat, f):
         for block in blocks:
@@ -133,8 +170,8 @@ def _encoder_stage(store, cfg: ModelConfig, prefix, i, t_dim, fusion: Optional[s
         h = T.conv2d(h, w_main, b_main, 2, 1) + T.conv2d(h, w_skip, None, 2, 0)
         if f is None:
             return h
-        h = h + f if fuser is None else cross_attention_fuse(f, h, fuser)
-        return h if proj is None else projector_forward(h, proj)
+        h = h + f if fuse is None else fuse(f, h)
+        return h if proj is None else proj(h)
     return stage
 
 

@@ -450,6 +450,10 @@ def read_sample(path) -> PhantomSample:
         h, w, o = cur.unpack("<HHH", "header")
         data = cur.array((2 + o + 1, h, w), "<f4", "channel data")
         meta = _decode_meta(cur.text("metadata"))
+        for what, channel in (("CT", data[0]), ("dose", data[2 + o])):
+            bad = np.count_nonzero(~np.isfinite(channel))
+            if bad:
+                raise SampleFormatError(f"{bad} non-finite {what} voxels")
     return PhantomSample(ct=data[0], ptv=data[1] == 1.0, oars=data[2:2 + o] == 1.0,
                          dose=data[2 + o], meta=meta)
 
@@ -538,14 +542,10 @@ def make_split(ids: Sequence[str], seed: int,
     n = len(ids)
     n_train = int(np.floor(ratios[0] * n))
     n_val = int(np.floor(ratios[1] * n))
-    n_test = int(np.floor(ratios[2] * n))
-    leftover = n - (n_train + n_val + n_test)
-    n_train += leftover if leftover <= 1 else 1
-    if leftover == 2:
-        n_val += 1
-    elif leftover > 2:
-        n_val += 1
-        n_test += leftover - 2
+    # each floor loses less than 1, so 0, 1 or 2 ids are left over
+    leftover = n - (n_train + n_val + int(np.floor(ratios[2] * n)))
+    n_train += int(leftover >= 1)
+    n_val += int(leftover == 2)
     return DatasetSplit(
         train=shuffled[:n_train],
         val=shuffled[n_train:n_train + n_val],

@@ -275,23 +275,36 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
     return P.denormalize_dose(np.clip(x[0, 0], -1.0, 1.0))
 
 
+def _no_ptv_dose(dose: np.ndarray, ptv: np.ndarray) -> bool:
+    """HI divides by the mean dose in the PTV; an empty PTV is left to the
+    mask check of the metrics."""
+    return ptv.any() and dose[ptv].astype(np.float64).mean() <= 0.0
+
+
+def check_truth(truth: P.PhantomSample, case: str) -> None:
+    """The truth-side rule of ``evaluate_case``: a truth case with no
+    positive mean dose in its PTV is a DataError that names the case.
+    ``ablate`` checks every case it will score before anything trains."""
+    if _no_ptv_dose(truth.dose, truth.ptv):
+        raise DataError(f"case {case}: truth has no positive mean dose in the PTV")
+
+
 def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
                   case: str) -> M.MetricsReport:
     """Score one prediction against its truth case; ``eval`` and
     ``ablate`` both score through it. Every input it cannot score, an
     empty structure mask included, is a DataError that names the case; a
     fault of the prediction (its shape, a non-finite voxel, no positive
-    PTV mean) is the subclass PredictionError."""
+    PTV mean) is the subclass PredictionError, checked before the truth."""
     if pred_dose.shape != truth.dose.shape:
         raise PredictionError(f"case {case}: prediction is {pred_dose.shape} but its "
                               f"truth case is {truth.dose.shape}")
     bad = np.count_nonzero(~np.isfinite(pred_dose))
     if bad:
         raise PredictionError(f"case {case}: prediction has {bad} non-finite voxels")
-    for what, dose, error in (("prediction", pred_dose, PredictionError),
-                              ("truth", truth.dose, DataError)):   # HI divides by it
-        if truth.ptv.any() and dose[truth.ptv].astype(np.float64).mean() <= 0.0:
-            raise error(f"case {case}: {what} has no positive mean dose in the PTV")
+    if _no_ptv_dose(pred_dose, truth.ptv):
+        raise PredictionError(f"case {case}: prediction has no positive mean dose in the PTV")
+    check_truth(truth, case)
     try:
         return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
                                  truth.body, truth.structures())
@@ -320,15 +333,17 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
     Every run shares the dataset, the training step budget, and the base
     seed; only the fusion wiring differs. Evaluation samples each test
     case (the training cases if the test split is empty) with a per-case
-    seed and scores against ground truth. Every case is read and checked
-    once, before the first strategy trains, so a prediction that cannot
-    be scored is the trained model's failure: a NumericFailure that names
-    the strategy and the case.
+    seed and scores against ground truth. Every case is read, and every
+    scored case's truth checked, once, before the first strategy trains,
+    so a prediction that cannot be scored is the trained model's failure:
+    a NumericFailure that names the strategy and the case.
     """
     split = load_split(data_dir)
     train_cases = read_cases(data_dir, split.train, cfg.model, "split.json")
     eval_cases = (read_cases(data_dir, split.test, cfg.model, "split.json") if split.test
                   else train_cases)
+    for cid, sample in eval_cases.items():
+        check_truth(sample, cid)
 
     results = []
     for strat in strategies:

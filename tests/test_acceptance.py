@@ -14,14 +14,12 @@ import numpy as np
 from dosediff import diffusion as D
 from dosediff import metrics as M
 from dosediff import phantom as P
-from dosediff.blocks import (cross_attention_fuse, cyclic_shift, init_attention,
-                             init_cross_attention, init_swin_block, swin_block,
-                             window_merge, window_partition)
+from dosediff.blocks import cross_attention_fuse, cyclic_shift, window_merge, window_partition
 from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main as cli_main
 from dosediff.config import FusionStrategy, ModelConfig
 from dosediff.gradcheck import finite_diff_check, finite_diff_scalar_fn
-from dosediff.networks import DoseModel
+from dosediff.networks import DoseModel, _swin_block
 from dosediff.optim import ParamStore
 from dosediff.tensor import OP_NAMES, Tensor, backward, mse_loss, no_grad, window_attention
 from dosediff.train import fit_step, lr_at, sample_case
@@ -129,15 +127,14 @@ def test_criterion_3_attention_invariants():
         store = ParamStore(rng)
 
         # attention rows sum to 1
-        ap = init_attention(store, "a", 8, 2)
+        wq, wk, wv, wo = [store.normal(f"a.{n}", (8, 8)) for n in ("wq", "wk", "wv", "wo")]
         win = Tensor(rng.standard_normal((6, 4, 4, 8)))
-        _, attn = window_attention(win, ap.wq, ap.wk, ap.wv, ap.wo, ap.heads, 4, 0,
-                                   return_weights=True)
+        _, attn = window_attention(win, wq, wk, wv, wo, 2, 4, 0, return_weights=True)
         assert np.abs(attn.data.sum(-1) - 1).max() < 1e-6
-        cp = init_cross_attention(store, "c", 8, 8)
+        cp = [store.normal(f"c.{n}", (8, 8)) for n in ("wq_a", "wk_b", "wv_b")]
         _, wts = cross_attention_fuse(Tensor(rng.standard_normal((2, 4, 4, 8))),
                                       Tensor(rng.standard_normal((2, 4, 4, 8))),
-                                      cp, return_weights=True)
+                                      *cp, return_weights=True)
         assert np.abs(wts.data.sum(-1) - 1).max() < 1e-6
 
         # exact inverses
@@ -149,19 +146,19 @@ def test_criterion_3_attention_invariants():
         # zeroed residual branches give the exact identity
         for shift in (False, True):
             st2 = ParamStore(np.random.default_rng(2))
-            sp = init_swin_block(st2, "b", 4, 2, shift, 2, 0)
+            block = _swin_block(st2, "b", 4, 2, shift, 2, 0)
             st2["b.attn.wo"].data[:] = 0
             st2["b.mlp.w2"].data[:] = 0
             st2["b.mlp.b2"].data[:] = 0
             xin = Tensor(rng.standard_normal((1, 4, 4, 4)))
-            assert np.array_equal(swin_block(xin, sp, None).data, xin.data)
+            assert np.array_equal(block(xin, None).data, xin.data)
 
         # row argmax invariant under positive scaling of K
         a_map = Tensor(rng.standard_normal((1, 4, 4, 8)))
         b_map = Tensor(rng.standard_normal((1, 4, 4, 8)))
-        _, w1 = cross_attention_fuse(a_map, b_map, cp, return_weights=True)
+        _, w1 = cross_attention_fuse(a_map, b_map, *cp, return_weights=True)
         store["c.wk_b"].data *= 3.7
-        _, w2 = cross_attention_fuse(a_map, b_map, cp, return_weights=True)
+        _, w2 = cross_attention_fuse(a_map, b_map, *cp, return_weights=True)
         assert np.array_equal(w1.data.argmax(-1), w2.data.argmax(-1))
 
 

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dosediff import blocks as B
+from dosediff import networks as N
 from dosediff import tensor as T
 from dosediff.gradcheck import finite_diff_scalar_fn
 from dosediff.optim import ParamStore
@@ -60,9 +63,10 @@ class TestCyclicShift:
 
 
 def make_attention(c=4, heads=2, seed=0):
+    """The four projections of a Swin block's attention, drawn in its order."""
     store = ParamStore(np.random.default_rng(seed))
-    p = B.init_attention(store, "a", c, heads)
-    return store, p
+    w = {n: store.normal(f"a.{n}", (c, c)) for n in ("wq", "wk", "wv", "wo")}
+    return store, SimpleNamespace(**w, heads=heads)
 
 
 class TestWindowAttention:
@@ -175,55 +179,57 @@ class TestWindowAttentionOp:
 
 def make_swin(c=4, window=2, shift=False, heads=2, seed=1, t_dim=0):
     store = ParamStore(np.random.default_rng(seed))
-    p = B.init_swin_block(store, "blk", c, window, shift, heads, t_dim=t_dim)
-    return store, p
+    block = N._swin_block(store, "blk", c, window, shift, heads, t_dim)
+    return store, block
 
 
 class TestSwinBlock:
     @pytest.mark.parametrize("shift", [False, True])
     def test_zeroed_residual_branches_exact_identity(self, shift):
-        store, p = make_swin(shift=shift)
+        store, block = make_swin(shift=shift)
         store["blk.attn.wo"].data[:] = 0.0
         store["blk.mlp.w2"].data[:] = 0.0
         store["blk.mlp.b2"].data[:] = 0.0
         x = rng_tensor((2, 4, 4, 4), seed=7)
-        out = B.swin_block(x, p, None)
+        out = block(x, None)
         assert np.array_equal(out.data, x.data)
 
     def test_output_shape_equals_input_shape(self):
-        store, p = make_swin()
+        store, block = make_swin()
         x = rng_tensor((3, 8, 8, 4), seed=2)
-        assert B.swin_block(x, p, None).shape == x.shape
+        assert block(x, None).shape == x.shape
 
     def test_shifted_and_unshifted_compose(self):
-        s1, p1 = make_swin(shift=False, seed=1)
-        s2, p2 = make_swin(shift=True, seed=2)
+        s1, block1 = make_swin(shift=False, seed=1)
+        s2, block2 = make_swin(shift=True, seed=2)
         x = rng_tensor((1, 4, 4, 4), seed=3)
-        y = B.swin_block(B.swin_block(x, p1, None), p2, None)
+        y = block2(block1(x, None), None)
         assert y.shape == x.shape
 
     def test_time_bias_enters_once(self):
-        store, p = make_swin(t_dim=6)
+        # the time projection is drawn last, so both blocks share the rest
+        _, plain = make_swin()
+        store, block = make_swin(t_dim=6)
         x = rng_tensor((2, 4, 4, 4), seed=4)
         t_emb = Tensor(np.random.default_rng(5).standard_normal((2, 1, 1, 6)))
-        y0 = B.swin_block(x, p, None)
-        y1 = B.swin_block(x, p, t_emb)
+        y0 = plain(x, None)
+        y1 = block(x, t_emb)
         assert not np.array_equal(y0.data, y1.data)
 
     def test_t_emb_dim_mismatch_rejected(self):
-        store, p = make_swin(t_dim=6)
+        store, block = make_swin(t_dim=6)
         x = rng_tensor((1, 4, 4, 4))
         with pytest.raises(ShapeError):
-            B.swin_block(x, p, Tensor(np.zeros((1, 1, 1, 5))))
+            block(x, Tensor(np.zeros((1, 1, 1, 5))))
 
     def test_gradients_match_finite_differences(self):
-        store, p = make_swin(seed=11)
+        store, block = make_swin(seed=11)
         x = Tensor(np.random.default_rng(12).standard_normal((1, 4, 4, 4)),
                    requires_grad=True)
         proj = np.random.default_rng(13).standard_normal((1, 4, 4, 4))
 
         def loss():
-            return (B.swin_block(x, p, None) * Tensor(proj)).sum()
+            return (block(x, None) * Tensor(proj)).sum()
 
         coords = [(x, i) for i in range(0, 64, 7)]
         for name in ("blk.attn.wq", "blk.attn.wo", "blk.mlp.w1", "blk.ln1.g"):
@@ -233,9 +239,10 @@ class TestSwinBlock:
 
 
 def make_cross(ca=4, cb=4, seed=0):
+    """The fuser's weights [wq_a, wk_b, wv_b], drawn by its builder."""
     store = ParamStore(np.random.default_rng(seed))
-    p = B.init_cross_attention(store, "x", ca, cb)
-    return store, p
+    N._cross_attention(store, "x", ca, cb)
+    return store, [store[f"x.{n}"] for n in ("wq_a", "wk_b", "wv_b")]
 
 
 class TestCrossAttention:
@@ -243,16 +250,16 @@ class TestCrossAttention:
         store, p = make_cross()
         a = rng_tensor((1, 1, 1, 4), seed=1)
         bm = rng_tensor((1, 1, 1, 4), seed=2)
-        fused, w = B.cross_attention_fuse(a, bm, p, return_weights=True)
+        fused, w = B.cross_attention_fuse(a, bm, *p, return_weights=True)
         assert np.allclose(w.data, 1.0, atol=0)
         tok_b = bm.data.reshape(1, 4)
-        expect = tok_b + tok_b @ p.wv_b.data
+        expect = tok_b + tok_b @ store["x.wv_b"].data
         assert np.allclose(fused.data.reshape(1, 4), expect, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         store, p = make_cross()
         _, w = B.cross_attention_fuse(rng_tensor((2, 4, 4, 4), 3),
-                                      rng_tensor((2, 4, 4, 4), 4), p,
+                                      rng_tensor((2, 4, 4, 4), 4), *p,
                                       return_weights=True)
         assert np.abs(w.data.sum(axis=-1) - 1.0).max() < 1e-6
 
@@ -261,9 +268,9 @@ class TestCrossAttention:
         store, p = make_cross(seed=5)
         a = rng_tensor((1, 4, 4, 4), 6)
         bm = rng_tensor((1, 4, 4, 4), 7)
-        _, w1 = B.cross_attention_fuse(a, bm, p, return_weights=True)
+        _, w1 = B.cross_attention_fuse(a, bm, *p, return_weights=True)
         store["x.wk_b"].data *= c
-        _, w2 = B.cross_attention_fuse(a, bm, p, return_weights=True)
+        _, w2 = B.cross_attention_fuse(a, bm, *p, return_weights=True)
         assert np.array_equal(np.argmax(w1.data, axis=-1), np.argmax(w2.data, axis=-1))
 
     @given(st.integers(0, 2 ** 31))
@@ -283,10 +290,10 @@ class TestCrossAttention:
         def from_tokens(tok):
             return tok.reshape(1, 2, 2, 4)
 
-        base = B.cross_attention_fuse(Tensor(a), Tensor(bm), p)
+        base = B.cross_attention_fuse(Tensor(a), Tensor(bm), *p)
         pa = from_tokens(tokens(a)[:, perm])
         pb = from_tokens(tokens(bm)[:, perm])
-        permuted = B.cross_attention_fuse(Tensor(pa), Tensor(pb), p)
+        permuted = B.cross_attention_fuse(Tensor(pa), Tensor(pb), *p)
         assert np.allclose(tokens(permuted.data), tokens(base.data)[:, perm],
                            atol=1e-12)
 
@@ -297,16 +304,16 @@ class TestCrossAttention:
         a = Tensor(np.ones((1, 2, 2, 4)))
         rng = np.random.default_rng(10)
         bm = rng.standard_normal((1, 2, 2, 4))
-        out1 = B.cross_attention_fuse(a, Tensor(bm), p).data - bm
+        out1 = B.cross_attention_fuse(a, Tensor(bm), *p).data - bm
         perm = [2, 0, 3, 1]
         bp = bm.reshape(1, 4, 4)[:, perm].reshape(1, 2, 2, 4)
-        out2 = B.cross_attention_fuse(a, Tensor(bp), p).data - bp
+        out2 = B.cross_attention_fuse(a, Tensor(bp), *p).data - bp
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_spatial_mismatch_rejected(self):
         store, p = make_cross()
         with pytest.raises(ShapeError):
-            B.cross_attention_fuse(rng_tensor((1, 2, 2, 4)), rng_tensor((1, 4, 4, 4)), p)
+            B.cross_attention_fuse(rng_tensor((1, 2, 2, 4)), rng_tensor((1, 4, 4, 4)), *p)
 
     def test_gradients_match_finite_differences(self):
         store, p = make_cross(seed=13)
@@ -317,7 +324,7 @@ class TestCrossAttention:
         proj = np.random.default_rng(16).standard_normal((1, 2, 2, 4))
 
         def loss():
-            return (B.cross_attention_fuse(a, bm, p) * Tensor(proj)).sum()
+            return (B.cross_attention_fuse(a, bm, *p) * Tensor(proj)).sum()
 
         coords = [(a, i) for i in range(16)] + [(bm, i) for i in range(16)]
         for name in ("x.wq_a", "x.wk_b", "x.wv_b"):
@@ -329,22 +336,17 @@ class TestCrossAttention:
 class TestProjector:
     def test_zero_params_give_identity(self):
         store = ParamStore(np.random.default_rng(0))
-        p = B.init_projector(store, "p", 8, 4)
+        proj = N._projector(store, "p", 8, 4)
         store["p.w_down"].data[:] = 0.0  # up-projection already zero at init
         x = rng_tensor((2, 3, 3, 8), seed=1)
-        assert np.array_equal(B.projector_forward(x, p).data, x.data)
+        assert np.array_equal(proj(x).data, x.data)
 
     def test_shape_preserved_and_hidden_dim(self):
         store = ParamStore(np.random.default_rng(0))
-        p = B.init_projector(store, "p", 32, 4)
+        proj = N._projector(store, "p", 32, 4)
         assert store["p.w_down"].shape == (32, 8)
         x = rng_tensor((1, 2, 2, 32), seed=2)
-        assert B.projector_forward(x, p).shape == x.shape
-
-    def test_non_divisible_ratio_rejected(self):
-        store = ParamStore(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            B.init_projector(store, "p", 6, 4)
+        assert proj(x).shape == x.shape
 
 
 class TestTimeEmbedding:

@@ -296,6 +296,22 @@ class TestAblateCommand:
         assert (tmp / "ab" / "ablate_attn-last1" / "ckpt_final.bin").exists()
         assert sorted(f.name for f in (tmp / "ab").iterdir()) == ["ablate_attn-last1"]
 
+    def test_unscorable_truth_is_3_before_any_strategy_trains(self, ws, capsys):
+        tmp, cfg = ws
+        assert run(["gen-data", "--config", cfg, "--out", tmp / "data"]) == 0
+        split = json.loads((tmp / "data" / "split.json").read_text())
+        case = (split["test"] or split["train"])[0]
+        path = TR.sample_path(tmp / "data", case)
+        s = P.read_sample(path)
+        s.dose[s.ptv] = 0.0
+        P.write_sample(path, s)
+        capsys.readouterr()
+        assert run(["ablate", "--config", cfg, "--data", tmp / "data",
+                    "--out", tmp / "ab", "--strategies", "attn-last1,add-all"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: case {case}: truth has no positive mean dose in the PTV"]
+        assert not (tmp / "ab").exists()
+
 
 class TestDumpSchedule:
     def test_csv_output(self, tmp_path):
@@ -511,6 +527,37 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {bad}: truncated ")
         assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("channel", ["ct", "dose"])
+    def test_eval_non_finite_truth_voxel_is_3_and_named(self, tmp_path, channel, capsys):
+        s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)
+        (tmp_path / "truth").mkdir()
+        (tmp_path / "pred").mkdir()
+        P.write_dose_map(tmp_path / "pred" / "c.spdp", s.dose, meta={})
+        getattr(s, channel)[s.ptv] = np.nan
+        bad = tmp_path / "truth" / "c.spdp"
+        P.write_sample(bad, s)
+        assert run(["eval", "--pred", tmp_path / "pred", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev"]) == 3
+        name = {"ct": "CT", "dose": "dose"}[channel]
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {bad}: {int(s.ptv.sum())} non-finite {name} voxels"]
+        assert not (tmp_path / "ev").exists()
+
+    def test_train_non_finite_sample_voxel_is_3_and_named(self, ws, capsys):
+        tmp, cfg = ws
+        assert run(["gen-data", "--config", cfg, "--out", tmp / "data"]) == 0
+        split = json.loads((tmp / "data" / "split.json").read_text())
+        bad = TR.sample_path(tmp / "data", split["train"][0])
+        s = P.read_sample(bad)
+        s.dose[s.ptv] = np.nan
+        P.write_sample(bad, s)
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--data", tmp / "data",
+                    "--out", tmp / "t"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {bad}: {int(s.ptv.sum())} non-finite dose voxels"]
+        assert not (tmp / "t").exists()
 
     def test_eval_empty_oar_mask_names_the_case(self, tmp_path, capsys):
         s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dosediff import diffusion as D
+from dosediff import networks as N
 from dosediff import tensor as T
-from dosediff.config import FusionStrategy, ModelConfig
+from dosediff.config import FusionStrategy, ModelConfig, load_config
 from dosediff.gradcheck import finite_diff_scalar_fn
 from dosediff.networks import ConditionStack, DoseModel
 from dosediff.tensor import ShapeError, Tensor, _topo_order, backward, no_grad
@@ -246,6 +249,28 @@ def test_training_loss_reshape_permute_budget():
     assert len(kinds) <= 377
     assert sum(k in ("reshape", "permute") for k in kinds) <= 9
     assert kinds.count("add") <= 94
+
+
+def test_unit_forwards_are_called_through_module_globals(monkeypatch):
+    """A desk training loss makes 29 Swin-block, 2 cross-attention and 4
+    projector calls, each through the name ``networks`` holds at call
+    time, so a tracer that rebinds those names (perfbench's ``blocks.*``
+    spans) sees every one. The model is built before the names are
+    rebound: a closure that bound a forward at build time fails here."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json").model
+    m = DoseModel(cfg, 0)
+    calls = {}
+    for name in ("swin_block", "cross_attention_fuse", "projector_forward"):
+        def counted(*args, _fn=getattr(N, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(N, name, counted)
+    rng = np.random.default_rng(4)
+    sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
+    size = cfg.image_size
+    D.training_step(m, (rng.uniform(-1, 1, (2, 1, size, size)),
+                        rng.random((2, cfg.cond_channels, size, size))), sched, rng)
+    assert calls == {"swin_block": 29, "cross_attention_fuse": 2, "projector_forward": 4}
 
 
 def test_fused_conv_blocks_keep_every_gradient_bitwise(monkeypatch):
