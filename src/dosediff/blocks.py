@@ -143,8 +143,6 @@ def time_embedding(t, dim: int) -> np.ndarray:
 
     A batch of B timesteps gives a [B, dim] array; a scalar t is a batch of one.
     """
-    if dim % 2:
-        raise ValueError(f"embedding dim must be even, got {dim}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
     exponents = np.arange(half, dtype=np.float64) / max(half - 1, 1)

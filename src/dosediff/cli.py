@@ -72,15 +72,14 @@ def cmd_train(args) -> int:
                               f"{ckpt.step}")
         cfg = validate(dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, steps=args.steps)))
+    out = Path(args.out or cfg.out_dir)
     # no reference kept here: the trainer holds only the normalized arrays
-    trainer = TR.Trainer(cfg, TR.read_cases(args.data, TR.load_split(args.data).train,
-                                            cfg.model, "split.json"),
-                         Path(args.out or cfg.out_dir), resume=ckpt)
-    result = trainer.run()
-    first = result.losses[0] if result.losses else float("nan")
-    last = result.losses[-1] if result.losses else float("nan")
-    print(f"trained {result.steps_run} steps: loss {first:.4f} -> {last:.4f}; "
-          f"checkpoint {result.final_checkpoint}")
+    losses = TR.Trainer(cfg, TR.read_cases(args.data, TR.load_split(args.data).train,
+                                           cfg.model, "split.json"), out, resume=ckpt).run()
+    first = losses[0] if losses else float("nan")
+    last = losses[-1] if losses else float("nan")
+    print(f"trained {len(losses)} steps: loss {first:.4f} -> {last:.4f}; "
+          f"checkpoint {out / 'ckpt_final.bin'}")
     return 0
 
 
@@ -162,9 +161,7 @@ def _metric_files(rows: dict) -> dict:
     for cid in sorted(rows):
         lines.append(rows[cid].csv_row(cid))
     summary = ["metric,mean,std,formatted"]
-    for attr, col in (("dose_score_relative", "dose_score_rel"),
-                      ("dose_score_mae", "dose_score_mae"),
-                      ("dvh_score", "dvh_score"), ("hi", "hi")):
+    for col, attr in M.SCORES:
         mean, std, text = M.summarize([getattr(r, attr) for r in rows.values()])
         summary.append(f"{col},{mean!r},{std!r},{text}")
     return {"metrics.csv": "\n".join(lines) + "\n",
@@ -201,8 +198,7 @@ def cmd_eval(args) -> int:
     if args.compare:
         comp_rows = {cid: _score_case(args.compare, args.truth, cid)[2] for cid in shared}
         lines = ["metric,t,df,p"]
-        for attr, col in (("dose_score_mae", "dose_score_mae"),
-                          ("dvh_score", "dvh_score"), ("hi", "hi")):
+        for col, attr in M.SCORES[1:]:   # not the signed relative score
             a = [getattr(rows[c], attr) for c in shared]
             b = [getattr(comp_rows[c], attr) for c in shared]
             try:
@@ -224,18 +220,13 @@ def cmd_ablate(args) -> int:
     strategies = [FusionStrategy.parse(s) for s in args.strategies.split(",") if s]
     if not strategies:
         raise ConfigError("no strategies given")
-    for strat in strategies:   # every strategy is checked before any trains
-        validate(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, fusion=strat)))
     out = Path(args.out or cfg.out_dir)
     rows = TR.fusion_ablation_matrix(cfg, strategies, args.data, out)   # creates out
-    lines = ["strategy,dose_score_rel,dose_score_mae,dvh_score,hi,n_cases"]
+    lines = [",".join(["strategy", *(col for col, _ in M.SCORES), "n_cases"])]
     timing = ["strategy,wall_time_s"]
     for row in rows:
-        lines.append(",".join([
-            row.strategy,
-            repr(row.mean("dose_score_relative")), repr(row.mean("dose_score_mae")),
-            repr(row.mean("dvh_score")), repr(row.mean("hi")), str(len(row.reports)),
-        ]))
+        means = [repr(M.summarize([getattr(r, a) for r in row.reports])[0]) for _, a in M.SCORES]
+        lines.append(",".join([row.strategy, *means, str(len(row.reports))]))
         timing.append(f"{row.strategy},{row.wall_time_s:.3f}")
     write_atomic(out / "ablation.csv", "\n".join(lines) + "\n")
     write_atomic(out / "ablation_timing.csv", "\n".join(timing) + "\n")

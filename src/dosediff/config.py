@@ -147,7 +147,7 @@ class ModelConfig:
                 raise ConfigError(f"window {self.window} incompatible with side {side}")
         self.fusion.stage_kinds(s)  # raises when K is out of range
         if self.time_dim_effective % 2:
-            raise ConfigError("time embedding dim must be even")
+            raise ConfigError(f"time_dim must be even, got {self.time_dim}")
         check_schedule(self.t_steps, self.beta_start, self.beta_end)
 
     def _block_sides(self) -> List[int]:

@@ -2,7 +2,8 @@
 
 Dose Score (signed relative deviation, plus a masked MAE variant in
 dose units), DVH curves and score over D1/D95/D99, homogeneity index,
-difference maps, and paired t-tests.
+difference maps, and paired t-tests. ``check_truth`` holds every rule a
+truth dose must meet to be scored; ``SCORES`` names the score columns.
 
 Conventions, fixed and oracle-tested:
   * Dq = dose received by at least q% of the structure volume; computed
@@ -26,6 +27,9 @@ from .phantom import DOSE_MAX_SCALE
 DVH_BINS = 256
 DVH_QS = (1.0, 95.0, 99.0)
 RELATIVE_TRUTH_FLOOR = 1e-3
+# (CSV column, MetricsReport attribute) per headline score; ttest.csv skips the first
+SCORES = (("dose_score_rel", "dose_score_relative"), ("dose_score_mae", "dose_score_mae"),
+          ("dvh_score", "dvh_score"), ("hi", "hi"))
 
 
 class EmptyMaskError(ValueError):
@@ -59,11 +63,10 @@ class MetricsReport:
     max_abs_diff: float
     rel_excluded_voxels: int        # sub-floor truth voxels dropped from Eq-style score
 
-    CSV_COLUMNS = ("case", "dose_score_rel", "dose_score_mae", "dvh_score", "hi")
+    CSV_COLUMNS = ("case",) + tuple(col for col, _ in SCORES)
 
     def csv_row(self, case: str) -> str:
-        return ",".join([case, repr(self.dose_score_relative), repr(self.dose_score_mae),
-                         repr(self.dvh_score), repr(self.hi)])
+        return ",".join([case] + [repr(getattr(self, attr)) for _, attr in SCORES])
 
     def kv_text(self) -> str:
         lines = [
@@ -93,9 +96,8 @@ def dose_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray, variant: s
     """Average deviation of prediction from truth over the mask.
 
     variant="relative": mean of (pred - truth) / truth, signed; truth
-    voxels below RELATIVE_TRUTH_FLOOR are excluded (their count is
-    available via relative_excluded_count). variant="mae": mean absolute
-    difference in dose units.
+    voxels at or below RELATIVE_TRUTH_FLOOR are excluded (compute_metrics
+    counts them). variant="mae": mean absolute difference in dose units.
     """
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
@@ -109,11 +111,6 @@ def dose_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray, variant: s
             raise EmptyMaskError("no masked truth voxels above the relative-score floor")
         return float(((p[keep] - t[keep]) / t[keep]).mean())
     raise ValueError(f"unknown dose_score variant {variant!r}")
-
-
-def relative_excluded_count(truth: np.ndarray, mask: np.ndarray) -> int:
-    t = _masked(truth, mask)
-    return int((t <= RELATIVE_TRUTH_FLOOR).sum())
 
 
 def dvh_curve(dose: np.ndarray, mask: np.ndarray, structure: str,
@@ -234,6 +231,19 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, int, f
 # full report
 
 
+def check_truth(truth: np.ndarray, body_mask: np.ndarray, structures: Dict) -> None:
+    """Raise EmptyMaskError unless ``compute_metrics`` can score against this
+    truth dose: in order, a positive mean dose in a non-empty PTV, non-empty
+    structure masks and body, and a body voxel above RELATIVE_TRUTH_FLOOR."""
+    ptv = structures["ptv"]
+    if ptv.any() and _masked(truth, ptv).mean() <= 0.0:
+        raise EmptyMaskError("truth has no positive mean dose in the PTV")
+    for mask in structures.values():
+        _masked(truth, mask)
+    if not (_masked(truth, body_mask) > RELATIVE_TRUTH_FLOOR).any():
+        raise EmptyMaskError("no masked truth voxels above the relative-score floor")
+
+
 def compute_metrics(pred: np.ndarray, truth: np.ndarray, body_mask: np.ndarray,
                     structures: Dict[str, np.ndarray]) -> MetricsReport:
     """Score a prediction: dose scores over the body, DVH score over the
@@ -250,7 +260,7 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray, body_mask: np.ndarray,
         d_stats_pred=d_pred,
         d_stats_truth=d_truth,
         max_abs_diff=float(np.abs(diff).max()),
-        rel_excluded_voxels=relative_excluded_count(truth, body_mask),
+        rel_excluded_voxels=int((_masked(truth, body_mask) <= RELATIVE_TRUTH_FLOOR).sum()),
     )
 
 

@@ -4,7 +4,8 @@ checkpoint resume, and the fusion-strategy ablation harness.
 Cases enter through one reader, ``read_cases``: ``train``, ``sample`` and
 ``ablate`` turn case ids into samples only through it, and it checks each
 id, file and image against the model before the caller writes anything.
-``Trainer`` trains on the cases it is given.
+``Trainer`` trains on the cases it is given. ``check_truth`` turns a truth
+case that ``metrics.check_truth`` rejects into a DataError that names it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import metrics as M
 from . import phantom as P
 from .atomic import write_atomic
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import FusionStrategy, ModelConfig, RunConfig
+from .config import ConfigError, FusionStrategy, ModelConfig, RunConfig, validate
 from .networks import DoseModel
 from .optim import adam_step
 from .tensor import backward, no_grad
@@ -172,13 +173,6 @@ def fit_step(model: DoseModel, batch, schedule: D.NoiseSchedule, rng: np.random.
     return value
 
 
-@dataclass
-class TrainResult:
-    losses: List[float]
-    final_checkpoint: Path
-    steps_run: int
-
-
 class Trainer:
     """Single-threaded step loop over a fixed in-memory dataset.
 
@@ -217,7 +211,8 @@ class Trainer:
         idx = self.rng.integers(0, n, size=k)
         return self.dose[idx], self.cond[idx]
 
-    def run(self) -> TrainResult:
+    def run(self) -> List[float]:
+        """Train to the last step, write ckpt_final.bin; returns each step's loss."""
         cfg = self.cfg
         total = cfg.train.steps
         losses = []
@@ -236,10 +231,8 @@ class Trainer:
                 every = cfg.train.checkpoint_every
                 if every and (step + 1) % every == 0 and (step + 1) < total:
                     self._save(self.out_dir / f"ckpt_step{step + 1:06d}.bin", step + 1)
-        final = self.out_dir / "ckpt_final.bin"
-        self._save(final, total)
-        return TrainResult(losses=losses, final_checkpoint=final,
-                           steps_run=total - self.start_step)
+        self._save(self.out_dir / "ckpt_final.bin", total)
+        return losses
 
     def _save(self, path: Path, step: int) -> None:
         for name, p in self.model.store.items():   # no checkpoint of a diverged model
@@ -275,41 +268,33 @@ def sample_case(model: DoseModel, schedule: D.NoiseSchedule, sample: P.PhantomSa
     return P.denormalize_dose(np.clip(x[0, 0], -1.0, 1.0))
 
 
-def _no_ptv_dose(dose: np.ndarray, ptv: np.ndarray) -> bool:
-    """HI divides by the mean dose in the PTV; an empty PTV is left to the
-    mask check of the metrics."""
-    return ptv.any() and dose[ptv].astype(np.float64).mean() <= 0.0
-
-
 def check_truth(truth: P.PhantomSample, case: str) -> None:
-    """The truth-side rule of ``evaluate_case``: a truth case with no
-    positive mean dose in its PTV is a DataError that names the case.
-    ``ablate`` checks every case it will score before anything trains."""
-    if _no_ptv_dose(truth.dose, truth.ptv):
-        raise DataError(f"case {case}: truth has no positive mean dose in the PTV")
+    """``metrics.check_truth`` as a DataError that names the case; ``ablate``
+    runs it on every case it will score before anything trains."""
+    try:
+        M.check_truth(truth.dose, truth.body, truth.structures())
+    except M.EmptyMaskError as e:
+        raise DataError(f"case {case}: {e}") from None
 
 
 def evaluate_case(pred_dose: np.ndarray, truth: P.PhantomSample,
                   case: str) -> M.MetricsReport:
     """Score one prediction against its truth case; ``eval`` and
-    ``ablate`` both score through it. Every input it cannot score, an
-    empty structure mask included, is a DataError that names the case; a
-    fault of the prediction (its shape, a non-finite voxel, no positive
-    PTV mean) is the subclass PredictionError, checked before the truth."""
+    ``ablate`` both score through it. Every input it cannot score is a
+    DataError that names the case; a fault of the prediction (its shape, a
+    non-finite voxel, no positive mean dose in a non-empty PTV) is the
+    subclass PredictionError, checked before the truth (``check_truth``)."""
     if pred_dose.shape != truth.dose.shape:
         raise PredictionError(f"case {case}: prediction is {pred_dose.shape} but its "
                               f"truth case is {truth.dose.shape}")
     bad = np.count_nonzero(~np.isfinite(pred_dose))
     if bad:
         raise PredictionError(f"case {case}: prediction has {bad} non-finite voxels")
-    if _no_ptv_dose(pred_dose, truth.ptv):
+    if truth.ptv.any() and pred_dose[truth.ptv].astype(np.float64).mean() <= 0.0:
         raise PredictionError(f"case {case}: prediction has no positive mean dose in the PTV")
     check_truth(truth, case)
-    try:
-        return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
-                                 truth.body, truth.structures())
-    except M.EmptyMaskError as e:
-        raise DataError(f"case {case}: {e}") from None
+    return M.compute_metrics(pred_dose, truth.dose.astype(np.float64),
+                             truth.body, truth.structures())
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +307,6 @@ class AblationRow:
     reports: List[M.MetricsReport]
     wall_time_s: float
 
-    def mean(self, attr: str) -> float:
-        return float(np.mean([getattr(r, attr) for r in self.reports]))
-
 
 def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
                            data_dir, out_root) -> List[AblationRow]:
@@ -333,11 +315,17 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
     Every run shares the dataset, the training step budget, and the base
     seed; only the fusion wiring differs. Evaluation samples each test
     case (the training cases if the test split is empty) with a per-case
-    seed and scores against ground truth. Every case is read, and every
-    scored case's truth checked, once, before the first strategy trains,
-    so a prediction that cannot be scored is the trained model's failure:
-    a NumericFailure that names the strategy and the case.
+    seed and scores against ground truth. Every run config is validated (a
+    repeated label is a ConfigError), every case read and every scored truth
+    checked once before the first strategy trains, so a prediction that cannot
+    be scored is the trained model's: a NumericFailure naming strategy and case.
     """
+    runs = {}
+    for strat in strategies:
+        if strat.label() in runs:
+            raise ConfigError(f"strategy {strat.label()} is listed more than once")
+        runs[strat.label()] = validate(dataclasses.replace(
+            cfg, model=dataclasses.replace(cfg.model, fusion=strat)))
     split = load_split(data_dir)
     train_cases = read_cases(data_dir, split.train, cfg.model, "split.json")
     eval_cases = (read_cases(data_dir, split.test, cfg.model, "split.json") if split.test
@@ -346,12 +334,9 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
         check_truth(sample, cid)
 
     results = []
-    for strat in strategies:
+    for label, run_cfg in runs.items():
         t0 = time.perf_counter()
-        run_cfg = dataclasses.replace(
-            cfg, model=dataclasses.replace(cfg.model, fusion=strat))
-        run_dir = Path(out_root) / f"ablate_{strat.label()}"
-        trainer = Trainer(run_cfg, train_cases, run_dir)
+        trainer = Trainer(run_cfg, train_cases, Path(out_root) / f"ablate_{label}")
         trainer.run()
         reports = []
         for cid, sample in eval_cases.items():
@@ -360,7 +345,7 @@ def fusion_ablation_matrix(cfg: RunConfig, strategies: Sequence[FusionStrategy],
             try:
                 reports.append(evaluate_case(pred, sample, cid))
             except PredictionError as e:
-                raise NumericFailure(f"strategy {strat.label()}: {e}") from None
+                raise NumericFailure(f"strategy {label}: {e}") from None
         wall = time.perf_counter() - t0
-        results.append(AblationRow(strategy=strat.label(), reports=reports, wall_time_s=wall))
+        results.append(AblationRow(strategy=label, reports=reports, wall_time_s=wall))
     return results

@@ -366,9 +366,5 @@ class TestTimeEmbedding:
         embs = B.time_embedding(np.arange(101), 8)
         assert len(np.unique(embs.round(12), axis=0)) == 101
 
-    def test_odd_dim_rejected(self):
-        with pytest.raises(ValueError):
-            B.time_embedding(3, 7)
-
     def test_batch_shape(self):
         assert B.time_embedding(np.array([1, 2, 3]), 6).shape == (3, 6)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -177,7 +178,41 @@ class TestSampleCommand:
         assert len(ppm) == len(b"P6\n16 16\n255\n") + 3 * 16 * 16
 
 
+# SHA-256 of the scoring files of ``eval --compare`` on four generated
+# phantoms and model-free predictions (see test_compare_bytes_are_pinned)
+EVAL_COMPARE_SHA256 = {
+    "metrics.csv":
+        "eb4dd56af5985f7e6c229b33cf11546eb8fa30320157583ae26009ebbdc877c9",
+    "metrics_summary.csv":
+        "7d957845edb2dc5bae427421c647eecd0c1423bf01d6bcea65a3b5c67e4f6339",
+    "ttest.csv":
+        "9adc2df91164b47839a51c5cfcbc2b4fc58fd50cf7580c45624572997354f54f",
+    "report_case_1.txt":
+        "f0f61b976aa17698e7322bb1efc6b5aca4eaebcdb62d039f1e0ae912b23055b5",
+    "dvh_case_2.csv":
+        "9a3720f2356cd9bff49a7f2fa2607b11700f6e4f125d8d20ea896e7afed41417",
+}
+
+
 class TestEvalCommand:
+    def test_compare_bytes_are_pinned(self, tmp_path):
+        # each prediction blends its case's truth dose with another seed's
+        dirs = {d: tmp_path / d for d in ("truth", "pa", "pb")}
+        for d in dirs.values():
+            d.mkdir()
+        for i in range(4):
+            cid = f"case_{i}"
+            truth = P.generate_phantom(10 + i, size=16, oar_count=2, beam_count=5)
+            P.write_sample(TR.sample_path(dirs["truth"], cid), truth)
+            for name, seed, w in (("pa", 20 + i, 0.3), ("pb", 30 + i, 0.15)):
+                other = P.generate_phantom(seed, size=16, oar_count=2, beam_count=5)
+                P.write_dose_map(TR.sample_path(dirs[name], cid),
+                                 0.9 * truth.dose + w * other.dose, meta={})
+        assert run(["eval", "--pred", dirs["pa"], "--truth", dirs["truth"],
+                    "--out", tmp_path / "ev", "--compare", dirs["pb"]]) == 0
+        assert {name: hashlib.sha256((tmp_path / "ev" / name).read_bytes()).hexdigest()
+                for name in EVAL_COMPARE_SHA256} == EVAL_COMPARE_SHA256
+
     def test_truth_vs_truth_scores_zero(self, trained):
         tmp, cfg, data, ckpt = trained
         pred = tmp / "selfpred"
@@ -296,20 +331,48 @@ class TestAblateCommand:
         assert (tmp / "ab" / "ablate_attn-last1" / "ckpt_final.bin").exists()
         assert sorted(f.name for f in (tmp / "ab").iterdir()) == ["ablate_attn-last1"]
 
-    def test_unscorable_truth_is_3_before_any_strategy_trains(self, ws, capsys):
+    def test_repeated_strategy_is_2_before_anything_is_read(self, ws, capsys):
+        tmp, cfg = ws
+        # no dataset exists: the label is rejected before --data is read
+        assert run(["ablate", "--config", cfg, "--data", tmp / "data", "--out", tmp / "ab",
+                    "--strategies", "attn-last0,add-all,add-all"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: strategy add-all is listed more than once"]
+        assert not (tmp / "ab").exists()
+        # the same wiring under two labels is no repeat
+        assert run(["gen-data", "--config", cfg, "--out", tmp / "data"]) == 0
+        assert run(["ablate", "--config", cfg, "--data", tmp / "data", "--out", tmp / "ab",
+                    "--strategies", "attn-last0,add-all"]) == 0
+        rows = (tmp / "ab" / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["attn-last0", "add-all"]
+
+    @pytest.mark.parametrize("fault,message", [
+        ("ptv-dose", "truth has no positive mean dose in the PTV"),
+        ("oar2-mask", "mask selects no voxels"),
+        ("ptv-mask", "mask selects no voxels"),
+        ("ct", "mask selects no voxels"),   # the body is CT > 0
+    ], ids=["ptv-dose", "oar2-mask", "ptv-mask", "ct"])
+    def test_unscorable_truth_is_3_before_any_strategy_trains(self, ws, fault, message,
+                                                              capsys):
         tmp, cfg = ws
         assert run(["gen-data", "--config", cfg, "--out", tmp / "data"]) == 0
         split = json.loads((tmp / "data" / "split.json").read_text())
         case = (split["test"] or split["train"])[0]
         path = TR.sample_path(tmp / "data", case)
         s = P.read_sample(path)
-        s.dose[s.ptv] = 0.0
+        if fault == "ptv-dose":
+            s.dose[s.ptv] = 0.0
+        elif fault == "oar2-mask":
+            s.oars[1] = False
+        elif fault == "ptv-mask":
+            s.ptv[:] = False
+        else:
+            s.ct[:] = 0.0
         P.write_sample(path, s)
         capsys.readouterr()
         assert run(["ablate", "--config", cfg, "--data", tmp / "data",
                     "--out", tmp / "ab", "--strategies", "attn-last1,add-all"]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"data error: case {case}: truth has no positive mean dose in the PTV"]
+        assert capsys.readouterr().err.splitlines() == [f"data error: case {case}: {message}"]
         assert not (tmp / "ab").exists()
 
 
@@ -377,6 +440,8 @@ class TestExitCodes:
         # rules the library functions enforced, now config rules
         ("model.t_steps", 0), ("model.beta_start", 0), ("model.image_size", 8),
         ("data.beam_count", 0), ("data.split_ratios", [0.5, 0.5, 0.5]),
+        # last, so the generated ids of the cases above stay as they were
+        ("model.time_dim", 5),
     ])
     def test_out_of_range_config_value_is_2(self, tmp_path, path, value, capsys):
         bad = json.loads(json.dumps(CFG))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 
 from dosediff import metrics as M
+from dosediff.phantom import generate_phantom
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles (plain python loops, no shared code paths)
@@ -299,6 +300,46 @@ def test_report_csv_and_kv_text():
     text = rep.kv_text()
     assert "dose_score_mae=" in text and "d95_pred[ptv]=" in text
     assert np.isfinite(rep.max_abs_diff)
+
+
+class TestCheckTruth:
+    @pytest.fixture()
+    def case(self):
+        s = generate_phantom(3, size=16, oar_count=2, beam_count=5)
+        return s.dose.astype(np.float64), s.body, s.structures()
+
+    def test_generated_phantom_passes(self, case):
+        assert M.check_truth(*case) is None
+
+    @pytest.mark.parametrize("fault,message", [
+        ("ptv-dose", "truth has no positive mean dose in the PTV"),
+        ("oar-mask", "mask selects no voxels"),
+        ("ptv-mask", "mask selects no voxels"),
+        ("body", "mask selects no voxels"),
+        ("floor", "no masked truth voxels above the relative-score floor"),
+    ], ids=["ptv-dose", "oar-mask", "ptv-mask", "body", "floor"])
+    def test_each_rule_raises(self, case, fault, message):
+        dose, body, structures = case
+        if fault == "ptv-dose":
+            dose[structures["ptv"]] = 0.0
+        elif fault == "oar-mask":
+            structures["oar2"] = np.zeros_like(body)
+        elif fault == "ptv-mask":
+            structures["ptv"] = np.zeros_like(body)
+        elif fault == "body":
+            body = np.zeros_like(body)
+        else:   # every voxel positive, none above the floor
+            dose = np.where(dose > 0, M.RELATIVE_TRUTH_FLOOR, 0.0)
+        with pytest.raises(M.EmptyMaskError) as e:
+            M.check_truth(dose, body, structures)
+        assert str(e.value) == message
+
+    def test_ptv_dose_rule_comes_first(self, case):
+        dose, body, structures = case
+        dose[structures["ptv"]] = 0.0
+        structures["oar1"] = np.zeros_like(body)
+        with pytest.raises(M.EmptyMaskError, match="positive mean dose"):
+            M.check_truth(dose, np.zeros_like(body), structures)
 
 
 def test_summarize_formatting():
