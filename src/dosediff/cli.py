@@ -55,6 +55,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _keep_freed_memory()
     ckpt = load_checkpoint(args.resume) if args.resume else None
     if args.config:
         cfg = load_config(args.config)
@@ -100,15 +101,15 @@ M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_memory() -> None:
-    """Keep memory the sampling loop frees in the process for reuse (glibc
-    only; a no-op elsewhere).
+    """Keep memory that sampling and training loops free in the process
+    for reuse (glibc only; a no-op elsewhere).
 
-    Every denoiser call frees and reallocates the same large arrays. By
-    default glibc returns freed memory at the top of its heap to the
-    kernel and serves requests above its mmap threshold with fresh pages,
-    so each 256 px call would fault about 8,500 pages in again. A fixed
-    mmap threshold at glibc's 32 MiB maximum and a 1 GiB trim threshold
-    keep the freed memory for the next call.
+    Every denoiser call and every training step frees and reallocates the
+    same large arrays. By default glibc returns freed memory at the top of
+    its heap to the kernel and serves requests above its mmap threshold
+    with fresh pages, so each 256 px call would fault about 8,500 pages in
+    again. A fixed mmap threshold at glibc's 32 MiB maximum and a 1 GiB
+    trim threshold keep the freed memory for the next call.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -216,6 +217,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _keep_freed_memory()
     cfg = _load_cfg(args)
     strategies = [FusionStrategy.parse(s) for s in args.strategies.split(",") if s]
     if not strategies:

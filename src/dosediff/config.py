@@ -242,7 +242,10 @@ def _decode(tp, value, path: str):
             raise ConfigError(f"{path}: expected {len(items)} items, got {len(value)}")
         return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
     if tp is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: the integer is too large for a float") from None
     if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
     return value

@@ -20,10 +20,14 @@ at a time; see :func:`conv2d` for what that means for bitwise results.
 attention of a Swin block in one node, with a hand-written backward.
 ``conv_block`` is one too: a pre-norm conv residual block (layer norm,
 ReLU, 3x3 conv, bias, time bias, residual) whose forward and gradients
-are bitwise those of the composed chain of catalog ops. On maps larger
-than one cache-sized block, layer norm (alone or in ``conv_block``) and
-the attention softmax run one block at a time, bitwise the whole-array
-formulas.
+are bitwise those of the composed chain of catalog ops. So is
+``swin_block``: a whole Swin block (layer norm, window attention,
+residual, time bias, layer norm, MLP with ReLU, residual), bitwise its
+composed chain; it shares one layer-norm forward (``_layer_norm_fwd``)
+with ``layer_norm`` and ``conv_block`` and one window-attention kernel
+(``_window_attention``) with ``window_attention``. On maps larger than
+one cache-sized block, layer norm (alone or fused) and the attention
+softmax run one block at a time, bitwise the whole-array formulas.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ __all__ = [
     "forward_op", "backward", "no_grad",
     "add", "mul", "smul", "matmul", "linear", "conv2d", "upsample2",
     "concat", "roll", "softmax", "relu", "gelu",
-    "layer_norm", "conv_block", "mse_loss", "window_attention", "OP_NAMES",
+    "layer_norm", "conv_block", "swin_block", "mse_loss", "window_attention", "OP_NAMES",
 ]
 
 
@@ -514,6 +518,23 @@ def _window_index(h: int, w: int, window: int, shift: int) -> tuple:
     return idx, inv
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Max over the last axis, kept as an axis of length 1: np.maximum of
+    the two halves of the axis until one entry is left, an odd entry out
+    folded into the first. A max is exact in any order, so the bits are
+    those of ``a.max(axis=-1, keepdims=True)`` up to the sign of a zero
+    (which ``exp(a - max)`` does not see). On the [windows, heads, 16, 16]
+    score blocks of desk and paper-scale maps this takes about half the
+    time numpy needs to reduce the short last axis."""
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        top = np.maximum(a[..., :half], a[..., half:2 * half])
+        if a.shape[-1] % 2:
+            np.maximum(top[..., :1], a[..., -1:], out=top[..., :1])
+        a = top
+    return a
+
+
 def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
             attn: Optional[np.ndarray] = None, av: Optional[np.ndarray] = None) -> tuple:
     """softmax(q @ k_t * scale) over the last axis and its product with v,
@@ -522,10 +543,85 @@ def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
     exp(s - max(s)); e / sum(e)``, so the same bits."""
     a = np.matmul(q, k_t, out=attn)
     a *= scale
-    a -= a.max(axis=-1, keepdims=True)
+    a -= _row_max(a)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     return a, np.matmul(a, v, out=av)
+
+
+def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+                      wo: np.ndarray, heads: int, window: int, shift: int) -> tuple:
+    """The forward of ``window_attention`` on arrays: (out, attention
+    weights, bwd), where bwd maps the output gradient to the gradients of
+    (x, wq, wk, wv, wo). Shared by ``window_attention`` and ``swin_block``."""
+    if xd.ndim != 4:
+        raise ShapeError(f"window-attention: expected a [B, H, W, C] map, got {xd.shape}")
+    b, h, w, c = xd.shape
+    inner = wq.shape[-1]
+    if (wq.shape != (c, inner) or wk.shape != (c, inner) or wv.shape != (c, inner)
+            or wo.ndim != 2 or wo.shape[0] != inner):
+        raise ShapeError(f"window-attention: weights {wq.shape}, {wk.shape}, {wv.shape}, "
+                         f"{wo.shape} do not fit {c} channels")
+    if heads < 1 or inner % heads:
+        raise ShapeError(f"window-attention: {inner} inner channels not divisible by {heads} heads")
+    if window < 1 or h % window or w % window:
+        raise ShapeError(f"window-attention: window {window} does not divide map {h}x{w}")
+    dk, cout = inner // heads, wo.shape[1]
+    n = window * window
+    nwin = b * (h // window) * (w // window)
+    scale = float(1.0 / np.sqrt(dk))
+    idx, inv = _window_index(h, w, window, shift)
+
+    # the same numpy calls, on the same shapes, as the composed chain
+    # (partition, per-head matmuls, softmax, merge), so outputs are bitwise equal
+    xw = np.take(xd.reshape(b, h * w, c), idx, axis=1).reshape(nwin, window, window, c)
+
+    def heads_of(wd, axes):
+        return (xw @ wd).reshape(nwin, n, heads, dk).transpose(axes)
+
+    q = heads_of(wq, (0, 2, 1, 3))               # [nW, h, n, dk]
+    k_t = heads_of(wk, (0, 2, 3, 1))             # [nW, h, dk, n]
+    v = heads_of(wv, (0, 2, 1, 3))
+    if nwin * heads * n * n <= _BLOCK_ELEMS:
+        attn, av = _attend(q, k_t, v, scale)
+    else:
+        # one cache-sized block of windows at a time, into the full arrays
+        attn = np.empty((nwin, heads, n, n))
+        av = np.empty((nwin, heads, n, dk))
+        step = max(1, _BLOCK_ELEMS // (heads * n * n))
+        for w0 in range(0, nwin, step):
+            blk = slice(w0, w0 + step)
+            _attend(q[blk], k_t[blk], v[blk], scale, attn[blk], av[blk])
+    ctx = av.transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
+    # np.take, unlike indexing with [:, inv], returns a C-ordered array, so
+    # the residual sums that swin_block adds into it keep the layout (and
+    # so the reduction order) of the composed chain's fresh ``add`` output;
+    # gx below keeps [:, inv], whose layout the layer-norm backward sums see
+    out = np.take((ctx @ wo).reshape(b, h * w, cout), inv, axis=1).reshape(b, h, w, cout)
+
+    def bwd(g):
+        gw = np.take(g.reshape(b, h * w, cout), idx, axis=1).reshape(-1, cout)  # window order
+        g_wo = ctx.reshape(-1, inner).T @ gw
+        g_ctx = (gw @ wo.T).reshape(nwin, n, heads, dk).transpose(0, 2, 1, 3)
+        g_s = g_ctx @ np.swapaxes(v, -1, -2)           # the attention weights' gradient
+        g_v = np.swapaxes(attn, -1, -2) @ g_ctx
+        # attn * (g_attn - sum(g_attn * attn)) * scale, in place
+        g_s -= (g_s * attn).sum(axis=-1, keepdims=True)
+        g_s *= attn
+        g_s *= scale
+        g_q = g_s @ np.swapaxes(k_t, -1, -2)
+        g_k = np.swapaxes(g_s, -1, -2) @ q
+        # per-token rows [nW*n, 3*inner] of the Q|K|V gradients
+        g_qkv = np.empty((nwin * n, 3 * inner))
+        per_head = g_qkv.reshape(nwin, n, 3, heads, dk)
+        for i, gh in enumerate((g_q, g_k, g_v)):
+            per_head[:, :, i] = gh.transpose(0, 2, 1, 3)
+        g_w = xw.reshape(-1, c).T @ g_qkv
+        w_qkv = np.concatenate([wq, wk, wv], axis=1)
+        gx = (g_qkv @ w_qkv.T).reshape(b, h * w, c)[:, inv].reshape(b, h, w, c)
+        return gx, g_w[:, :inner], g_w[:, inner:2 * inner], g_w[:, 2 * inner:], g_wo
+
+    return out, attn, bwd
 
 
 def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -542,65 +638,8 @@ def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     ``return_weights`` the attention weights [nW, heads, n, n] (windows
     in partition order) come back as an untracked second Tensor.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"window-attention: expected a [B, H, W, C] map, got {x.shape}")
-    b, h, w, c = x.shape
-    inner = wq.shape[-1]
-    if (wq.shape != (c, inner) or wk.shape != (c, inner) or wv.shape != (c, inner)
-            or wo.data.ndim != 2 or wo.shape[0] != inner):
-        raise ShapeError(f"window-attention: weights {wq.shape}, {wk.shape}, {wv.shape}, "
-                         f"{wo.shape} do not fit {c} channels")
-    if heads < 1 or inner % heads:
-        raise ShapeError(f"window-attention: {inner} inner channels not divisible by {heads} heads")
-    if window < 1 or h % window or w % window:
-        raise ShapeError(f"window-attention: window {window} does not divide map {h}x{w}")
-    dk, cout = inner // heads, wo.shape[1]
-    n = window * window
-    nwin = b * (h // window) * (w // window)
-    scale = float(1.0 / np.sqrt(dk))
-    idx, inv = _window_index(h, w, window, shift)
-
-    # the same numpy calls, on the same shapes, as the composed chain
-    # (partition, per-head matmuls, softmax, merge), so outputs are bitwise equal
-    xw = x.data.reshape(b, h * w, c)[:, idx].reshape(nwin, window, window, c)
-
-    def heads_of(wd, axes):
-        return (xw @ wd).reshape(nwin, n, heads, dk).transpose(axes)
-
-    q = heads_of(wq.data, (0, 2, 1, 3))               # [nW, h, n, dk]
-    k_t = heads_of(wk.data, (0, 2, 3, 1))             # [nW, h, dk, n]
-    v = heads_of(wv.data, (0, 2, 1, 3))
-    if nwin * heads * n * n <= _BLOCK_ELEMS:
-        attn, av = _attend(q, k_t, v, scale)
-    else:
-        # one cache-sized block of windows at a time, into the full arrays
-        attn = np.empty((nwin, heads, n, n))
-        av = np.empty((nwin, heads, n, dk))
-        step = max(1, _BLOCK_ELEMS // (heads * n * n))
-        for w0 in range(0, nwin, step):
-            blk = slice(w0, w0 + step)
-            _attend(q[blk], k_t[blk], v[blk], scale, attn[blk], av[blk])
-    ctx = av.transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
-    out = (ctx @ wo.data).reshape(b, h * w, cout)[:, inv].reshape(b, h, w, cout)
-    wod = wo.data
-
-    def bwd(g):
-        gw = g.reshape(b, h * w, cout)[:, idx].reshape(-1, cout)     # window order
-        g_wo = ctx.reshape(-1, inner).T @ gw
-        g_ctx = (gw @ wod.T).reshape(nwin, n, heads, dk).transpose(0, 2, 1, 3)
-        g_attn = g_ctx @ np.swapaxes(v, -1, -2)
-        g_v = np.swapaxes(attn, -1, -2) @ g_ctx
-        g_s = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
-        g_q = g_s @ np.swapaxes(k_t, -1, -2)
-        g_k = np.swapaxes(g_s, -1, -2) @ q
-        # per-token rows [nW*n, 3*inner] of the Q|K|V gradients
-        g_qkv = np.concatenate([gh.transpose(0, 2, 1, 3).reshape(-1, inner)
-                                for gh in (g_q, g_k, g_v)], axis=1)
-        g_w = xw.reshape(-1, c).T @ g_qkv
-        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-        gx = (g_qkv @ w_qkv.T).reshape(b, h * w, c)[:, inv].reshape(b, h, w, c)
-        return gx, g_w[:, :inner], g_w[:, inner:2 * inner], g_w[:, 2 * inner:], g_wo
-
+    out, attn, bwd = _window_attention(x.data, wq.data, wk.data, wv.data, wo.data,
+                                       heads, window, shift)
     t = _make("window-attention", out, (x, wq, wk, wv, wo), bwd)
     if return_weights:
         return t, Tensor(attn)
@@ -742,48 +781,91 @@ def _layer_norm_bwd(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     """(x, gamma, beta) gradients of a layer norm over the last axis."""
     avg = _mean_vector(g.shape[-1])
     lead = tuple(range(g.ndim - 1))
-    g_gamma = (g * xhat).sum(axis=lead)
+    prod = g * xhat
+    g_gamma = prod.sum(axis=lead)
     g_beta = g.sum(axis=lead)
-    gx_hat = g * gam
-    gx = inv * (gx_hat - (gx_hat @ avg)[..., None]
-                - xhat * ((gx_hat * xhat) @ avg)[..., None])
+    # inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), in place
+    # in gx_hat and one scratch array, the same operations in the same order
+    gx = g * gam
+    np.multiply(gx, xhat, out=prod)
+    m_gx_xhat = (prod @ avg)[..., None]
+    gx -= (gx @ avg)[..., None]
+    gx -= np.multiply(xhat, m_gx_xhat, out=prod)
+    gx *= inv
     return gx, g_gamma, g_beta
+
+
+def _layer_norm_fwd(xd: np.ndarray, gam: np.ndarray, bet: np.ndarray, keep: bool,
+                    relu_into: Optional[np.ndarray]) -> tuple:
+    """Layer norm of xd over its last axis: (y, xhat, 1/sqrt(var + _LN_EPS)),
+    xhat and the inverse None unless keep. With ``relu_into``, a [B, H, W, C]
+    view the shape of xd (the interior of a zero-bordered buffer), relu(y)
+    is written there instead and y is that view.
+
+    A map larger than a cache-sized block runs one block of whole [W, C]
+    matrices at a time (``_norm_block``), bitwise the formula on the whole
+    array; blocks run per image when writing into ``relu_into``, whose
+    images need not be one row run. Shared by ``layer_norm``,
+    ``conv_block`` and ``swin_block``.
+    """
+    if xd.size <= _BLOCK_ELEMS:
+        y, xhat, inv = _norm_block(xd, gam, bet)
+        if relu_into is not None:
+            y = np.maximum(y, 0.0, out=relu_into)
+        return (y, xhat, inv) if keep else (y, None, None)
+    # [images, rows, W, C]; without relu_into all leading axes are one row run
+    x4 = xd if relu_into is not None else xd.reshape((1, -1) + ((1,) + xd.shape)[-2:])
+    m, h, w, n = x4.shape
+    step = max(1, _BLOCK_ELEMS // (w * n))
+    y = relu_into if relu_into is not None else np.empty(x4.shape)
+    xhat = np.empty(x4.shape) if keep else None
+    inv = np.empty(x4.shape[:-1] + (1,)) if keep else None
+    rows = (min(step, h), w, n)
+    xc_buf = None if keep else np.empty(rows)
+    y_buf = np.empty(rows) if relu_into is not None else None
+    for i in range(m):
+        for r0 in range(0, h, step):
+            blk = (i, slice(r0, r0 + step))
+            xb = x4[blk]
+            k = len(xb)
+            yb, _, _ = _norm_block(xb, gam, bet, xhat[blk] if keep else xc_buf[:k],
+                                   y[blk] if y_buf is None else y_buf[:k],
+                                   inv[blk] if keep else None)
+            if y_buf is not None:
+                np.maximum(yb, 0.0, out=y[blk])
+    if relu_into is not None:
+        return y, xhat, inv
+    return (y.reshape(xd.shape), xhat.reshape(xd.shape) if keep else None,
+            inv.reshape(xd.shape[:-1] + (1,)) if keep else None)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis, with affine parameters.
 
     A map larger than a cache-sized block runs one block of whole [W, C]
-    matrices at a time (``_norm_block``), bitwise the formula on the
+    matrices at a time (``_layer_norm_fwd``), bitwise the formula on the
     whole array.
     """
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(f"layer-norm: gamma/beta must be ({n},), got {gamma.shape}, {beta.shape}")
-    keep = _graph_wanted((x, gamma, beta))
-    gam, bet = gamma.data, beta.data
-    if x.data.size <= _BLOCK_ELEMS:
-        out, xhat, inv = _norm_block(x.data, gam, bet)
-    else:
-        x3 = x.data.reshape((-1,) + x.shape[-2:] if x.data.ndim >= 2 else (1, 1, n))
-        m, w = x3.shape[:2]
-        step = max(1, _BLOCK_ELEMS // (w * n))
-        out = np.empty(x.shape)
-        inv = np.empty(x.shape[:-1] + (1,))
-        xhat = np.empty(x.shape) if keep else None
-        o3, i3 = out.reshape(x3.shape), inv.reshape((m, w, 1))
-        h3 = xhat.reshape(x3.shape) if keep else None
-        xc_buf = None if keep else np.empty((min(step, m), w, n))
-        for r0 in range(0, m, step):
-            blk = slice(r0, r0 + step)
-            xb = x3[blk]
-            xc = h3[blk] if keep else xc_buf[:len(xb)]
-            _norm_block(xb, gam, bet, xc, o3[blk], i3[blk])
+    gam = gamma.data
+    out, xhat, inv = _layer_norm_fwd(x.data, gam, beta.data, _graph_wanted((x, gamma, beta)),
+                                     None)
 
     def bwd(g):
         return _layer_norm_bwd(g, xhat, inv, gam)
 
     return _make("layer-norm", out, (x, gamma, beta), bwd)
+
+
+def _check_time_bias(kind: str, t_bias: Tensor, shape: tuple) -> None:
+    try:
+        fits = np.broadcast_shapes(t_bias.shape, shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"{kind}: t_bias {t_bias.shape} does not broadcast to {shape}")
 
 
 def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
@@ -793,11 +875,12 @@ def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
     with w [C, C, 3, 3], b [C] and t_bias None or a tensor that broadcasts
     to x (a [B, 1, 1, C] time bias).
 
-    Layer norm and ReLU run in cache-sized blocks of image rows, the ReLU
-    writing straight into the interior of the zero-bordered buffer that the
-    stride-1 conv reads its taps from; the epilogue adds b, then t_bias,
-    then x. Every element sees the same IEEE operations as the composed
-    chain, so the forward and every gradient are bitwise equal to it.
+    Layer norm and ReLU run in cache-sized blocks of image rows
+    (``_layer_norm_fwd``), the ReLU writing straight into the interior of
+    the zero-bordered buffer that the stride-1 conv reads its taps from;
+    the epilogue adds b, then t_bias, then x. Every element sees the same
+    IEEE operations as the composed chain, so the forward and every
+    gradient are bitwise equal to it.
     x is a parent twice, the residual term first: its two gradient terms
     reach the engine's accumulation as separate terms, in the order of
     the composed chain's residual ``add`` and ``layer_norm``, so a map
@@ -814,34 +897,13 @@ def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
     _check_bias("conv-block", b, C)
     parents = (x, x, gamma, beta, w, b)
     if t_bias is not None:
-        try:
-            fits = np.broadcast_shapes(t_bias.shape, x.shape) == x.shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ShapeError(f"conv-block: t_bias {t_bias.shape} does not broadcast to {x.shape}")
+        _check_time_bias("conv-block", t_bias, x.shape)
         parents += (t_bias,)
-    keep = _graph_wanted(parents)
-    gam, bet = gamma.data, beta.data
+    gam = gamma.data
     xd = np.ascontiguousarray(x.data)
     xp = np.zeros((B, H + 2, W + 2, C))
-    inner = xp[:, 1:H + 1, 1:W + 1]
-    xhat = np.empty(x.shape) if keep else None
-    inv = np.empty((B, H, W, 1)) if keep else None
-    # per image, blocks of whole [W, C] rows: layer norm into contiguous
-    # block buffers, ReLU straight into the padded map
-    step = max(1, _BLOCK_ELEMS // (W * C))
-    rows = (min(step, H), W, C)
-    xc_buf = None if keep else np.empty(rows)
-    y_buf = np.empty(rows)
-    for i in range(B):
-        for r0 in range(0, H, step):
-            blk = slice(r0, r0 + step)
-            xb = xd[i, blk]
-            k = len(xb)
-            y, _, _ = _norm_block(xb, gam, bet, xhat[i, blk] if keep else xc_buf[:k],
-                                  y_buf[:k], inv[i, blk] if keep else None)
-            np.maximum(y, 0.0, out=inner[i, blk])
+    inner, xhat, inv = _layer_norm_fwd(xd, gam, beta.data, _graph_wanted(parents),
+                                       xp[:, 1:H + 1, 1:W + 1])
     conv, taps_bwd = _conv2d_flat(xp, w.data, H, W)
     out = np.add(conv, b.data)
     if t_bias is not None:
@@ -858,6 +920,77 @@ def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
         return grads + (_unbroadcast(g, t_bias.shape),)
 
     return _make("conv-block", out, parents, bwd)
+
+
+def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+               wo: Tensor, t_bias: Optional[Tensor], ln2_g: Tensor, ln2_b: Tensor, w1: Tensor,
+               b1: Tensor, w2: Tensor, b2: Tensor, heads: int, window: int,
+               shift: int) -> Tensor:
+    """Swin block of a [B, H, W, C] map, one graph node:
+    ``s = (x + window_attention(layer_norm(x, ln1_g, ln1_b), wq, wk, wv, wo,
+    heads, window, shift)) + t_bias``, then
+    ``s + linear(relu(linear(layer_norm(s, ln2_g, ln2_b), w1, b1)), w2, b2)``,
+    with t_bias None or a tensor that broadcasts to x (a [B, 1, 1, C] time
+    bias) and w1 [C, hidden], w2 [hidden, C].
+
+    The forward adds the residuals, the biases and the ReLU in place into
+    the arrays the chain allocates, and the backward is hand-written; every
+    element sees the same IEEE operations as the composed chain, so the
+    forward and every gradient are bitwise equal to it. As in
+    ``conv_block``, x is a parent twice, the residual term first.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError(f"swin-block: expected a [B, H, W, C] map, got {x.shape}")
+    C = x.shape[3]
+    for name, p in (("ln1_g", ln1_g), ("ln1_b", ln1_b), ("ln2_g", ln2_g), ("ln2_b", ln2_b)):
+        if p.shape != (C,):
+            raise ShapeError(f"swin-block: {name} must be ({C},), got {p.shape}")
+    hidden = w1.shape[-1]
+    if wo.shape[-1] != C or w1.shape != (C, hidden) or w2.shape != (hidden, C):
+        raise ShapeError(f"swin-block: weights wo {wo.shape}, w1 {w1.shape}, w2 {w2.shape} "
+                         f"do not fit {C} channels")
+    _check_bias("swin-block", b1, hidden)
+    _check_bias("swin-block", b2, C)
+    parents = (x, x, ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, w1, b1, w2, b2)
+    if t_bias is not None:
+        _check_time_bias("swin-block", t_bias, x.shape)
+        parents += (t_bias,)
+    keep = _graph_wanted(parents)
+    g1, g2, w1d, w2d = ln1_g.data, ln2_g.data, w1.data, w2.data
+    a, xhat1, inv1 = _layer_norm_fwd(x.data, g1, ln1_b.data, keep, None)
+    s, _, attn_bwd = _window_attention(a, wq.data, wk.data, wv.data, wo.data,
+                                       heads, window, shift)
+    # free the layer-norm output, the attention weights and, without a
+    # graph, the attention's saved arrays before the MLP allocates
+    del a, _
+    if not keep:
+        attn_bwd = None
+    s += x.data
+    if t_bias is not None:
+        s += t_bias.data
+    y, xhat2, inv2 = _layer_norm_fwd(s, g2, ln2_b.data, keep, None)
+    r = y @ w1d
+    r += b1.data
+    np.maximum(r, 0.0, out=r)
+    out = r @ w2d
+    out += b2.data
+    out += s
+
+    def bwd(g):
+        g_r, g_w2 = _row_stack_grads(r, w2d, g)
+        g_h = np.multiply(g_r, r > 0.0, out=g_r)
+        g_y, g_w1 = _row_stack_grads(y, w1d, g_h)
+        g_s, g_ln2_g, g_ln2_b = _layer_norm_bwd(g_y, xhat2, inv2, g2)
+        g_s += g          # the residual sum's two terms, as the engine adds them
+        g_a, g_wq, g_wk, g_wv, g_wo = attn_bwd(g_s)
+        g_x, g_ln1_g, g_ln1_b = _layer_norm_bwd(g_a, xhat1, inv1, g1)
+        grads = (g_s, g_x, g_ln1_g, g_ln1_b, g_wq, g_wk, g_wv, g_wo, g_ln2_g, g_ln2_b,
+                 g_w1, _unbroadcast(g_h, b1.shape), g_w2, _unbroadcast(g, b2.shape))
+        if t_bias is None:
+            return grads
+        return grads + (_unbroadcast(g_s, t_bias.shape),)
+
+    return _make("swin-block", out, parents, bwd)
 
 
 def _reduce_axes(axis, ndim):
@@ -915,6 +1048,7 @@ _OPS = {
     "gelu": gelu,
     "layer-norm": layer_norm,
     "conv-block": conv_block,
+    "swin-block": swin_block,
     "sum": _sum,
     "mse-loss": mse_loss,
     "window-attention": window_attention,

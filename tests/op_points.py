@@ -56,4 +56,12 @@ def op_point(kind: str, rng: np.random.Generator):
         # shifted 2x2 windows on a 4x4 map, two heads of width 2
         return ([n((1, 4, 4, 4))] + [0.5 * n((4, 4)) for _ in range(4)],
                 {"heads": 2, "window": 2, "shift": 1})
+    if kind == "swin-block":
+        # B = 2, shifted 2x2 windows on a 4x4 map, two heads, an MLP of width 6
+        # and a [B, 1, 1, C] time bias; the MLP input is pushed off the relu kink
+        return ([n((2, 4, 4, 3)), 1.0 + 0.1 * n(3), 0.1 * n(3)]
+                + [0.5 * n((3, 4)), 0.5 * n((3, 4)), 0.5 * n((3, 4)), 0.5 * n((4, 3))]
+                + [n((2, 1, 1, 3)), 1.0 + 0.1 * n(3), 0.1 * n(3), 0.5 * n((3, 6)),
+                   _away_from_zero(n(6), 0.5), 0.5 * n((6, 3)), n(3)],
+                {"heads": 2, "window": 2, "shift": 1})
     raise KeyError(kind)

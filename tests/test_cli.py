@@ -460,6 +460,18 @@ class TestExitCodes:
         assert all(e.startswith("config error:") and key in e for e in err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+    def test_float_field_holding_a_huge_integer_is_2_and_named(self, tmp_path, capsys):
+        # JSON integers have no range; this one overflows a float
+        text = json.dumps(CFG).replace('"beta_end": 0.3', '"beta_end": 0.3, "beta_start": 1'
+                                       + "0" * 400)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run(["gen-data", "--config", cfg, "--out", tmp_path / "d"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: config.model.beta_start:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_plain_value_error_is_not_a_config_error(self, monkeypatch):
         def broken(args):
             raise ValueError("a fault inside the program")

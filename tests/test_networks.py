@@ -11,7 +11,7 @@ from dosediff.gradcheck import finite_diff_scalar_fn
 from dosediff.networks import ConditionStack, DoseModel
 from dosediff.tensor import ShapeError, Tensor, _topo_order, backward, no_grad
 
-from test_tensor_ops import composed_conv_block
+from test_tensor_ops import composed_conv_block, composed_swin_block
 
 
 def tiny_cfg(**kw):
@@ -231,14 +231,14 @@ def test_end_to_end_finite_difference():
 
 
 def test_training_loss_reshape_permute_budget():
-    """Feature maps are channels-last, each Swin attention branch is one
-    window-attention node, every affine layer (``linear`` or a biased
-    ``conv2d``) is one node and every pre-norm conv residual block is one
-    ``conv-block`` node, so a smoke-scale training loss has 377 nodes:
-    reshape/permute only at the model boundary and in cross-attention (9),
-    and ``add`` only for the Swin residual sums and time biases, the
-    downsampling shortcuts and additive fusion (94; a separate bias add
-    per layer made it 231 of 532, the composed conv blocks 109 of 410)."""
+    """Feature maps are channels-last, every affine layer (``linear`` or a
+    biased ``conv2d``) is one node, every pre-norm conv residual block is
+    one ``conv-block`` node and every Swin block one ``swin-block`` node,
+    so a smoke-scale training loss has 154 nodes: reshape/permute only at
+    the model boundary and in cross-attention (9), and ``add`` only for
+    the downsampling shortcuts and additive fusion (16). A separate bias
+    add per layer made it 532 nodes, the composed conv blocks 410 and the
+    composed Swin blocks 377, with 94 ``add``."""
     cfg = tiny_cfg()
     m = DoseModel(cfg, 0)
     rng = np.random.default_rng(4)
@@ -246,9 +246,9 @@ def test_training_loss_reshape_permute_budget():
     loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
                                rng.random((2, 5, 16, 16))), sched, rng)
     kinds = [t.node.kind for t in _topo_order(loss)]
-    assert len(kinds) <= 377
+    assert len(kinds) <= 154
     assert sum(k in ("reshape", "permute") for k in kinds) <= 9
-    assert kinds.count("add") <= 94
+    assert kinds.count("add") <= 16
 
 
 def test_unit_forwards_are_called_through_module_globals(monkeypatch):
@@ -273,17 +273,15 @@ def test_unit_forwards_are_called_through_module_globals(monkeypatch):
     assert calls == {"swin_block": 29, "cross_attention_fuse": 2, "projector_forward": 4}
 
 
-def test_fused_conv_blocks_keep_every_gradient_bitwise(monkeypatch):
-    """The ``conv-block`` nodes change no bit of a training loss or of any
-    parameter gradient, in every wiring of the stage closures. The stem
-    output feeds both the first denoiser block and a decoder skip, so this
-    also pins the order in which its gradient terms are summed."""
-    fused_block = T.conv_block
+def _fused_against_composed(monkeypatch, name, composed):
+    """Loss and every parameter gradient of a training loss with ``T.<name>``
+    fused and with its composed chain, in every wiring of the stage closures."""
+    fused_block = getattr(T, name)
     for fusion, use_projector in (("concatenate", True), ("add-all", True), ("attn-all", True),
                                   ("attn-last2", True), ("attn-last2", False)):
         runs = []
-        for block in (fused_block, composed_conv_block):
-            monkeypatch.setattr(T, "conv_block", block)
+        for block in (fused_block, composed):
+            monkeypatch.setattr(T, name, block)
             cfg = tiny_cfg(fusion=FusionStrategy.parse(fusion), use_projector=use_projector)
             m = DoseModel(cfg, 0)
             rng = np.random.default_rng(4)
@@ -294,5 +292,21 @@ def test_fused_conv_blocks_keep_every_gradient_bitwise(monkeypatch):
         (fused_loss, fused), (loss, grads) = runs
         assert np.array_equal(fused_loss, loss), fusion
         assert fused.keys() == grads.keys()
-        for name in grads:
-            assert np.array_equal(fused[name], grads[name]), (fusion, use_projector, name)
+        for param in grads:
+            assert np.array_equal(fused[param], grads[param]), (fusion, use_projector, param)
+
+
+def test_fused_conv_blocks_keep_every_gradient_bitwise(monkeypatch):
+    """The ``conv-block`` nodes change no bit of a training loss or of any
+    parameter gradient, in every wiring of the stage closures. The stem
+    output feeds both the first denoiser block and a decoder skip, so this
+    also pins the order in which its gradient terms are summed."""
+    _fused_against_composed(monkeypatch, "conv_block", composed_conv_block)
+
+
+def test_fused_swin_blocks_keep_every_gradient_bitwise(monkeypatch):
+    """The ``swin-block`` nodes change no bit of a training loss or of any
+    parameter gradient, in every wiring of the stage closures; a stage's
+    block output also feeds a skip or the fusion, so this pins the order
+    of those gradient terms too."""
+    _fused_against_composed(monkeypatch, "swin_block", composed_swin_block)

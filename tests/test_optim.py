@@ -76,6 +76,58 @@ def test_moments_match_parameter_shapes():
     assert store.v["w"].shape == store["w"].shape
 
 
+def reference_adam_step(params, m, v, steps, grads, lr, betas):
+    """The per-parameter Adam formula, one parameter at a time, on dicts."""
+    b1, b2 = betas
+    for name, g in grads.items():
+        steps[name] += 1
+        t = steps[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        m_hat = m[name] / (1.0 - b1 ** t)
+        v_hat = v[name] / (1.0 - b2 ** t)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def test_flat_adam_is_the_per_parameter_formula_bitwise():
+    # shapes that straddle the 16k-element blocks, a scalar and an empty
+    # one; step 2 skips two parameters, so later steps run in several runs
+    # of different step counts
+    shapes = {"a": (3, 4), "big": (150, 130), "s": (), "e": (0, 3), "c": (7,),
+              "d": (200, 90), "f": (5, 5)}
+    rng = np.random.default_rng(7)
+    store = ParamStore(rng)
+    for name, shape in shapes.items():
+        store.normal(name, shape, std=0.5)
+    params = {n: p.data.copy() for n, p in store.items()}
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    steps = dict.fromkeys(shapes, 0)
+    for step in range(6):
+        names = [n for n in shapes if step != 2 or n not in ("s", "d")]
+        grads = {n: rng.standard_normal(shapes[n]) for n in names}
+        adam_step(store, grads, lr=0.01, betas=(0.9, 0.999))
+        reference_adam_step(params, m, v, steps, grads, lr=0.01, betas=(0.9, 0.999))
+        for n in shapes:
+            assert store[n].data.tobytes() == params[n].tobytes(), (step, n)
+            assert store.m[n].tobytes() == m[n].tobytes(), (step, n)
+            assert store.v[n].tobytes() == v[n].tobytes(), (step, n)
+        assert store.steps == steps
+    # packed: one buffer per kind, every array a view into it
+    for arrays in ([p.data for _, p in store.items()], list(store.m.values()),
+                   list(store.v.values())):
+        assert arrays[0].base is not None and all(a.base is arrays[0].base for a in arrays)
+
+
+def test_a_rebound_array_is_packed_again():
+    store = make_store()
+    adam_step(store, {"w": np.ones(2), "b": np.ones(1)}, lr=0.1, betas=(0.9, 0.999))
+    store["w"].data = np.array([5.0, 6.0])
+    adam_step(store, {"w": np.zeros(2), "b": np.zeros(1)}, lr=0.1, betas=(0.9, 0.999))
+    assert store["w"].data.base is store["b"].data.base
+    assert store["w"].data[0] < 5.0    # the step-1 moment still moves it
+
+
 def trunc_normal_whole_array(rng, shape, std):
     """Reference: every round re-tests every entry of the array."""
     x = rng.normal(0.0, std, shape)

@@ -302,6 +302,83 @@ class TestConvBlockParity:
             T.conv_block(*args)
 
 
+def composed_swin_block(x, ln1_g, ln1_b, wq, wk, wv, wo, t_bias, ln2_g, ln2_b, w1, b1, w2, b2,
+                        heads, window, shift):
+    """The chain of catalog ops that ``swin_block`` fuses."""
+    x = T.add(x, T.window_attention(T.layer_norm(x, ln1_g, ln1_b), wq, wk, wv, wo,
+                                    heads, window, shift))
+    if t_bias is not None:
+        x = T.add(x, t_bias)
+    y = T.linear(T.relu(T.linear(T.layer_norm(x, ln2_g, ln2_b), w1, b1)), w2, b2)
+    return T.add(x, y)
+
+
+def swin_arrays(rng, x_shape, time_bias, hidden):
+    c = x_shape[-1]
+    n = rng.standard_normal
+    return [n(x_shape), 1.0 + 0.1 * n(c), 0.1 * n(c), *(0.5 * n((c, c)) for _ in range(4)),
+            n((x_shape[0], 1, 1, c)) if time_bias else None, 1.0 + 0.1 * n(c), 0.1 * n(c),
+            n((c, hidden)) / c ** 0.5, 0.1 * n(hidden), n((hidden, c)) / hidden ** 0.5,
+            0.1 * n(c)]
+
+
+class TestSwinBlockParity:
+    """The fused Swin block is bitwise the composed chain: forward and the
+    gradients of x, both layer norms, the attention and MLP weights and
+    biases, and t_bias."""
+
+    @pytest.mark.parametrize("x_shape,heads,window,shift,time_bias", [
+        ((1, 4, 4, 4), 2, 2, 0, True),       # B = 1, unshifted
+        ((3, 8, 8, 8), 2, 4, 2, False),      # B = 3, shifted, no time bias
+        ((2, 6, 4, 6), 3, 2, 1, True),       # non-square map, three heads
+        # 64 image rows of 32 x 64 make two 32-row layer-norm blocks, and
+        # the attention scores make eight blocks of four windows
+        ((2, 32, 32, 64), 4, 8, 4, True),
+    ])
+    def test_matches_composed_chain(self, x_shape, heads, window, shift, time_bias):
+        rng = np.random.default_rng(11)
+        arrays = swin_arrays(rng, x_shape, time_bias, 2 * x_shape[-1])
+        tensors = [a for a in arrays if a is not None]
+
+        def with_t(fn):
+            def call(*ts):
+                args = list(ts)
+                if not time_bias:
+                    args.insert(7, None)
+                return fn(*args, heads, window, shift)
+            return call
+
+        fused = _value_and_grads(with_t(T.swin_block), tensors)
+        split = _value_and_grads(with_t(composed_swin_block), tensors)
+        for got, want in zip(fused, split):
+            assert np.array_equal(got, want)
+        with no_grad():
+            out = with_t(T.swin_block)(*[t(a) for a in tensors])
+        assert np.array_equal(out.data, split[0])
+
+    def test_single_graph_node(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
+        args = [t(a) if a is not None else None for a in swin_arrays(rng, x.shape, True, 8)[1:]]
+        out = T.swin_block(x, *args, 2, 2, 1)
+        assert out.node.kind == "swin-block"
+        assert out.node.parents[:2] == (x, x)
+
+    @pytest.mark.parametrize("field,shape", [
+        (0, (4, 4, 4)),           # not a 4-D map
+        (1, (3,)),                # ln1 gamma of other channels
+        (6, (4, 3)),              # wo projects to other channels
+        (7, (2, 1, 1, 4)),        # time bias of another batch
+        (10, (3, 8)),             # w1 of other channels
+        (11, (7,)),               # b1 of another width
+    ])
+    def test_bad_shapes_rejected(self, field, shape):
+        arrays = swin_arrays(np.random.default_rng(13), (1, 4, 4, 4), True, 8)
+        arrays[field] = np.ones(shape)
+        with pytest.raises(ShapeError, match="swin-block|window-attention"):
+            T.swin_block(*[t(a) for a in arrays], 2, 2, 0)
+
+
 # table: (kind, input shapes, attrs, expected output shape)
 SHAPE_TABLE = [
     ("add", [(3, 4), (3, 4)], {}, (3, 4)),
@@ -329,6 +406,9 @@ SHAPE_TABLE = [
     ("sum", [(3, 4)], {"axis": 0}, (4,)),
     ("mse-loss", [(3, 4), (3, 4)], {}, ()),
     ("conv-block", [(2, 5, 4, 3), (3,), (3,), (3, 3, 3, 3), (3,), (2, 1, 1, 3)], {}, (2, 5, 4, 3)),
+    ("swin-block", [(2, 4, 4, 3), (3,), (3,), (3, 4), (3, 4), (3, 4), (4, 3), (2, 1, 1, 3), (3,),
+                    (3,), (3, 6), (6,), (6, 3), (3,)], {"heads": 2, "window": 2, "shift": 1},
+     (2, 4, 4, 3)),
 ]
 
 

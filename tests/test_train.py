@@ -151,7 +151,10 @@ class TestTrainer:
         resumed.run()
         store = resumed.model.store
         live = {id(a) for n, p in store.items() for a in (p.data, store.m[n], store.v[n])}
-        reached = list(arrays_reached(ckpt))
+        # Adam's flat buffers, whose views the live arrays are
+        bases = {id(a.base) for n, p in store.items()
+                 for a in (p.data, store.m[n], store.v[n]) if a.base is not None}
+        reached = [a for a in arrays_reached(ckpt) if id(a) not in bases]
         assert len(reached) == len(live)
         assert all(id(a) in live for a in reached)
 
