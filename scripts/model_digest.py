@@ -4,9 +4,11 @@ and one over a checkpoint round trip.
 
 Each wiring line digests, in order: the fresh parameters (names and
 bytes), a seeded training loss, every parameter gradient of that loss
-(names and bytes) and a no-grad ``eps_hat``. The wirings are every
-fusion strategy at 16 px, attn-last2 without the projector, and
-``configs/desk.json``. The checkpoint line saves the desk model after
+(names and bytes) and a no-grad ``eps_hat``, on a batch of two (one for
+the 128 px wiring). The wirings are every fusion strategy at 16 px,
+attn-last2 without the projector, ``configs/desk.json``, and a 128 px,
+base-16 model whose conv tap sums, layer norms, window attention and
+Swin MLP each run in more than one block. The checkpoint line saves the desk model after
 two seeded Adam steps, loads it with and then without the Adam moments,
 and digests each loaded store: per parameter its name, data, moments
 (when loaded) and step count.
@@ -33,7 +35,6 @@ from dosediff.tensor import backward, no_grad
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 STRATEGIES = ("concatenate", "add-all", "attn-all", "attn-last0", "attn-last2")
-BATCH = 2
 
 
 def smoke_cfg(fusion: str, use_projector: bool) -> ModelConfig:
@@ -44,11 +45,24 @@ def smoke_cfg(fusion: str, use_projector: bool) -> ModelConfig:
                        beta_start=1e-4, beta_end=0.35)
 
 
+def blocked_cfg() -> ModelConfig:
+    """128 px, base 16: the stage-1 conv blocks run 5 tap-sum blocks and
+    blocked layer norms; the 64 px, 32-channel Swin blocks run 2 attention
+    blocks and a 2^24 multiply-add MLP."""
+    return ModelConfig(image_size=128, oar_count=3, base_channels=16,
+                       stage_multipliers=(2, 4, 8), window=4, heads=2,
+                       projector_ratio=4, use_projector=True,
+                       fusion=FusionStrategy.parse("concatenate"), t_steps=50,
+                       beta_start=1e-4, beta_end=0.02)
+
+
 def wirings():
+    """(label, model config, batch size) of every wiring line."""
     for fusion in STRATEGIES:
-        yield fusion, smoke_cfg(fusion, True)
-    yield "attn-last2-no-projector", smoke_cfg("attn-last2", False)
-    yield "desk.json", load_config(DESK).model
+        yield fusion, smoke_cfg(fusion, True), 2
+    yield "attn-last2-no-projector", smoke_cfg("attn-last2", False), 2
+    yield "desk.json", load_config(DESK).model, 2
+    yield "blocked-128px", blocked_cfg(), 1
 
 
 def putter(h):
@@ -58,7 +72,7 @@ def putter(h):
     return put
 
 
-def digest(cfg: ModelConfig) -> str:
+def digest(cfg: ModelConfig, batch: int) -> str:
     h = hashlib.sha256()
     put = putter(h)
     model = DoseModel(cfg, 3)
@@ -66,15 +80,15 @@ def digest(cfg: ModelConfig) -> str:
         put(name, p.data)
     rng = np.random.default_rng(4)
     n, c = cfg.image_size, cfg.cond_channels
-    dose = rng.uniform(-1, 1, (BATCH, 1, n, n))
-    cond = rng.random((BATCH, c, n, n))
+    dose = rng.uniform(-1, 1, (batch, 1, n, n))
+    cond = rng.random((batch, c, n, n))
     sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
     loss = D.training_step(model, (dose, cond), sched, rng)
     put("loss", loss.data)
     for name, g in sorted(backward(loss, model.store).items()):
         put(f"grad:{name}", g)
     with no_grad():
-        eps_hat = model(dose, [1, cfg.t_steps - 1], cond)
+        eps_hat = model(dose, [1, cfg.t_steps - 1][:batch], cond)
     put("eps_hat", eps_hat.data)
     return h.hexdigest()
 
@@ -103,8 +117,8 @@ def checkpoint_digest() -> str:
 
 
 def main() -> None:
-    for label, cfg in wirings():
-        print(f"{digest(cfg)} {label}")
+    for label, cfg, batch in wirings():
+        print(f"{digest(cfg, batch)} {label}")
     print(f"{checkpoint_digest()} desk.json checkpoint")
 
 

@@ -28,13 +28,33 @@ with ``layer_norm`` and ``conv_block`` and one window-attention kernel
 (``_window_attention``) with ``window_attention``. On maps larger than
 one cache-sized block, layer norm (alone or fused) and the attention
 softmax run one block at a time, bitwise the whole-array formulas.
+
+Threads: in a forward under ``no_grad``, the blocked kernels (the
+stride-1 conv's tap sum with its epilogue, layer norm, the attention
+softmax) and the stacked products of at least 2^24 multiply-adds (the
+attention projections, the Swin MLP) split their list of whole blocks
+or whole stacked matrices in two halves: the calling thread runs the
+first, one persistent worker thread the second (``_split``). No numpy
+call changes shape, so the results are bitwise those of one thread, for
+any worker count. The worker starts on the first such list of at least
+two blocks, and from then until the outermost ``no_grad`` ends OpenBLAS
+runs on one thread. Work that may build a graph, the backward included,
+runs in the calling thread alone with BLAS's own thread count: OpenBLAS
+at one thread and at two gives different bits for some large
+weight-gradient products. On a single CPU, or without OpenBLAS's thread
+API, every block runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
+import os
+import re
+import queue
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -73,6 +93,8 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+        if prev:
+            _unpin_blas()
 
 
 class Node:
@@ -184,6 +206,150 @@ _BLOCK_ELEMS = 65536
 # block keeps the composed chain's bits
 _LN_EPS = 1e-5
 
+# multiply-adds from which a stacked product (the attention projections,
+# the Swin MLP) is split between the two threads
+_SPLIT_MACS = 1 << 24
+
+
+# ---------------------------------------------------------------------------
+# the block worker: a second thread for the blocked kernels
+
+
+def _openblas(name: str):
+    """The C function ``name`` (e.g. "set_num_threads") of the OpenBLAS that
+    numpy loaded, or None: looked up among the process's mapped libraries
+    (Linux) under the prefixes and suffixes of OpenBLAS builds."""
+    try:
+        with open("/proc/self/maps") as f:
+            maps = f.read()
+    except OSError:
+        return None
+    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+                if fn is not None:
+                    return fn
+    return None
+
+
+_WORKER_NAME = "dosediff-blocks"     # the name of every block worker's thread
+
+
+class _BlockWorker:
+    """One daemon thread that runs the halves ``_split`` hands it, one at a
+    time. (``concurrent.futures`` would do, but its import costs every
+    process about 9 ms and 0.7 MB.)"""
+
+    def __init__(self):
+        self.jobs = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name=_WORKER_NAME, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            run, args, done, error = self.jobs.get()
+            try:
+                run(*args)
+            except BaseException as exc:   # re-raised by the thread that waits
+                error.append(exc)
+            run = args = error = None      # hold no kernel's arrays until the next job
+            done.set()
+
+    def submit(self, run: Callable, *args) -> Callable:
+        """Queue run(*args); returns a wait() that blocks until it has run
+        and returns the exception it raised, or None."""
+        done, error = threading.Event(), []
+        self.jobs.put((run, args, done, error))
+
+        def wait():
+            done.wait()
+            return error[0] if error else None
+        return wait
+
+
+_WORKER = None          # the _BlockWorker once started; False where none can run
+_BLAS_THREADS = None    # OpenBLAS's (get, set) of its thread count, found with the worker
+_BLAS_OWN = 0           # OpenBLAS's own thread count while it is pinned to one, else 0
+
+
+def _block_worker() -> Optional[_BlockWorker]:
+    """The block worker, started on first use, or None on a single CPU or
+    without OpenBLAS's thread API.
+
+    It pins OpenBLAS to one thread until the outermost ``no_grad`` ends
+    (``_unpin_blas``): a GEMM threaded by BLAS next to the worker, or BLAS
+    threads switched around each split, made a paper-scale sample slower
+    than no worker at all.
+    """
+    global _WORKER, _BLAS_THREADS, _BLAS_OWN
+    if _WORKER is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        fns = [_openblas(f"{op}_num_threads") for op in ("get", "set")]
+        if (cpus or 1) < 2 or None in fns:
+            _WORKER = False
+        else:
+            fns[0].argtypes, fns[0].restype = (), ctypes.c_int
+            fns[1].argtypes, fns[1].restype = (ctypes.c_int,), None
+            _BLAS_THREADS = fns
+            _WORKER = _BlockWorker()
+    if _WORKER and not _BLAS_OWN:
+        _BLAS_OWN = _BLAS_THREADS[0]()
+        _BLAS_THREADS[1](1)
+    return _WORKER or None
+
+
+def _unpin_blas() -> None:
+    """Give OpenBLAS back its own thread count if a split pinned it."""
+    global _BLAS_OWN
+    if _BLAS_OWN:
+        _BLAS_THREADS[1](_BLAS_OWN)
+        _BLAS_OWN = 0
+
+
+def _forget_worker() -> None:
+    global _WORKER
+    _WORKER = None
+
+
+if hasattr(os, "register_at_fork"):     # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _stacked_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for a stack of matrices a and one matrix w. From _SPLIT_MACS
+    multiply-adds on, the stack's leading axis is split between the two
+    threads (``_split``), whole matrices each, so the bits are the same."""
+    if a.size * w.shape[1] < _SPLIT_MACS:
+        return a @ w
+    out = np.empty(a.shape[:-1] + w.shape[1:])
+    _split(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), len(a))
+    return out
+
+
+def _split(run: Callable, n: int) -> None:
+    """run(lo, hi) over the blocks [lo, hi) of a list of n: the first half in
+    the calling thread, the second half in the block worker. An exception
+    in either half re-raises here once both halves have ended. With fewer
+    than two blocks, while a graph may be built (outside ``no_grad``),
+    without a worker, or called from inside the worker, run(0, n) runs in
+    the calling thread alone."""
+    worker = _block_worker() if n >= 2 and not _GRAD_ENABLED else None
+    if worker is None or threading.current_thread().name == _WORKER_NAME:
+        run(0, n)
+        return
+    half = n - n // 2
+    wait = worker.submit(run, half, n)
+    try:
+        run(0, half)
+    finally:
+        error = wait()
+    if error is not None:
+        raise error
+
 
 # ---------------------------------------------------------------------------
 # elementwise / linear algebra
@@ -284,24 +450,34 @@ def _conv_out_side(n: int, k: int, stride: int, padding: int) -> int:
 
 
 def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: Sequence[np.ndarray],
-             out: np.ndarray) -> None:
+             out: np.ndarray, epilogue: Optional[Callable]) -> None:
     """out[r] = sum over taps t of src[r + offsets[t]] @ mats[t], written in place.
 
     Every tap operand is a contiguous row slice of ``src``, so nothing is
     copied. The taps run one block of rows at a time, so that the block's
-    output stays in cache while the taps add into it. Per row the taps
-    are summed in order, as ``0 + t0 + t1 + ...``.
+    output stays in cache while the taps add into it, and
+    ``epilogue(r0, r1)``, when given, runs on each block's rows [r0, r1)
+    right after them. Per row the taps are summed in order, as
+    ``0 + t0 + t1 + ...``. The blocks are split between two threads
+    (``_split``).
     """
     n_rows, cout = out.shape
     block = max(256, _BLOCK_ELEMS // max(src.shape[1], cout))
-    tmp = np.empty((min(block, n_rows), cout))
-    for r0 in range(0, n_rows, block):
-        r1 = min(r0 + block, n_rows)
-        acc, part = out[r0:r1], tmp[:r1 - r0]
-        np.matmul(src[r0 + offsets[0]:r1 + offsets[0]], mats[0], out=acc)
-        for off, m in zip(offsets[1:], mats[1:]):
-            np.matmul(src[r0 + off:r1 + off], m, out=part)
-            acc += part
+    starts = range(0, n_rows, block)
+
+    def run(lo, hi):
+        tmp = np.empty((min(block, n_rows), cout))
+        for r0 in starts[lo:hi]:
+            r1 = min(r0 + block, n_rows)
+            acc, part = out[r0:r1], tmp[:r1 - r0]
+            np.matmul(src[r0 + offsets[0]:r1 + offsets[0]], mats[0], out=acc)
+            for off, m in zip(offsets[1:], mats[1:]):
+                np.matmul(src[r0 + off:r1 + off], m, out=part)
+                acc += part
+            if epilogue is not None:
+                epilogue(r0, r1)
+
+    _split(run, len(starts))
 
 
 def _conv2d_strided(xp: np.ndarray, wd: np.ndarray, s: int, Ho: int, Wo: int):
@@ -327,15 +503,37 @@ def _conv2d_strided(xp: np.ndarray, wd: np.ndarray, s: int, Ho: int, Wo: int):
     return out.reshape(B, Ho, Wo, Cout), bwd
 
 
-def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
+def _valid_boxes(r0: int, r1: int, Hp: int, Wp: int, Ho: int, Wo: int):
+    """The valid positions (i < Ho, j < Wo) among the flat rows [r0, r1) of a
+    [B, Hp, Wp] padded grid, as index boxes (b, rows, columns) of [B, Ho, Wo]:
+    a run of whole rows of one image, or part of one row."""
+    while r0 < r1:
+        pr, j = divmod(r0, Wp)
+        b, i = divmod(pr, Hp)
+        if j or r1 - r0 < Wp:
+            end = min(r1 - pr * Wp, Wp)
+            if i < Ho and j < Wo:
+                yield b, slice(i, i + 1), slice(j, min(end, Wo))
+            r0 = pr * Wp + end
+        else:
+            n = min((r1 - r0) // Wp, Hp - i)
+            if i < Ho:
+                yield b, slice(i, min(i + n, Ho)), slice(0, Wo)
+            r0 += n * Wp
+
+
+def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int, finish: Callable):
     """Stride-1 conv over a padded input, on its flat [B*Hp*Wp, Cin] rows.
 
     Output row r = (b*Hp + i)*Wp + j of the padded grid reads tap (ki, kj)
     at row r + ki*Wp + kj, so each tap is a contiguous slice of the one
     flat buffer. Rows past the last valid output are never computed and
-    the junk rows and columns (i >= Ho or j >= Wo) are left in place: the
-    output is a [B, Ho, Wo, Cout] view into the padded grid, for the caller
-    to copy out. Otherwise the same return contract as ``_conv2d_strided``.
+    the junk rows and columns (i >= Ho or j >= Wo) are skipped: inside the
+    row block that computed them, every box of valid positions
+    (``_valid_boxes``, an index of [B, Ho, Wo]) is copied to the output,
+    and ``finish(dst, box)`` adds the epilogue into that part ``dst`` of
+    it. Returns the [B, Ho, Wo, Cout] output and the backward, which maps
+    the output gradient to (padded input gradient, weight gradient).
     """
     B, Hp, Wp, Cin = xp.shape
     Cout, _, kh, kw = wd.shape
@@ -348,7 +546,23 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
     # strided view of wd[:, :, ki, kj].T gives the same bits)
     taps_w = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, Cin, Cout)
     out = np.empty((rows, Cout))
-    _tap_sum(xf, offsets, taps_w, out[:n_rows])
+    grid = out.reshape(B, Hp, Wp, Cout)
+    # a grid without junk (a 1x1 kernel, no padding) is the output itself;
+    # otherwise the output comes after the grid, so that the grid and the
+    # padded input, both freed on return, can be one free run of the heap
+    y = grid if (Hp, Wp) == (Ho, Wo) else np.empty((B, Ho, Wo, Cout))
+
+    def epilogue(r0, r1):
+        # one block is the whole output at once; a copy and an in-place add
+        # are faster than one add from the strided grid
+        whole = r1 - r0 == n_rows
+        for box in [slice(None)] if whole else _valid_boxes(r0, r1, Hp, Wp, Ho, Wo):
+            dst = y[box]
+            if y is not grid:
+                np.copyto(dst, grid[:, :Ho, :Wo] if whole else grid[box])
+            finish(dst, box)
+
+    _tap_sum(xf, offsets, taps_w, out[:n_rows], epilogue)
 
     def bwd(g):
         # output gradient on the padded grid, zero at the junk positions,
@@ -361,10 +575,11 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int):
             gw[:, :, ki, kj] = g_rows.T @ xf[off:off + n_rows]
         # input row e gathers output row e - off of each tap, in tap order
         gxp = np.empty((rows, Cin))
-        _tap_sum(gf, [reach - off for off in offsets], taps_w.transpose(0, 2, 1).copy(), gxp)
+        _tap_sum(gf, [reach - off for off in offsets], taps_w.transpose(0, 2, 1).copy(), gxp,
+                 None)
         return gxp.reshape(B, Hp, Wp, Cin), gw
 
-    return out.reshape(B, Hp, Wp, Cout)[:, :Ho, :Wo], bwd
+    return y, bwd
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int) -> Tensor:
@@ -374,9 +589,10 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int)
     Forward and backward are one GEMM per kernel tap, taps summed in order.
     Stride 1 works on one flat zero-padded copy of the input, in which
     every tap is a contiguous row slice, in cache-sized blocks of output
-    rows (``_conv2d_flat``); larger strides run one GEMM per tap on a
-    strided view. The bias is added last, in place into the tap sum, so a
-    biased conv is bitwise the conv followed by a separate ``add``.
+    rows (``_conv2d_flat``), which crop the padded grid and add the bias
+    inside each block; larger strides run one GEMM per tap on a strided
+    view. The bias is added last, to the tap sum, so a biased conv is
+    bitwise the conv followed by a separate ``add``.
 
     The stride-1 path against the per-tap loop on strided copies that it
     replaced (kept in the tests as ``reference_conv2d``): the taps are
@@ -406,12 +622,17 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int)
     else:
         xp = x.data
     if s == 1:
-        out, taps_bwd = _conv2d_flat(xp, w.data, Ho, Wo)
+        bd = None if b is None else b.data
+
+        def finish(dst, box):
+            if bd is not None:
+                dst += bd
+
+        out, taps_bwd = _conv2d_flat(xp, w.data, Ho, Wo, finish)
     else:
         out, taps_bwd = _conv2d_strided(xp, w.data, s, Ho, Wo)
-    out = np.ascontiguousarray(out)      # crops the stride-1 padded grid
-    if b is not None:
-        out += b.data
+        if b is not None:
+            out += b.data
 
     def bwd(g):
         gxp, gw = taps_bwd(g)
@@ -577,7 +798,7 @@ def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.nda
     xw = np.take(xd.reshape(b, h * w, c), idx, axis=1).reshape(nwin, window, window, c)
 
     def heads_of(wd, axes):
-        return (xw @ wd).reshape(nwin, n, heads, dk).transpose(axes)
+        return _stacked_matmul(xw, wd).reshape(nwin, n, heads, dk).transpose(axes)
 
     q = heads_of(wq, (0, 2, 1, 3))               # [nW, h, n, dk]
     k_t = heads_of(wk, (0, 2, 3, 1))             # [nW, h, dk, n]
@@ -585,19 +806,25 @@ def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.nda
     if nwin * heads * n * n <= _BLOCK_ELEMS:
         attn, av = _attend(q, k_t, v, scale)
     else:
-        # one cache-sized block of windows at a time, into the full arrays
+        # cache-sized blocks of windows, into the full arrays
         attn = np.empty((nwin, heads, n, n))
         av = np.empty((nwin, heads, n, dk))
         step = max(1, _BLOCK_ELEMS // (heads * n * n))
-        for w0 in range(0, nwin, step):
-            blk = slice(w0, w0 + step)
-            _attend(q[blk], k_t[blk], v[blk], scale, attn[blk], av[blk])
+        starts = range(0, nwin, step)
+
+        def attend(lo, hi):
+            for w0 in starts[lo:hi]:
+                blk = slice(w0, w0 + step)
+                _attend(q[blk], k_t[blk], v[blk], scale, attn[blk], av[blk])
+
+        _split(attend, len(starts))
     ctx = av.transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
     # np.take, unlike indexing with [:, inv], returns a C-ordered array, so
     # the residual sums that swin_block adds into it keep the layout (and
     # so the reduction order) of the composed chain's fresh ``add`` output;
     # gx below keeps [:, inv], whose layout the layer-norm backward sums see
-    out = np.take((ctx @ wo).reshape(b, h * w, cout), inv, axis=1).reshape(b, h, w, cout)
+    out = np.take(_stacked_matmul(ctx, wo).reshape(b, h * w, cout), inv,
+                  axis=1).reshape(b, h, w, cout)
 
     def bwd(g):
         gw = np.take(g.reshape(b, h * w, cout), idx, axis=1).reshape(-1, cout)  # window order
@@ -803,9 +1030,10 @@ def _layer_norm_fwd(xd: np.ndarray, gam: np.ndarray, bet: np.ndarray, keep: bool
     is written there instead and y is that view.
 
     A map larger than a cache-sized block runs one block of whole [W, C]
-    matrices at a time (``_norm_block``), bitwise the formula on the whole
-    array; blocks run per image when writing into ``relu_into``, whose
-    images need not be one row run. Shared by ``layer_norm``,
+    matrices at a time (``_norm_block``), split between two threads
+    (``_split``), bitwise the formula on the whole array; blocks run per
+    image when writing into ``relu_into``, whose images need not be one
+    row run. Shared by ``layer_norm``,
     ``conv_block`` and ``swin_block``.
     """
     if xd.size <= _BLOCK_ELEMS:
@@ -821,11 +1049,12 @@ def _layer_norm_fwd(xd: np.ndarray, gam: np.ndarray, bet: np.ndarray, keep: bool
     xhat = np.empty(x4.shape) if keep else None
     inv = np.empty(x4.shape[:-1] + (1,)) if keep else None
     rows = (min(step, h), w, n)
-    xc_buf = None if keep else np.empty(rows)
-    y_buf = np.empty(rows) if relu_into is not None else None
-    for i in range(m):
-        for r0 in range(0, h, step):
-            blk = (i, slice(r0, r0 + step))
+    blocks = [(i, slice(r0, r0 + step)) for i in range(m) for r0 in range(0, h, step)]
+
+    def run(lo, hi):
+        xc_buf = None if keep else np.empty(rows)
+        y_buf = np.empty(rows) if relu_into is not None else None
+        for blk in blocks[lo:hi]:
             xb = x4[blk]
             k = len(xb)
             yb, _, _ = _norm_block(xb, gam, bet, xhat[blk] if keep else xc_buf[:k],
@@ -833,6 +1062,8 @@ def _layer_norm_fwd(xd: np.ndarray, gam: np.ndarray, bet: np.ndarray, keep: bool
                                    inv[blk] if keep else None)
             if y_buf is not None:
                 np.maximum(yb, 0.0, out=y[blk])
+
+    _split(run, len(blocks))
     if relu_into is not None:
         return y, xhat, inv
     return (y.reshape(xd.shape), xhat.reshape(xd.shape) if keep else None,
@@ -878,7 +1109,8 @@ def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
     Layer norm and ReLU run in cache-sized blocks of image rows
     (``_layer_norm_fwd``), the ReLU writing straight into the interior of
     the zero-bordered buffer that the stride-1 conv reads its taps from;
-    the epilogue adds b, then t_bias, then x. Every element sees the same
+    inside each block of the conv's tap sum the epilogue adds b, then
+    t_bias, then x. Every element sees the same
     IEEE operations as the composed chain, so the forward and every
     gradient are bitwise equal to it.
     x is a parent twice, the residual term first: its two gradient terms
@@ -904,11 +1136,16 @@ def conv_block(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, b: Tensor,
     xp = np.zeros((B, H + 2, W + 2, C))
     inner, xhat, inv = _layer_norm_fwd(xd, gam, beta.data, _graph_wanted(parents),
                                        xp[:, 1:H + 1, 1:W + 1])
-    conv, taps_bwd = _conv2d_flat(xp, w.data, H, W)
-    out = np.add(conv, b.data)
-    if t_bias is not None:
-        out += t_bias.data
-    out += xd
+    bd = b.data
+    tb = None if t_bias is None else np.broadcast_to(t_bias.data, x.shape)
+
+    def finish(dst, box):
+        dst += bd
+        if tb is not None:
+            dst += tb[box]
+        dst += xd[box]
+
+    out, taps_bwd = _conv2d_flat(xp, w.data, H, W, finish)
 
     def bwd(g):
         gxp, gw = taps_bwd(g)
@@ -969,12 +1206,24 @@ def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor, 
     if t_bias is not None:
         s += t_bias.data
     y, xhat2, inv2 = _layer_norm_fwd(s, g2, ln2_b.data, keep, None)
-    r = y @ w1d
-    r += b1.data
-    np.maximum(r, 0.0, out=r)
-    out = r @ w2d
-    out += b2.data
-    out += s
+
+    def mlp(yb, rb, ob, sb):
+        """The MLP and the residual on rows yb, into rb and ob (None: new arrays)."""
+        rb = np.matmul(yb, w1d, out=rb)
+        rb += b1.data
+        np.maximum(rb, 0.0, out=rb)
+        ob = np.matmul(rb, w2d, out=ob)
+        ob += b2.data
+        ob += sb
+        return rb, ob
+
+    if y.size * hidden < _SPLIT_MACS:
+        r, out = mlp(y, None, None, s)
+    else:
+        # stacks of whole image rows, [B*H] matrices [W, C], into full arrays
+        r, out = np.empty(y.shape[:-1] + (hidden,)), np.empty_like(s)
+        rows = [arr.reshape((-1,) + arr.shape[2:]) for arr in (y, r, out, s)]
+        _split(lambda lo, hi: mlp(*(arr[lo:hi] for arr in rows)), len(rows[0]))
 
     def bwd(g):
         g_r, g_w2 = _row_stack_grads(r, w2d, g)

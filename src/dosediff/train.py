@@ -86,7 +86,7 @@ def load_split(data_dir) -> P.DatasetSplit:
         raise DataError(f"missing split manifest: {manifest}")
     try:
         d = json.loads(manifest.read_text())
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{manifest}: invalid JSON ({e})") from None
     if not isinstance(d, dict):
         raise DataError(f"{manifest}: expected an object, got {type(d).__name__}")

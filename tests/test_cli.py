@@ -663,6 +663,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
 
+    def test_split_not_utf8_is_3(self, trained, capsys):
+        tmp, cfg, data, ckpt = trained
+        (data / "split.json").write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--data", data, "--out", tmp / "t"]) == 3
+        assert run(["sample", "--checkpoint", ckpt, "--data", data, "--out", tmp / "s"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("data error:") and "split.json" in e
+                                     for e in err)
+
     @pytest.mark.parametrize("field,value", [("image_size", 32), ("oar_count", 3)])
     def test_data_not_matching_model_config_is_3(self, trained, field, value, capsys):
         tmp, cfg, data, ckpt = trained

@@ -23,6 +23,8 @@ PINNED = {
     "attn-last2-no-projector":
         "1b4a305281be45c42de2abc05d1e62d50aa627268f84c15483c0d9ed9662a6a6",
     "desk.json": "5846c36e75c1de7110570c02f8b6eeb92eb4a0ddf948732227a8bdd503e66eb4",
+    # recorded at 40d579a, before the blocked kernels split across two threads
+    "blocked-128px": "05191bb0d48fd49dd5f6487093ca0a71d4f8b0e10ec1bedff3102e0abb69fa06",
     "desk.json checkpoint": "4c6a3ffad664782a8f5d5d2dee861bf10c53ca15f6fde2f8963ca83e2cbb098b",
 }
 
