@@ -112,7 +112,7 @@ def checkpoint_digest() -> str:
                 for tag, moment in (("m", store.m), ("v", store.v)):
                     if name in moment:
                         put(f"{tag}:{name}", moment[name])
-                h.update(f"steps:{store.steps[name]}".encode())
+                h.update(f"steps:{store.step}".encode())
     return h.hexdigest()
 
 

@@ -1,22 +1,21 @@
-"""Neural building blocks: windowed self-attention with cyclic shift,
-cross-attention feature fusion, the bottleneck projector, and sinusoidal
-time embeddings.
+"""Neural building blocks: the window bookkeeping of shifted-window
+attention, cross-attention feature fusion, the bottleneck projector, and
+sinusoidal time embeddings.
 
 Feature maps are channels-last [B, H, W, C] Tensors, the token layout
 of the Swin Transformer, so layer norm, the MLPs and the projections all
 act on the last axis directly. A whole Swin block is the single engine
-op ``tensor.swin_block``, whose attention branch (shift, window tiling,
-multi-head attention, merge, unshift) is ``tensor.window_attention``'s
-kernel; ``window_partition``, ``cyclic_shift`` and ``window_merge`` spell
-those steps out as composable ops and serve as its reference. The
-forwards take their parameters as explicit tensors, the way the engine
-ops do; ``dosediff.networks`` draws them into the ParamStore and closes
-over them, one builder per unit.
+op ``tensor.swin_block``, which ``dosediff.networks`` calls directly; its
+attention branch (shift, window tiling, multi-head attention, merge,
+unshift) is ``tensor.window_attention``'s kernel. ``window_partition``,
+``cyclic_shift`` and ``window_merge`` spell those steps out as
+composable ops and serve as its reference. The forwards take their
+parameters as explicit tensors, the way the engine ops do;
+``dosediff.networks`` draws them into the ParamStore and closes over
+them, one builder per unit.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -69,24 +68,6 @@ def cyclic_shift(x: Tensor, dy: int, dx: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # attention
-
-
-def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor,
-               wv: Tensor, wo: Tensor, heads: int, window: int, shift: int,
-               t_bias: Optional[Tensor], ln2_g: Tensor, ln2_b: Tensor, w1: Tensor,
-               b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Windowed-attention block, its windows rolled by ``shift`` pixels:
-    the single engine op ``tensor.swin_block``.
-
-    A nonzero shift offsets the windows toroidally, with no mask.
-    Pre-normalization before each sub-layer; residual connections around
-    the attention and MLP branches; the block's projected time bias t_bias
-    [B, 1, 1, C] (None for none) is added between them. With the residual
-    branch outputs zeroed the block is the exact identity.
-    """
-    _map_shape(x, "swin_block")
-    return T.swin_block(x, ln1_g, ln1_b, wq, wk, wv, wo, t_bias, ln2_g, ln2_b, w1, b1, w2, b2,
-                        heads, window, shift)
 
 
 def cross_attention_fuse(a: Tensor, b: Tensor, wq_a: Tensor, wk_b: Tensor, wv_b: Tensor,

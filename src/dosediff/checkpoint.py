@@ -44,7 +44,7 @@ def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
         "step": int(step),
         "rng_state": rng.bit_generator.state,
         "params": [{"name": n, "shape": list(store[n].shape)} for n in names],
-        "opt_steps": {n: store.steps[n] for n in names},
+        "opt_steps": dict.fromkeys(names, store.step),
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"))
     CKPT_FILE.write(path, itertools.chain([pack_text(text)], (
@@ -52,22 +52,31 @@ def save_checkpoint(path, cfg: RunConfig, store: ParamStore, step: int,
         for n in names for a in (store[n].data, store.m[n], store.v[n]))))
 
 
+def _count(value, what: str) -> int:
+    """A step count from the header: a JSON integer (not a bool) >= 0."""
+    if type(value) is not int or value < 0:
+        raise SampleFormatError(f"{what} {value!r} is not an integer >= 0")
+    return value
+
+
 def load_checkpoint(path, moments: bool = True) -> Checkpoint:
     """Read a checkpoint into the model of its own config; nothing is
-    drawn. Any malformed header or payload, and any parameter whose name
-    or shape does not fit the model, raises SampleFormatError that names
-    the file.
+    drawn. Any malformed header or payload, a step count that is not one
+    integer >= 0, and any parameter whose name or shape does not fit the
+    model, raises SampleFormatError that names the file.
 
-    Every tensor is read straight from the file into its own array, which
-    the model's ParamStore then takes by name, with the per-parameter step
-    counts and the Adam moments: once the load returns, the store is the
+    The header keeps one optimizer step count per parameter name
+    (``opt_steps``); a store has one count, so every entry must hold the
+    same value. Every tensor is read straight from the file into its own
+    array, which the model's ParamStore then takes by name, with the step
+    count and the Adam moments: once the load returns, the store is the
     only holder of the file's arrays. With ``moments=False`` the moments
     are stepped over, not read (their length is still checked), and the
     store has none: enough to sample, not to resume training.
     """
     with CKPT_FILE.read(path) as cur:
         header = json.loads(cur.text("header"))
-        cfg, step = config_from_dict(header["config"]), int(header["step"])
+        cfg, step = config_from_dict(header["config"]), _count(header["step"], "step")
         rng_state = header["rng_state"]
         np.random.PCG64().state = rng_state   # raises unless a PCG64 state
         params: Dict[str, np.ndarray] = {}
@@ -84,7 +93,10 @@ def load_checkpoint(path, moments: bool = True) -> Checkpoint:
                     cur.skip(params[name].nbytes, part)
         if set(header["opt_steps"]) != set(params):
             raise SampleFormatError("optimizer step counts do not match the parameter list")
-        steps = {k: int(x) for k, x in header["opt_steps"].items()}
+        counts = {_count(x, "optimizer step count") for x in header["opt_steps"].values()}
+        if len(counts) != 1:
+            raise SampleFormatError(f"optimizer step counts differ: {sorted(counts)}")
+        (opt_step,) = counts
         del header   # a load never holds the parsed header and the model on top of the tensors
 
         def take(name: str, shape: tuple) -> np.ndarray:
@@ -100,7 +112,7 @@ def load_checkpoint(path, moments: bool = True) -> Checkpoint:
         if params:
             raise SampleFormatError(f"checkpoint/model parameter mismatch: the model has no "
                                     f"{sorted(params)[:5]}...")
-        model.store.steps.update(steps)
+        model.store.step = opt_step
         model.store.m.update(m)
         model.store.v.update(v)
     return Checkpoint(cfg, step, rng_state, model)

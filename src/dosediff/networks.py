@@ -23,7 +23,8 @@ It adds the unit's parameters to the ParamStore, in the order that
 fixes every initial draw, and returns the unit's forward as a closure
 over them. A conv, the projector or the head maps ``x``, a block ``(h,
 t_feat)``, the fuser ``(f, h)``. Each closure hands its engine op or
-block forward explicit tensors, so a fused op changes one call. An
+block forward explicit tensors, so a fused op changes one call: the
+Swin block closure calls ``tensor.swin_block`` itself. An
 encoder stage ``(h, t_feat, f)`` runs its blocks, the stride-2 conv
 plus its 1x1 shortcut, then fuses ``f`` (add or cross-attention, then
 the projector); ``f`` is None where nothing is fused, and t_feat is
@@ -51,7 +52,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import tensor as T
-from .blocks import cross_attention_fuse, projector_forward, swin_block, time_embedding
+from .blocks import cross_attention_fuse, projector_forward, time_embedding
 from .config import ModelConfig
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor
@@ -112,13 +113,14 @@ def _swin_block(store, prefix, channels, window, shift, heads, t_dim):
     b1 = store.add(f"{prefix}.mlp.b1", np.zeros(hidden))
     w2 = store.normal(f"{prefix}.mlp.w2", (hidden, channels))
     b2 = store.add(f"{prefix}.mlp.b2", np.zeros(channels))
-    pre = (ln1_g, ln1_b, *attn, heads, window, window // 2 if shift and window > 1 else 0)
-    mlp = (ln2_g, ln2_b, w1, b1, w2, b2)
+    pre = (ln1_g, ln1_b, *attn)
+    post = (ln2_g, ln2_b, w1, b1, w2, b2, heads, window,
+            window // 2 if shift and window > 1 else 0)
     if not t_dim:
-        return lambda h, t_feat: swin_block(h, *pre, None, *mlp)
+        return lambda h, t_feat: T.swin_block(h, *pre, None, *post)
     t_w = store.normal(f"{prefix}.t.w", (t_dim, channels))
     t_b = store.add(f"{prefix}.t.b", np.zeros(channels))
-    return lambda h, t_feat: swin_block(h, *pre, T.linear(t_feat, t_w, t_b), *mlp)
+    return lambda h, t_feat: T.swin_block(h, *pre, T.linear(t_feat, t_w, t_b), *post)
 
 
 def _cross_attention(store, prefix, c_struct, c_noise):

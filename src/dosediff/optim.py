@@ -5,8 +5,8 @@ draws each one from the generator it owns, and a restored store takes
 each from its source and draws nothing. ``adam_step`` takes its betas
 from the caller (``train.fit_step``, from the run config). Its first call
 on a store packs the parameters and both moments into one flat buffer
-each, so that every later update is one blocked pass over a few
-contiguous runs instead of a dozen numpy calls per parameter.
+each, so that every later update is one blocked pass over them instead
+of a dozen numpy calls per parameter.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class ParamStore:
     """Flat map from parameter path to Tensor plus Adam moment buffers.
 
     Parameter names are unique; first/second moment buffers match the
-    parameter shape. Each parameter carries its own step counter so bias
-    correction stays consistent when a step skips some parameters.
+    parameter shape. ``step`` is Adam's timestep: every update steps every
+    parameter, so the whole store shares one count.
 
     A fresh store owns its init stream: ``normal`` draws each value from
     the generator it was made with, in the order the parameters are
@@ -60,11 +60,10 @@ class ParamStore:
         self._params: Dict[str, Tensor] = {}
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
-        self.steps: Dict[str, int] = {}
+        self.step = 0
         self._rng = rng
         self._source: Optional[Callable[[str, tuple], np.ndarray]] = None
         self._flat: Optional[tuple] = None     # the (data, m, v) buffers once packed
-        self._layout: list = []                # (name, shape, start, stop) in the buffers
 
     @classmethod
     def from_source(cls, source: Callable[[str, tuple], np.ndarray]) -> "ParamStore":
@@ -91,17 +90,10 @@ class ParamStore:
         else:
             t = Tensor(self._source(name, shape), requires_grad=True, name=name)
         self._params[name] = t
-        self.steps[name] = 0
         return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def items(self) -> Iterator[Tuple[str, Tensor]]:
         return iter(self._params.items())
@@ -109,40 +101,35 @@ class ParamStore:
     def names(self):
         return list(self._params)
 
-    def total_size(self) -> int:
-        return sum(t.size for t in self._params.values())
-
     def _packed(self) -> tuple:
-        """The flat (data, m, v) buffers and the layout, packing them first
-        when some array is not a view of its buffer (the first call, a
-        parameter added or an array rebound since)."""
+        """The flat (data, m, v) buffers, packing them first when some
+        array is not a view of its buffer (the first call, a parameter
+        added, whose moments start as arrays of their own, or an array
+        rebound since)."""
         flat = self._flat
-        if flat is None or len(self._layout) != len(self._params) or not all(
-                self._params[n].data.base is flat[0] and self.m[n].base is flat[1]
-                and self.v[n].base is flat[2] for n, _, _, _ in self._layout):
+        if flat is None or not all(
+                t.data.base is flat[0] and self.m[n].base is flat[1]
+                and self.v[n].base is flat[2] for n, t in self._params.items()):
             self._pack()
-        return self._flat, self._layout
+        return self._flat
 
     def _pack(self) -> None:
-        layout, total = [], 0
-        for name, t in self._params.items():
-            layout.append((name, t.shape, total, total + t.size))
-            total += t.size
+        total = sum(t.size for t in self._params.values())
         self._flat = None      # an old buffer is freed once its last view is replaced
         flat = []
         for moment in (None, self.m, self.v):    # one buffer at a time
-            buf = np.empty(total)
-            for name, _, start, stop in layout:
-                t = self._params[name]
+            buf, start = np.empty(total), 0
+            for name, t in self._params.items():
                 a = t.data if moment is None else moment[name]
-                view = buf[start:stop].reshape(a.shape)
+                view = buf[start:start + t.size].reshape(a.shape)
+                start += t.size
                 view[...] = a
                 if moment is None:
                     t.data = view
                 else:
                     moment[name] = view
             flat.append(buf)
-        self._flat, self._layout = tuple(flat), layout
+        self._flat = tuple(flat)
 
 
 # elements per block of the flat Adam pass (128 KB of float64), so that a
@@ -152,9 +139,8 @@ _ADAM_BLOCK = 16384
 
 def _adam_run(data: np.ndarray, m: np.ndarray, v: np.ndarray, grads: list, lr: float,
               b1: float, b2: float, t: int) -> None:
-    """Adam on one contiguous run of the flat buffers whose parameters all
-    take their t-th step, in place, one cache-sized block at a time over
-    the run's gradients gathered into one flat copy.
+    """Adam's t-th step on the flat buffers, in place, one cache-sized
+    block at a time over the gradients gathered into one flat copy.
 
     Per element the same IEEE operations in the same order as
     ``m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * (g * g);
@@ -187,37 +173,26 @@ def adam_step(store: ParamStore, grads: Dict[str, np.ndarray], lr: float,
               betas: Tuple[float, float]) -> ParamStore:
     """In-place Adam update with bias correction and epsilon 1e-8.
 
-    Parameters without an entry in ``grads`` are left untouched (moments
-    and step counter included). Every maximal run of packed parameters
-    that are in ``grads`` and take the same step runs as one blocked pass
-    (``_adam_run``), bitwise the per-parameter formula. A gradient of an
-    unknown parameter or of the wrong shape raises before anything changes.
-    Returns the store for chaining.
+    ``grads`` holds a gradient for exactly the store's parameters, as
+    ``backward(loss, store)`` returns them. A missing or unknown name
+    raises KeyError and a gradient of the wrong shape ShapeError, both
+    before anything changes. The update steps ``store.step`` and runs as
+    one blocked pass over the packed buffers (``_adam_run``), bitwise the
+    per-parameter formula. Returns the store for chaining.
     """
-    (data, m, v), layout = store._packed()
-    steps = store.steps
-    runs = []     # [start, stop, step, gradients]
-    for name, shape, start, stop in layout:
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != shape:
+    gathered = []
+    for name, p in store.items():
+        if name not in grads:
+            raise KeyError(f"no gradient for parameter {name!r}")
+        g = grads[name]
+        if g.shape != p.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} != param shape "
-                             f"{shape} for {name!r}")
-        t = steps[name] + 1
-        run = runs[-1] if runs else None
-        if run is not None and run[1] == start and run[2] == t:
-            run[1] = stop
-            run[3].append(g)
-        else:
-            runs.append([start, stop, t, [g]])
-    if sum(len(run[3]) for run in runs) != len(grads):
-        unknown = next(name for name in grads if name not in store)
+                             f"{p.shape} for {name!r}")
+        gathered.append(g)
+    if len(grads) != len(gathered):
+        unknown = next(name for name in grads if name not in store._params)
         raise KeyError(f"gradient for unknown parameter {unknown!r}")
-    for name in grads:
-        steps[name] += 1
-    b1, b2 = betas
-    for start, stop, t, gs in runs:
-        blk = slice(start, stop)
-        _adam_run(data[blk], m[blk], v[blk], gs, lr, b1, b2, t)
+    data, m, v = store._packed()
+    store.step += 1
+    _adam_run(data, m, v, gathered, lr, *betas, store.step)
     return store

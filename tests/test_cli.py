@@ -11,8 +11,8 @@ from dosediff import train as TR
 from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
 
-from test_config_checkpoint import (bad_rng_state, drop_config, drop_opt_step,
-                                    rename_param, rewrite_checkpoint_header)
+from test_config_checkpoint import (BAD_COUNT_HEADERS, bad_rng_state, drop_config,
+                                    drop_opt_step, rename_param, rewrite_checkpoint_header)
 
 
 CFG = {
@@ -530,6 +530,19 @@ class TestExitCodes:
         # the parameter check runs inside the read too, so every line names the file
         assert len(err) == 2 and all(e.startswith(f"data error: {bad}:") for e in err)
         assert not (tmp / "s").exists() and not (tmp / "t").exists()
+
+    def test_resume_from_a_bad_step_count_is_3(self, trained, capsys):
+        """A step or optimizer count that is not one integer >= 0 is a data
+        error naming the file, not a run that logs steps from -3."""
+        tmp, cfg, data, ckpt = trained
+        for label, edit in BAD_COUNT_HEADERS.items():
+            bad = rewrite_checkpoint_header(ckpt, tmp / f"{label}.bin", edit)
+            capsys.readouterr()
+            assert run(["train", "--resume", bad, "--data", data,
+                        "--out", tmp / "t"]) == 3, label
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"data error: {bad}:"), (label, err)
+            assert not (tmp / "t").exists(), label
 
     def test_empty_mask_in_eval_is_3(self, tmp_path, capsys):
         s = P.generate_phantom(3, size=16, oar_count=2, beam_count=5)

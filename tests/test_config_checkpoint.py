@@ -14,7 +14,7 @@ from dosediff import phantom as P
 from dosediff.checkpoint import load_checkpoint, save_checkpoint
 from dosediff.cli import main
 from dosediff.config import (ConfigError, FusionStrategy, ModelConfig, config_from_dict,
-                             config_to_dict, load_config, save_config)
+                             config_to_dict, load_config, save_config, validate)
 from dosediff.networks import DoseModel
 from dosediff.optim import adam_step
 from dosediff.phantom import BadMagicError, SampleFormatError, TruncatedFileError
@@ -70,6 +70,35 @@ def drop_opt_step(header: bytes) -> bytes:
     return json.dumps(d).encode("utf-8")
 
 
+def edit_counts(step=None, counts=None):
+    """A header edit that sets ``step`` and maps every ``opt_steps`` value
+    v to ``counts(v)`` (each left alone when None)."""
+    def edit(header: bytes) -> bytes:
+        d = json.loads(header)
+        if step is not None:
+            d["step"] = step
+        if counts is not None:
+            d["opt_steps"] = {n: counts(v) for n, v in d["opt_steps"].items()}
+        return json.dumps(d).encode("utf-8")
+    return edit
+
+
+def two_opt_step_values(header: bytes) -> bytes:
+    d = json.loads(header)
+    d["opt_steps"]["dn.head.b"] += 1
+    return json.dumps(d).encode("utf-8")
+
+
+# hand-edited step counts that no save writes
+BAD_COUNT_HEADERS = {
+    "negative-step": edit_counts(step=-3),
+    "bool-step": edit_counts(step=True),
+    "float-count": edit_counts(counts=float),
+    "negative-count": edit_counts(counts=lambda v: -1),
+    "two-opt-step-values": two_opt_step_values,
+}
+
+
 def rename_param(header: bytes) -> bytes:
     """Rename one parameter consistently, so the file is well formed but no
     longer matches the model its config builds."""
@@ -85,6 +114,7 @@ MALFORMED_HEADERS = {
     "rng-state-out-of-range": rng_state_out_of_range,
     "missing-opt-step": drop_opt_step,
     "renamed-param": rename_param,
+    **BAD_COUNT_HEADERS,
 }
 
 
@@ -181,7 +211,7 @@ class TestCheckpoint:
         for name, p in model.store.items():
             assert np.array_equal(p.data, model2.store[name].data)
             assert np.array_equal(model.store.m[name], model2.store.m[name])
-            assert model.store.steps[name] == model2.store.steps[name]
+        assert model.store.step == model2.store.step == 2
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.bin"
@@ -282,6 +312,39 @@ def test_every_truncation_of_a_weights_only_load_is_truncated_file_error(valid_f
         load_checkpoint(cut, moments=False)
 
 
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+
+# values a hand-edited config field may hold: wrong types, null, out of
+# range, integers too large for a float, NaN, infinities and nested objects
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.integers(-2 ** 70, 2 ** 70), st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.integers(-3, 300), st.floats()), max_size=5),
+    st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.none()), max_size=2))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_desk_config_raises_nothing_but_config_error(data):
+    """One or two fields (or whole sections) of ``configs/desk.json`` set
+    to an odd value: the config is admitted or rejected as a ConfigError
+    (exit 2), never another exception."""
+    d = json.loads(DESK.read_text())
+    fields = [(None, key) for key in d] + [
+        (section, key) for section in sorted(d) if isinstance(d[section], dict)
+        for key in d[section]]
+    for section, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2,
+                                           unique=True)):
+        owner = d if section is None else d[section]
+        if isinstance(owner, dict):   # not a section the first pick replaced
+            owner[key] = data.draw(ODD_VALUES)
+    try:
+        validate(config_from_dict(d))
+    except ConfigError:
+        pass
+
+
 # A fresh checkpoint of this run, per fusion strategy (a "-no-projector"
 # suffix turns the projector off), pins the values and the order of every
 # initial draw: any change to either changes its bytes.
@@ -344,8 +407,8 @@ class TestWeightsOnlyLoad:
             assert ls[name].data.dtype == t.data.dtype
             assert ls[name].shape == t.shape
             assert ls[name].data.tobytes() == t.data.tobytes()
-        assert (light.step, ls.steps, light.rng_state) == \
-            (full.step, fs.steps, full.rng_state)
+        assert (light.step, ls.step, light.rng_state) == \
+            (full.step, fs.step, full.rng_state)
         assert config_to_dict(light.config) == config_to_dict(full.config)
 
     def test_peak_memory_of_a_load(self, tmp_path):

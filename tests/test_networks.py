@@ -101,8 +101,8 @@ class TestBuildModel:
     def test_parameter_count_table(self, kw, n_params, n_scalars):
         for seed in (0, 123):
             m = DoseModel(ModelConfig(projector_ratio=4, **kw), seed)
-            assert len(m.store) == n_params
-            assert m.store.total_size() == n_scalars
+            assert len(m.store.names()) == n_params
+            assert sum(p.size for _, p in m.store.items()) == n_scalars
 
 
 class TestEncodeStructure:
@@ -253,18 +253,20 @@ def test_training_loss_reshape_permute_budget():
 
 def test_unit_forwards_are_called_through_module_globals(monkeypatch):
     """A desk training loss makes 29 Swin-block, 2 cross-attention and 4
-    projector calls, each through the name ``networks`` holds at call
-    time, so a tracer that rebinds those names (perfbench's ``blocks.*``
-    spans) sees every one. The model is built before the names are
-    rebound: a closure that bound a forward at build time fails here."""
+    projector calls, each through the name its module (``tensor`` for the
+    Swin block, ``networks`` for the others) holds at call time, so a
+    tracer that rebinds those names sees every one. The model is built
+    before the names are rebound: a closure that bound a forward at build
+    time fails here."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json").model
     m = DoseModel(cfg, 0)
     calls = {}
-    for name in ("swin_block", "cross_attention_fuse", "projector_forward"):
-        def counted(*args, _fn=getattr(N, name), _name=name, **kwargs):
+    for owner, name in ((T, "swin_block"), (N, "cross_attention_fuse"),
+                        (N, "projector_forward")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(N, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rng = np.random.default_rng(4)
     sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
     size = cfg.image_size
