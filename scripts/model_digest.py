@@ -85,7 +85,8 @@ def digest(cfg: ModelConfig, batch: int) -> str:
     sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
     loss = D.training_step(model, (dose, cond), sched, rng)
     put("loss", loss.data)
-    for name, g in sorted(backward(loss, model.store).items()):
+    grads = zip(model.store.names(), backward(loss, model.store.tensors()))
+    for name, g in sorted(grads, key=lambda ng: ng[0]):
         put(f"grad:{name}", g)
     with no_grad():
         eps_hat = model(dose, [1, cfg.t_steps - 1][:batch], cond)
@@ -98,7 +99,7 @@ def checkpoint_digest() -> str:
     model = DoseModel(cfg.model, cfg.seed)
     rng = np.random.default_rng(5)
     for _ in range(2):
-        grads = {n: rng.standard_normal(p.shape) for n, p in model.store.items()}
+        grads = [rng.standard_normal(p.shape) for p in model.store.tensors()]
         adam_step(model.store, grads, cfg.train.lr, (cfg.train.beta1, cfg.train.beta2))
     h = hashlib.sha256()
     put = putter(h)

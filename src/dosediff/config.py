@@ -285,6 +285,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}") from None
     except OSError as e:       # a directory, no read permission, ...
         raise ConfigError(f"cannot read config file {p}: {e.strerror or e}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, huge int, deep nesting
         raise ConfigError(f"{p}: invalid JSON ({e})") from None
     return config_from_dict(d)

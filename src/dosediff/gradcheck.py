@@ -1,9 +1,10 @@
 """Finite-difference verification of analytic gradients.
 
 One central-difference loop, ``finite_diff_scalar_fn``, compares the
-analytic gradient of a scalar closure with (f(x + eps) - f(x - eps)) /
-2 eps at the coordinates it is given, calling the forward twice per
-coordinate under ``no_grad``. ``finite_diff_check`` feeds it one engine
+analytic gradient of a scalar closure, which ``backward`` returns for
+the leaves named in its coordinates, with (f(x + eps) - f(x - eps)) /
+2 eps at those coordinates, calling the forward twice per coordinate
+under ``no_grad``. ``finite_diff_check`` feeds it one engine
 op, its output projected onto a fixed random array, at every input
 coordinate.
 """
@@ -49,11 +50,10 @@ def finite_diff_scalar_fn(fn: Callable[[], Tensor], coords: Sequence[tuple],
     coordinates to perturb, in place. Model checks pass a few coordinates
     per parameter, where a full Jacobian sweep would be too slow.
     """
-    loss = fn()
-    backward(loss)
+    grads = backward(fn(), [t for t, _ in coords])
     worst = 0.0
-    for t, idx in coords:
-        ana = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)[idx]
+    for (t, idx), g in zip(coords, grads):
+        ana = g.reshape(-1)[idx]
         flat = t.data.reshape(-1)
         orig = flat[idx]
         with no_grad():

@@ -3,7 +3,9 @@
 The store decides where every initial value comes from: a fresh store
 draws each one from the generator it owns, and a restored store takes
 each from its source and draws nothing. ``adam_step`` takes its betas
-from the caller (``train.fit_step``, from the run config). Its first call
+from the caller (``train.fit_step``, from the run config) and one
+gradient per parameter in store order, the list that
+``backward(loss, store.tensors())`` returns. Its first call
 on a store packs the parameters and both moments into one flat buffer
 each, so that every later update is one blocked pass over them instead
 of a dozen numpy calls per parameter.
@@ -11,7 +13,7 @@ of a dozen numpy calls per parameter.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +40,10 @@ class ParamStore:
     """Flat map from parameter path to Tensor plus Adam moment buffers.
 
     Parameter names are unique; first/second moment buffers match the
-    parameter shape. ``step`` is Adam's timestep: every update steps every
-    parameter, so the whole store shares one count.
+    parameter shape. The order the parameters were added is the store
+    order of ``names``, ``tensors`` and ``adam_step``'s gradients.
+    ``step`` is Adam's timestep: every update steps every parameter, so
+    the whole store shares one count.
 
     A fresh store owns its init stream: ``normal`` draws each value from
     the generator it was made with, in the order the parameters are
@@ -84,11 +88,11 @@ class ParamStore:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
         if self._source is None:
-            t = Tensor(make(), requires_grad=True, name=name)
+            t = Tensor(make(), requires_grad=True)
             self.m[name] = np.zeros(shape)
             self.v[name] = np.zeros(shape)
         else:
-            t = Tensor(self._source(name, shape), requires_grad=True, name=name)
+            t = Tensor(self._source(name, shape), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -100,6 +104,11 @@ class ParamStore:
 
     def names(self):
         return list(self._params)
+
+    def tensors(self) -> list:
+        """The parameters in the order they were added, as ``backward``
+        takes its leaves and ``adam_step`` its gradients."""
+        return list(self._params.values())
 
     def _packed(self) -> tuple:
         """The flat (data, m, v) buffers, packing them first when some
@@ -169,30 +178,25 @@ def _adam_run(data: np.ndarray, m: np.ndarray, v: np.ndarray, grads: list, lr: f
         data[blk] -= part
 
 
-def adam_step(store: ParamStore, grads: Dict[str, np.ndarray], lr: float,
+def adam_step(store: ParamStore, grads: Sequence[np.ndarray], lr: float,
               betas: Tuple[float, float]) -> ParamStore:
     """In-place Adam update with bias correction and epsilon 1e-8.
 
-    ``grads`` holds a gradient for exactly the store's parameters, as
-    ``backward(loss, store)`` returns them. A missing or unknown name
-    raises KeyError and a gradient of the wrong shape ShapeError, both
-    before anything changes. The update steps ``store.step`` and runs as
-    one blocked pass over the packed buffers (``_adam_run``), bitwise the
-    per-parameter formula. Returns the store for chaining.
+    ``grads`` holds one gradient per parameter in store order, as
+    ``backward(loss, store.tensors())`` returns them. A wrong count or a
+    gradient of the wrong shape raises ShapeError before anything
+    changes. The update steps ``store.step`` and runs as one blocked pass
+    over the packed buffers (``_adam_run``), bitwise the per-parameter
+    formula. Returns the store for chaining.
     """
-    gathered = []
-    for name, p in store.items():
-        if name not in grads:
-            raise KeyError(f"no gradient for parameter {name!r}")
-        g = grads[name]
+    if len(grads) != len(store._params):
+        raise ShapeError(f"adam_step: {len(grads)} gradients for "
+                         f"{len(store._params)} parameters")
+    for (name, p), g in zip(store.items(), grads):
         if g.shape != p.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} != param shape "
                              f"{p.shape} for {name!r}")
-        gathered.append(g)
-    if len(grads) != len(gathered):
-        unknown = next(name for name in grads if name not in store._params)
-        raise KeyError(f"gradient for unknown parameter {unknown!r}")
     data, m, v = store._packed()
     store.step += 1
-    _adam_run(data, m, v, gathered, lr, *betas, store.step)
+    _adam_run(data, m, v, grads, lr, *betas, store.step)
     return store

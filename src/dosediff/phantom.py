@@ -404,7 +404,7 @@ class Container:
                 except SampleFormatError:
                     raise
                 except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                        struct.error) as e:
+                        RecursionError, struct.error) as e:
                     raise SampleFormatError(f"malformed {self.what}: "
                                             f"{type(e).__name__}: {e}") from None
                 if cur.off != cur.size:

@@ -2,8 +2,8 @@
 
 Small, CPU-only engine backed by numpy. Every differentiable operation
 builds a node in an acyclic graph; calling :func:`backward` on a scalar
-root walks the graph once (graphs are single-use) and accumulates
-gradients into the participating leaves.
+root and a list of leaves walks the graph once (graphs are single-use)
+and returns the gradient of each leaf. A tensor holds no gradient.
 
 The op catalog is exposed two ways: plain functions (``conv2d``,
 ``softmax``, ...) plus the table-driven :func:`forward_op` dispatcher
@@ -111,13 +111,11 @@ class Node:
 class Tensor:
     """N-dimensional float64 array, optionally tracked in an autodiff graph."""
 
-    __slots__ = ("data", "grad", "node", "name", "requires_grad")
+    __slots__ = ("data", "node", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
         self.node: Optional[Node] = None
-        self.name = name
         self.requires_grad = requires_grad
 
     @property
@@ -135,8 +133,7 @@ class Tensor:
         return self.node is not None or self.requires_grad
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape})"
 
     # operator sugar; scalars are folded into the graph as constants
     def __add__(self, other):
@@ -1341,13 +1338,18 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(root: Tensor, params=None) -> dict:
-    """Accumulate d(root)/d(leaf) into every reachable leaf's ``.grad``.
+def backward(root: Tensor, leaves: Sequence[Tensor]) -> list:
+    """d(root)/d(leaf) for each of ``leaves``, in the order given.
 
-    root must be scalar and graph-tracked. Returns a map from parameter
-    name to gradient array for every named leaf reached; when ``params``
-    (a ParamStore) is given, parameters the graph never touched are
-    filled with zeros so the map covers the whole store.
+    root must be scalar and graph-tracked; ``leaves`` are tensors that no
+    op produced. A leaf the graph never reached, or one that does not
+    require a gradient, gets zeros. A gradient reached along several
+    paths is summed in the graph's reverse topological order.
+
+    The gradients are not copied: one may be a view into another
+    gradient or into an op's buffer, so callers must not write into them.
+    That is safe only while no op's backward writes into the gradient it
+    receives.
 
     Graphs are single-use: each node frees its closure and parents once
     it has run, and a second backward through any shared node raises
@@ -1365,28 +1367,12 @@ def backward(root: Tensor, params=None) -> dict:
 
     # every node in order is an ancestor of root: its gradient is in by its turn
     grads = {id(root): np.ones_like(root.data)}
-    named: dict[str, np.ndarray] = {}
-    touched = set()  # leaves whose .grad was freshly written this pass
     while order:
         t = order.pop()
         node = t.node
         for p, pg in zip(node.parents, node.bwd(grads.pop(id(t)))):
-            if p.node is not None:
+            if p.node is not None or p.requires_grad:
                 acc = grads.get(id(p))
                 grads[id(p)] = pg if acc is None else acc + pg
-            elif p.requires_grad:
-                if id(p) in touched:
-                    p.grad = p.grad + pg
-                else:
-                    p.grad = np.array(pg, dtype=np.float64)
-                    touched.add(id(p))
-                if p.name is not None:
-                    named[p.name] = p.grad
         node.bwd, node.parents = None, ()   # consumed: free the closure and the inputs
-
-    if params is not None:
-        for name, p in params.items():
-            if name not in named:
-                p.grad = np.zeros_like(p.data)
-                named[name] = p.grad
-    return named
+    return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in leaves]

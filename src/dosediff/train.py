@@ -86,7 +86,7 @@ def load_split(data_dir) -> P.DatasetSplit:
         raise DataError(f"missing split manifest: {manifest}")
     try:
         d = json.loads(manifest.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, huge int, deep nesting
         raise DataError(f"{manifest}: invalid JSON ({e})") from None
     if not isinstance(d, dict):
         raise DataError(f"{manifest}: expected an object, got {type(d).__name__}")
@@ -169,7 +169,7 @@ def fit_step(model: DoseModel, batch, schedule: D.NoiseSchedule, rng: np.random.
     value = float(loss.data)
     if not np.isfinite(value):
         raise NumericFailure(f"non-finite loss {value}")
-    adam_step(model.store, backward(loss, model.store), lr, betas)
+    adam_step(model.store, backward(loss, model.store.tensors()), lr, betas)
     return value
 
 

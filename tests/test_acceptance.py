@@ -184,7 +184,7 @@ def test_criterion_4_architecture_contract():
         sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
         loss = D.training_step(model, (rng.uniform(-1, 1, (2, 1, 16, 16)), y),
                                sched, np.random.default_rng(3))
-        grads = backward(loss, model.store)
+        grads = dict(zip(model.store.names(), backward(loss, model.store.tensors())))
         groups = model.parameter_groups()
         assert set(groups) == {"structure-encoder", "fusion-projector",
                                "denoiser-encoder", "middle", "decoder"}

@@ -138,8 +138,7 @@ class TestWindowAttentionOp:
                                                 heads, window, shift)):
             x = Tensor(x0.copy(), requires_grad=True)
             out = fn(x)
-            backward((out * proj).sum())
-            runs.append([out.data, x.grad] + [t.grad.copy() for _, t in store.items()])
+            runs.append([out.data] + backward((out * proj).sum(), [x] + store.tensors()))
         assert np.array_equal(runs[0][0], runs[1][0])
         for ref, got in zip(runs[0][1:], runs[1][1:]):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -156,8 +155,7 @@ class TestWindowAttentionOp:
                    lambda x: T.window_attention(x, p.wq, p.wk, p.wv, p.wo, 4, 8, 3)):
             x = Tensor(x0.copy(), requires_grad=True)
             out = fn(x)
-            backward((out * proj).sum())
-            runs.append([out.data, x.grad] + [t.grad.copy() for _, t in store.items()])
+            runs.append([out.data] + backward((out * proj).sum(), [x] + store.tensors()))
         assert np.array_equal(runs[0][0], runs[1][0])
         for ref, got in zip(runs[0][1:], runs[1][1:]):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -8,12 +8,17 @@ import pytest
 from dosediff import cli
 from dosediff import phantom as P
 from dosediff import train as TR
-from dosediff.checkpoint import load_checkpoint, save_checkpoint
+from dosediff.checkpoint import CKPT_FILE, load_checkpoint, save_checkpoint
 from dosediff.cli import main
 
 from test_config_checkpoint import (BAD_COUNT_HEADERS, bad_rng_state, drop_config,
                                     drop_opt_step, rename_param, rewrite_checkpoint_header)
 
+
+# JSON that the parser cannot turn into a value: arrays nested 200,000 deep,
+# and an integer of 5,000 digits
+DEEP_JSON = '{"model": ' + "[" * 200_000 + "]" * 200_000 + "}"
+HUGE_INT_JSON = '{"seed": ' + "9" * 5000 + "}"
 
 CFG = {
     "model": {
@@ -685,6 +690,38 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(e.startswith("data error:") and "split.json" in e
                                      for e in err)
+
+    @pytest.mark.parametrize("where,text", [
+        ("config", DEEP_JSON), ("config", HUGE_INT_JSON), ("split", DEEP_JSON),
+        ("split", HUGE_INT_JSON), ("checkpoint", DEEP_JSON),
+    ], ids=["config-deep", "config-huge-int", "split-deep", "split-huge-int",
+            "checkpoint-deep"])
+    def test_json_too_deep_or_too_long_is_an_input_error(self, tmp_path, where, text, capsys):
+        """JSON nested past the parser's recursion limit, or an integer past
+        Python's 4,300-digit conversion limit, is a config or data error on
+        one stderr line: ``main`` returns an exit code instead of raising."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        if where == "config":
+            (tmp_path / "cfg.json").write_text(text)
+            args = ["gen-data", "--config", tmp_path / "cfg.json", "--out", out]
+        elif where == "split":
+            (data / "split.json").write_text(text)
+            args = ["sample", "--checkpoint", tmp_path / "unread.bin", "--data", data,
+                    "--out", out]
+        else:
+            CKPT_FILE.write(tmp_path / "ckpt.bin", [P.pack_text(text)])
+            args = ["sample", "--checkpoint", tmp_path / "ckpt.bin", "--data", data,
+                    "--cases", "sample_00000", "--out", out]
+        code, prefix = (2, "config error:") if where == "config" else (3, "data error:")
+        assert run(args) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        assert ("split.json" if where == "split" else "ckpt.bin" if where == "checkpoint"
+                else "cfg.json") in lines[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [("image_size", 32), ("oar_count", 3)])
     def test_data_not_matching_model_config_is_3(self, trained, field, value, capsys):

@@ -186,7 +186,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(5)
         # a couple of optimizer steps so moments are nontrivial
         for _ in range(2):
-            grads = {n: rng.standard_normal(p.shape) for n, p in model.store.items()}
+            grads = [rng.standard_normal(p.shape) for p in model.store.tensors()]
             adam_step(model.store, grads, 1e-3, (0.9, 0.999))
         return cfg, model, rng
 

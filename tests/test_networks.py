@@ -182,7 +182,7 @@ class TestGradientReach:
         x0 = rng.uniform(-1, 1, (2, 1, 16, 16))
         y = rng.random((2, 5, 16, 16))
         loss = D.training_step(m, (x0, y), sched, rng)
-        grads = backward(loss, m.store)
+        grads = dict(zip(m.store.names(), backward(loss, m.store.tensors())))
         for group, names in m.parameter_groups().items():
             mass = sum(float(np.abs(grads[n]).sum()) for n in names)
             assert mass > 0.0, f"group {group} got zero gradient"
@@ -195,14 +195,14 @@ def top_grad_coords(model, loss_fn, per_group=3):
     differences (cancellation noise dominates), so the check targets the
     information-bearing ones.
     """
-    probe = loss_fn()
-    backward(probe)
+    store = model.store
+    grads = dict(zip(store.names(), backward(loss_fn(), store.tensors())))
     coords = []
     for group, names in model.parameter_groups().items():
         ranked = []
         for name in names:
-            p = model.store[name]
-            g = np.abs(p.grad.reshape(-1))
+            p = store[name]
+            g = np.abs(grads[name].reshape(-1))
             idx = int(np.argmax(g))
             ranked.append((float(g[idx]), p, idx))
         ranked.sort(key=lambda r: -r[0])
@@ -290,7 +290,8 @@ def _fused_against_composed(monkeypatch, name, composed):
             sched = D.make_schedule(cfg.t_steps, cfg.beta_start, cfg.beta_end)
             loss = D.training_step(m, (rng.uniform(-1, 1, (2, 1, 16, 16)),
                                        rng.random((2, 5, 16, 16))), sched, rng)
-            runs.append((loss.data, backward(loss, m.store)))
+            runs.append((loss.data, dict(zip(m.store.names(),
+                                             backward(loss, m.store.tensors())))))
         (fused_loss, fused), (loss, grads) = runs
         assert np.array_equal(fused_loss, loss), fusion
         assert fused.keys() == grads.keys()
