@@ -1,6 +1,6 @@
 """Neural building blocks: the window bookkeeping of shifted-window
-attention, cross-attention feature fusion, the bottleneck projector, and
-sinusoidal time embeddings.
+attention, cross-attention feature fusion and sinusoidal time
+embeddings.
 
 Feature maps are channels-last [B, H, W, C] Tensors, the token layout
 of the Swin Transformer, so layer norm, the MLPs and the projections all
@@ -9,10 +9,11 @@ op ``tensor.swin_block``, which ``dosediff.networks`` calls directly; its
 attention branch (shift, window tiling, multi-head attention, merge,
 unshift) is ``tensor.window_attention``'s kernel. ``window_partition``,
 ``cyclic_shift`` and ``window_merge`` spell those steps out as
-composable ops and serve as its reference. The forwards take their
-parameters as explicit tensors, the way the engine ops do;
-``dosediff.networks`` draws them into the ParamStore and closes over
-them, one builder per unit.
+composable ops and serve as its reference. The bottleneck projector
+is composed of engine ops inside its ``dosediff.networks`` closure.
+``cross_attention_fuse`` takes its parameters as explicit tensors, the
+way the engine ops do; ``dosediff.networks`` draws them into the
+ParamStore and closes over them, one builder per unit.
 """
 
 from __future__ import annotations
@@ -95,20 +96,6 @@ def cross_attention_fuse(a: Tensor, b: Tensor, wq_a: Tensor, wk_b: Tensor, wv_b:
     if return_weights:
         return out, weights
     return out
-
-
-def projector_forward(f_in: Tensor, w_down: Tensor, b_down: Tensor, w_up: Tensor,
-                      b_up: Tensor) -> Tensor:
-    """Two-MLP bottleneck with GELU, residual-added to its input.
-
-    Applied per spatial location; output channel count equals input
-    channel count, so zero up-projection weights make this the identity.
-    """
-    c = _map_shape(f_in, "projector")[3]
-    if c != w_down.shape[0]:
-        raise ShapeError(f"projector: {c} channels vs params for {w_down.shape[0]}")
-    y = T.linear(T.gelu(T.linear(f_in, w_down, b_down)), w_up, b_up)
-    return f_in + y
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ evaluation, ablation sweeps, and schedule dumps.
 
 Exit codes: 0 success, 2 config or argument error (config.validate's
 rules), 3 data error (a missing or malformed input, a case id that is
-not a plain file name, or a path of the wrong kind: an --out naming a
-file, a checkpoint naming a directory), 4 numeric failure (a non-finite
-loss or parameter, or an ``ablate`` prediction that cannot be scored,
-which ``eval`` calls a data error); any other fault, such as a full
-disk, is a traceback.
+not a plain file name, a path too long for the file system, or a path
+of the wrong kind: an --out naming a file, a checkpoint naming a
+directory), 4 numeric failure (a non-finite loss or parameter, or an
+``ablate`` prediction that cannot be scored, which ``eval`` calls a
+data error); any other fault, such as a full disk, is a traceback.
 Every command is deterministic given (config, seed): reruns produce
 byte-identical result files (wall-clock timings are segregated into
 their own file).
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import errno
 import sys
 from pathlib import Path
 
@@ -305,6 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# OS faults that are bad input: a path that is missing, taken, of the wrong
+# kind or too long for the file system; any other OSError is a traceback
+INPUT_ERRNOS = (errno.ENOENT, errno.EEXIST, errno.EISDIR, errno.ENOTDIR, errno.ENAMETOOLONG)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -314,8 +320,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TR.DataError, P.SampleFormatError, FileNotFoundError, FileExistsError,
-            IsADirectoryError, NotADirectoryError) as e:
+    except (TR.DataError, P.SampleFormatError, OSError) as e:
+        if isinstance(e, OSError) and e.errno not in INPUT_ERRNOS:
+            raise
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except TR.NumericFailure as e:

@@ -11,15 +11,14 @@ coordinate.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Tensor, backward, forward_op, no_grad
 
 
-def finite_diff_check(kind: str, inputs: Sequence[np.ndarray],
-                      attrs: Optional[dict] = None, eps: float = 1e-5,
+def finite_diff_check(kind: str, inputs: Sequence[np.ndarray], attrs: dict,
                       projection_seed: int = 0) -> float:
     """Max relative error between analytic and central-difference grads.
 
@@ -30,7 +29,6 @@ def finite_diff_check(kind: str, inputs: Sequence[np.ndarray],
     |analytic - numeric| / max(|analytic|, 1e-8); the caller asserts on
     the returned maximum.
     """
-    attrs = attrs or {}
     leaves = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True) for a in inputs]
     with no_grad():
         shape = forward_op(kind, leaves, attrs).shape
@@ -38,7 +36,7 @@ def finite_diff_check(kind: str, inputs: Sequence[np.ndarray],
     proj = Tensor(rng.standard_normal(shape) if shape else np.asarray(1.0))
     coords = [(t, j) for t in leaves for j in range(t.data.size)]
     return finite_diff_scalar_fn(lambda: (forward_op(kind, leaves, attrs) * proj).sum(),
-                                 coords, eps)
+                                 coords)
 
 
 def finite_diff_scalar_fn(fn: Callable[[], Tensor], coords: Sequence[tuple],

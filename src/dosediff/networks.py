@@ -22,18 +22,19 @@ fuser, projector, encoder stage, decoder stage, head) has one builder.
 It adds the unit's parameters to the ParamStore, in the order that
 fixes every initial draw, and returns the unit's forward as a closure
 over them. A conv, the projector or the head maps ``x``, a block ``(h,
-t_feat)``, the fuser ``(f, h)``. Each closure hands its engine op or
-block forward explicit tensors, so a fused op changes one call: the
-Swin block closure calls ``tensor.swin_block`` itself. An
+t_feat)``, the fuser ``(f, h)``. Each closure hands its engine ops or
+the fuser explicit tensors, so a fused op changes one call: the Swin
+block closure calls ``tensor.swin_block`` itself, and the projector is
+``h + linear(gelu(linear(h)))`` spelled in engine ops. An
 encoder stage ``(h, t_feat, f)`` runs its blocks, the stride-2 conv
 plus its 1x1 shortcut, then fuses ``f`` (add or cross-attention, then
 the projector); ``f`` is None where nothing is fused, and t_feat is
 None in the structure encoder. Both branches run their stem and stages
 through one loop, ``_encode``. Its maps are the denoiser's skip stack:
 a decoder stage ``(h, skips, t_feat)`` pops its skip as it merges it,
-so no skip outlives its use. The closures call ``T.*`` and the block
-functions through module globals at call time, so code that rebinds
-those names (a tracer, a test) sees every call.
+so no skip outlives its use. The closures call ``T.*`` and the fuser
+through module globals at call time, so code that rebinds those names
+(a tracer, a test) sees every call.
 
 Feature maps inside both branches are channels-last [B, H, W, C]. The
 model's inputs and outputs keep the NCHW layout of the data: x_t and
@@ -52,7 +53,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import tensor as T
-from .blocks import cross_attention_fuse, projector_forward, time_embedding
+from .blocks import cross_attention_fuse, time_embedding
 from .config import ModelConfig
 from .optim import ParamStore
 from .tensor import ShapeError, Tensor
@@ -132,13 +133,14 @@ def _cross_attention(store, prefix, c_struct, c_noise):
 
 
 def _projector(store, prefix, channels, ratio):
+    """Per-location two-layer GELU bottleneck, residual-added to ``h``."""
     hidden = channels // ratio
     w_down = store.normal(f"{prefix}.w_down", (channels, hidden))
     b_down = store.add(f"{prefix}.b_down", np.zeros(hidden))
     # up-projection starts at zero so the residual path is the identity at init
     w_up = store.add(f"{prefix}.w_up", np.zeros((hidden, channels)))
     b_up = store.add(f"{prefix}.b_up", np.zeros(channels))
-    return lambda h: projector_forward(h, w_down, b_down, w_up, b_up)
+    return lambda h: h + T.linear(T.gelu(T.linear(h, w_down, b_down)), w_up, b_up)
 
 
 def _blocks(store, cfg: ModelConfig, prefix, count, channels, side, t_dim) -> list:

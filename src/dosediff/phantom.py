@@ -239,22 +239,19 @@ def generate_phantom(seed: int, size: int, oar_count: int, beam_count: int) -> P
     ct = np.clip(base + 0.08 * texture, 0.05, 1.0) * body
 
     # PTV: an off-center ellipse fully clipped to the body
-    ptv = np.zeros((h, w), dtype=bool)
     for _ in range(MAX_PLACEMENT_RETRIES):
         py, px = _draw_inside(rng, body)
         pry = rng.uniform(0.05, 0.09) * h
         prx = rng.uniform(0.05, 0.09) * w
-        cand = _ellipse_mask(h, w, py, px, pry, prx, rng.uniform(0, np.pi)) & body
-        if cand.sum() >= 4:
-            ptv = cand
+        ptv = _ellipse_mask(h, w, py, px, pry, prx, rng.uniform(0, np.pi)) & body
+        if ptv.sum() >= 4:
             break
-    if not ptv.any():
+    else:
         raise RuntimeError(f"seed {seed}: could not place a PTV")
 
     oars = np.zeros((oar_count, h, w), dtype=bool)
     overlap_allowed = False
     for i in range(oar_count):
-        placed = False
         for attempt in range(MAX_PLACEMENT_RETRIES + 1):
             oy, ox = _draw_inside(rng, body)
             ory = rng.uniform(0.06, 0.14) * h
@@ -262,16 +259,12 @@ def generate_phantom(seed: int, size: int, oar_count: int, beam_count: int) -> P
             cand = _ellipse_mask(h, w, oy, ox, ory, orx, rng.uniform(0, np.pi)) & body
             if cand.sum() < 4:
                 continue
-            if not (cand & ptv).any():
+            overlap = bool((cand & ptv).any())
+            if not overlap or attempt >= MAX_PLACEMENT_RETRIES - 1:
                 oars[i] = cand
-                placed = True
+                overlap_allowed |= overlap
                 break
-            if attempt >= MAX_PLACEMENT_RETRIES - 1:
-                oars[i] = cand
-                placed = True
-                overlap_allowed = True
-                break
-        if not placed:
+        else:
             raise RuntimeError(f"seed {seed}: could not place OAR {i}")
 
     # beams aimed at the PTV centroid, uniform angles with jitter

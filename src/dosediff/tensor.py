@@ -135,16 +135,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
-    # operator sugar; scalars are folded into the graph as constants
+    # operator sugar; a scalar multiplier becomes a scalar-mul node
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return smul(self, float(other))
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -157,10 +155,6 @@ class Tensor:
 
     def sum(self, axis=None) -> "Tensor":
         return _sum(self, axis)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _graph_wanted(parents: Sequence[Tensor]) -> bool:
@@ -362,13 +356,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast_op("mul", np.multiply, a, b)
+    out = _broadcast_op("elementwise-mul", np.multiply, a, b)
     ad, bd = a.data, b.data
 
     def bwd(g):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    return _make("mul", out, (a, b), bwd)
+    return _make("elementwise-mul", out, (a, b), bwd)
 
 
 def smul(a: Tensor, value: float) -> Tensor:
@@ -1242,9 +1236,7 @@ def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor, 
 def _reduce_axes(axis, ndim):
     if axis is None:
         return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
+    return (axis % ndim,)
 
 
 def _sum(x: Tensor, axis=None) -> Tensor:
@@ -1323,8 +1315,6 @@ def _topo_order(root: Tensor) -> list:
     stack = [(root, False)]
     while stack:
         t, expanded = stack.pop()
-        if t.node is None:
-            continue
         if expanded:
             order.append(t)
             continue

@@ -143,6 +143,14 @@ def test_broadcast_add_gradient():
 
 
 @pytest.mark.parametrize("kind", OP_NAMES)
+def test_op_node_kind_is_its_catalog_name(kind):
+    """One name per op: the node an op records is named as in the catalog."""
+    inputs, attrs = op_point(kind, np.random.default_rng(7))
+    out = T.forward_op(kind, [Tensor(a, requires_grad=True) for a in inputs], attrs)
+    assert out.node.kind == kind
+
+
+@pytest.mark.parametrize("kind", OP_NAMES)
 def test_op_backward_leaves_its_gradient_unwritten(kind):
     """``backward`` hands leaves their gradients without a copy, so a
     returned gradient may share memory with another; that holds only while

@@ -120,18 +120,24 @@ def composed_window_attention(x, p, window, shift):
     return B.cyclic_shift(y, shift, shift) if shift else y
 
 
+# (channels, heads, window, shift, map side); windows 3 and 5 give score
+# rows of 9 and 25 tokens, which run the fold of an odd entry in _row_max
+CHAIN_CASES = [(4, 2, 2, 0, 8), (4, 2, 2, 1, 8), (6, 3, 4, 0, 8), (6, 3, 4, 2, 8),
+               (6, 3, 4, 1, 8), (4, 2, 3, 1, 9), (6, 3, 3, 1, 12), (6, 3, 5, 2, 10)]
+
+
 class TestWindowAttentionOp:
-    @pytest.mark.parametrize("c,heads,window,shift", [(4, 2, 2, 0), (4, 2, 2, 1),
-                                                      (6, 3, 4, 0), (6, 3, 4, 2),
-                                                      (6, 3, 4, 1)])
-    def test_matches_composed_chain(self, c, heads, window, shift):
+    @pytest.mark.parametrize("c,heads,window,shift,side", [
+        pytest.param(*case, id="-".join(map(str, case[:4] if case[4] == 8 else case)))
+        for case in CHAIN_CASES])
+    def test_matches_composed_chain(self, c, heads, window, shift, side):
         """Forward bitwise equal to the composed chain, gradients within
         1e-12 relative, at B=2 with several heads."""
         store, p = make_attention(c=c, heads=heads, seed=3)
         for i, (_, t) in enumerate(store.items()):
             t.data[:] = np.random.default_rng(20 + i).standard_normal(t.shape) * 0.5
-        x0 = np.random.default_rng(4).standard_normal((2, 8, 8, c))
-        proj = Tensor(np.random.default_rng(5).standard_normal((2, 8, 8, c)))
+        x0 = np.random.default_rng(4).standard_normal((2, side, side, c))
+        proj = Tensor(np.random.default_rng(5).standard_normal((2, side, side, c)))
         runs = []
         for fn in (lambda x: composed_window_attention(x, p, window, shift),
                    lambda x: T.window_attention(x, p.wq, p.wk, p.wv, p.wo,

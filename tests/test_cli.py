@@ -1,11 +1,14 @@
+import errno
 import hashlib
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
 
 from dosediff import cli
+from dosediff import metrics as M
 from dosediff import phantom as P
 from dosediff import train as TR
 from dosediff.checkpoint import CKPT_FILE, load_checkpoint, save_checkpoint
@@ -217,6 +220,22 @@ class TestEvalCommand:
                     "--out", tmp_path / "ev", "--compare", dirs["pb"]]) == 0
         assert {name: hashlib.sha256((tmp_path / "ev" / name).read_bytes()).hexdigest()
                 for name in EVAL_COMPARE_SHA256} == EVAL_COMPARE_SHA256
+
+    def test_compare_with_itself_writes_nan_rows(self, tmp_path):
+        """Paired differences that are all zero have no t statistic: each
+        score row reads nan with the df of the shared cases."""
+        for d in ("truth", "pa"):
+            (tmp_path / d).mkdir()
+        for i in range(3):
+            truth = P.generate_phantom(10 + i, size=16, oar_count=2, beam_count=5)
+            P.write_sample(TR.sample_path(tmp_path / "truth", f"case_{i}"), truth)
+            P.write_dose_map(TR.sample_path(tmp_path / "pa", f"case_{i}"), 0.9 * truth.dose,
+                             meta={})
+        shutil.copytree(tmp_path / "pa", tmp_path / "pb")
+        assert run(["eval", "--pred", tmp_path / "pa", "--truth", tmp_path / "truth",
+                    "--out", tmp_path / "ev", "--compare", tmp_path / "pb"]) == 0
+        assert (tmp_path / "ev" / "ttest.csv").read_text().splitlines() == (
+            ["metric,t,df,p"] + [f"{col},nan,2,nan" for col, _ in M.SCORES[1:]])
 
     def test_truth_vs_truth_scores_zero(self, trained):
         tmp, cfg, data, ckpt = trained
@@ -484,6 +503,13 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="inside the program"):
             run(["dump-schedule", "--steps", 3])
 
+    def test_full_disk_is_not_a_data_error(self, monkeypatch):
+        def full(args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(cli, "cmd_dump_schedule", full)
+        with pytest.raises(OSError, match="No space left"):
+            run(["dump-schedule", "--steps", 3])
+
     @pytest.mark.parametrize("section,key,value", [
         ("model", "window", 0), ("model", "heads", "two"), ("model", "fusion", 5),
         ("model", "stage_multipliers", None), ("data", "split_ratios", [1.0]),
@@ -502,6 +528,36 @@ class TestExitCodes:
         tmp, cfg = ws
         assert run(["train", "--config", cfg, "--data", tmp / "absent",
                     "--out", tmp / "r"]) == 3
+
+    @pytest.mark.parametrize("where", [
+        "sample-cases", "sample-split", "sample-data", "sample-checkpoint", "train-resume",
+        "eval-pred", "gen-data-out", "dump-schedule-out"])
+    def test_name_too_long_is_3(self, trained, where, capsys):
+        """A path or case id past the file system's name limit is a data
+        error that names it, not a traceback."""
+        tmp, cfg, data, ckpt = trained
+        long = "a" * (os.pathconf(tmp, "PC_NAME_MAX") + 1)
+        split = json.loads((data / "split.json").read_text())
+        split["test"] = [long]
+        (data / "split.json").write_text(json.dumps(split))
+        sample = ["sample", "--checkpoint", ckpt, "--data", data, "--out", tmp / "o"]
+        args = {
+            "sample-cases": sample + ["--cases", long],
+            "sample-split": sample,
+            "sample-data": ["sample", "--checkpoint", ckpt, "--data", tmp / long,
+                            "--out", tmp / "o"],
+            "sample-checkpoint": ["sample", "--checkpoint", tmp / long, "--data", data,
+                                  "--out", tmp / "o"],
+            "train-resume": ["train", "--resume", tmp / long, "--data", data, "--out", tmp / "o"],
+            "eval-pred": ["eval", "--pred", tmp / long, "--truth", data, "--out", tmp / "o"],
+            "gen-data-out": ["gen-data", "--config", cfg, "--out", tmp / long],
+            "dump-schedule-out": ["dump-schedule", "--steps", 3, "--out", tmp / long],
+        }[where]
+        capsys.readouterr()
+        assert run(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and long in err[0]
+        assert not (tmp / "o").exists()
 
     def test_numeric_failure_is_4(self, trained):
         tmp, cfg, data, ckpt = trained

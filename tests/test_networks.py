@@ -252,17 +252,16 @@ def test_training_loss_reshape_permute_budget():
 
 
 def test_unit_forwards_are_called_through_module_globals(monkeypatch):
-    """A desk training loss makes 29 Swin-block, 2 cross-attention and 4
-    projector calls, each through the name its module (``tensor`` for the
-    Swin block, ``networks`` for the others) holds at call time, so a
-    tracer that rebinds those names sees every one. The model is built
-    before the names are rebound: a closure that bound a forward at build
-    time fails here."""
+    """A desk training loss makes 29 Swin-block, 2 cross-attention and 5
+    GELU calls (4 projectors and the time trunk), each through the name its
+    module (``tensor`` for the engine ops, ``networks`` for the fuser)
+    holds at call time, so a tracer that rebinds those names sees every
+    one. The model is built before the names are rebound: a closure that
+    bound a forward at build time fails here."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.json").model
     m = DoseModel(cfg, 0)
     calls = {}
-    for owner, name in ((T, "swin_block"), (N, "cross_attention_fuse"),
-                        (N, "projector_forward")):
+    for owner, name in ((T, "swin_block"), (N, "cross_attention_fuse"), (T, "gelu")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -272,7 +271,7 @@ def test_unit_forwards_are_called_through_module_globals(monkeypatch):
     size = cfg.image_size
     D.training_step(m, (rng.uniform(-1, 1, (2, 1, size, size)),
                         rng.random((2, cfg.cond_channels, size, size))), sched, rng)
-    assert calls == {"swin_block": 29, "cross_attention_fuse": 2, "projector_forward": 4}
+    assert calls == {"swin_block": 29, "cross_attention_fuse": 2, "gelu": 5}
 
 
 def _fused_against_composed(monkeypatch, name, composed):

@@ -55,6 +55,14 @@ class TestGenerate:
         angles = [float(a) for a in sample.meta["beam_angles"].split(",")]
         assert len(angles) == 5
 
+    def test_overlap_allowed_and_flagged_once_retries_run_out(self, monkeypatch):
+        """With one placement try an OAR that meets the PTV is kept and
+        the overlap recorded in meta."""
+        monkeypatch.setattr(P, "MAX_PLACEMENT_RETRIES", 1)
+        s = P.generate_phantom(2, 32, oar_count=3, beam_count=5)
+        assert s.meta["oar_overlap_allowed"] == "1"
+        assert any((oar & s.ptv).any() for oar in s.oars)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             P.generate_phantom(0, size=8, oar_count=3, beam_count=5)
