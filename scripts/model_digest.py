@@ -7,11 +7,11 @@ bytes), a seeded training loss, every parameter gradient of that loss
 (names and bytes) and a no-grad ``eps_hat``, on a batch of two (one for
 the 128 px wiring). The wirings are every fusion strategy at 16 px,
 attn-last2 without the projector, ``configs/desk.json``, and a 128 px,
-base-16 model whose conv tap sums, layer norms, window attention and
-Swin MLP each run in more than one block. The checkpoint line saves the desk model after
-two seeded Adam steps, loads it with and then without the Adam moments,
-and digests each loaded store: per parameter its name, data, moments
-(when loaded) and step count.
+base-16 model whose conv tap sums (stride 1 and 2), layer norms, window
+attention and Swin MLP each run in more than one block. The checkpoint
+line saves the desk model after two seeded Adam steps, loads it with and
+then without the Adam moments, and digests each loaded store: per
+parameter its name, data, moments (when loaded) and step count.
 Two trees that print the same lines build, run, save and load
 bit-identical models, so a refactor that claims bitwise outputs can be
 checked by running this script before and after it and comparing the
@@ -46,9 +46,14 @@ def smoke_cfg(fusion: str, use_projector: bool) -> ModelConfig:
 
 
 def blocked_cfg() -> ModelConfig:
-    """128 px, base 16: the stage-1 conv blocks run 5 tap-sum blocks and
-    blocked layer norms; the 64 px, 32-channel Swin blocks run 2 attention
-    blocks and a 2^24 multiply-add MLP."""
+    """128 px, base 16, a batch of one, whose kernels run in more than one
+    block: the stage-1 conv blocks run 5 tap-sum blocks and blocked layer
+    norms; the stride-2 convs 128 -> 64 px (16 -> 32 channels) and 64 -> 32
+    px (32 -> 64) read their taps from the phase copy in 3 and 2 tap-sum
+    blocks; the 64 px, 32-channel Swin blocks run their window attention
+    in 2 blocks of 128 windows and a 2^24 multiply-add MLP. Each of these
+    runs in the loss's forward, whose saved arrays the gradients read, and
+    in the no-grad ``eps_hat``."""
     return ModelConfig(image_size=128, oar_count=3, base_channels=16,
                        stage_multipliers=(2, 4, 8), window=4, heads=2,
                        projector_ratio=4, use_projector=True,

@@ -15,7 +15,9 @@ optional bias are one node each for an affine layer, bitwise equal to
 the product followed by a separate bias ``add``. A stride-1 ``conv2d``
 reads every kernel tap as a contiguous row slice of one flat zero-padded
 copy of its input and sums the tap GEMMs one cache-sized block of rows
-at a time; see :func:`conv2d` for what that means for bitwise results.
+at a time; a stride-2 one of at least two such blocks does the same on a
+space-to-depth copy; see :func:`conv2d` for what that means for bitwise
+results.
 ``window_attention`` is a fused op: the whole shifted-window multi-head
 attention of a Swin block in one node, with a hand-written backward.
 ``conv_block`` is one too: a pre-norm conv residual block (layer norm,
@@ -26,23 +28,25 @@ residual, time bias, layer norm, MLP with ReLU, residual), bitwise its
 composed chain; it shares one layer-norm forward (``_layer_norm_fwd``)
 with ``layer_norm`` and ``conv_block`` and one window-attention kernel
 (``_window_attention``) with ``window_attention``. On maps larger than
-one cache-sized block, layer norm (alone or fused) and the attention
-softmax run one block at a time, bitwise the whole-array formulas.
+one cache-sized block, layer norm (alone or fused) and the window
+attention (gather, projections, softmax, output projection, scatter, all
+in one loop over blocks of whole windows) run one block at a time,
+bitwise the whole-array formulas.
 
-Threads: in a forward under ``no_grad``, the blocked kernels (the
-stride-1 conv's tap sum with its epilogue, layer norm, the attention
-softmax) and the stacked products of at least 2^24 multiply-adds (the
-attention projections, the Swin MLP) split their list of whole blocks
-or whole stacked matrices in two halves: the calling thread runs the
-first, one persistent worker thread the second (``_split``). No numpy
-call changes shape, so the results are bitwise those of one thread, for
-any worker count. The worker starts on the first such list of at least
-two blocks, and from then until the outermost ``no_grad`` ends OpenBLAS
-runs on one thread. Work that may build a graph, the backward included,
-runs in the calling thread alone with BLAS's own thread count: OpenBLAS
-at one thread and at two gives different bits for some large
-weight-gradient products. On a single CPU, or without OpenBLAS's thread
-API, every block runs in the calling thread.
+Threads: in a forward under ``no_grad``, the blocked kernels (the conv
+tap sums with their epilogue, layer norm, the window attention) and the
+Swin MLP of at least 2^24 multiply-adds deal their list of whole blocks
+or whole stacked matrices in about eight chunks to whichever of the
+calling thread and one persistent worker thread is free (``_split``).
+No numpy call changes shape, so the results are bitwise those of one
+thread, for any worker count and any dealing. The worker starts on the
+first such list of at least two blocks, and from then until the
+outermost ``no_grad`` ends OpenBLAS runs on one thread. Work that may
+build a graph, the backward included, runs in the calling thread alone
+with BLAS's own thread count: OpenBLAS at one thread and at two gives
+different bits for some large weight-gradient products. On a single
+CPU, or without OpenBLAS's thread API, every block runs in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -197,8 +201,7 @@ _BLOCK_ELEMS = 65536
 # block keeps the composed chain's bits
 _LN_EPS = 1e-5
 
-# multiply-adds from which a stacked product (the attention projections,
-# the Swin MLP) is split between the two threads
+# multiply-adds from which the Swin MLP is split between the two threads
 _SPLIT_MACS = 1 << 24
 
 
@@ -232,7 +235,7 @@ _WORKER_NAME = "dosediff-blocks"     # the name of every block worker's thread
 
 
 class _BlockWorker:
-    """One daemon thread that runs the halves ``_split`` hands it, one at a
+    """One daemon thread that runs the jobs ``_split`` hands it, one at a
     time. (``concurrent.futures`` would do, but its import costs every
     process about 9 ms and 0.7 MB.)"""
 
@@ -242,19 +245,19 @@ class _BlockWorker:
 
     def _serve(self):
         while True:
-            run, args, done, error = self.jobs.get()
+            run, done, error = self.jobs.get()
             try:
-                run(*args)
+                run()
             except BaseException as exc:   # re-raised by the thread that waits
                 error.append(exc)
-            run = args = error = None      # hold no kernel's arrays until the next job
+            run = error = None             # hold no kernel's arrays until the next job
             done.set()
 
-    def submit(self, run: Callable, *args) -> Callable:
-        """Queue run(*args); returns a wait() that blocks until it has run
-        and returns the exception it raised, or None."""
+    def submit(self, run: Callable) -> Callable:
+        """Queue run(); returns a wait() that blocks until it has run and
+        returns the exception it raised, or None."""
         done, error = threading.Event(), []
-        self.jobs.put((run, args, done, error))
+        self.jobs.put((run, done, error))
 
         def wait():
             done.wait()
@@ -310,32 +313,36 @@ if hasattr(os, "register_at_fork"):     # a forked child has no worker thread
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _stacked_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w for a stack of matrices a and one matrix w. From _SPLIT_MACS
-    multiply-adds on, the stack's leading axis is split between the two
-    threads (``_split``), whole matrices each, so the bits are the same."""
-    if a.size * w.shape[1] < _SPLIT_MACS:
-        return a @ w
-    out = np.empty(a.shape[:-1] + w.shape[1:])
-    _split(lambda lo, hi: np.matmul(a[lo:hi], w, out=out[lo:hi]), len(a))
-    return out
+# chunks a block list is dealt in: enough that the thread which finishes
+# first takes over work, few enough that a chunk amortises its dealing
+_CHUNKS = 8
 
 
 def _split(run: Callable, n: int) -> None:
-    """run(lo, hi) over the blocks [lo, hi) of a list of n: the first half in
-    the calling thread, the second half in the block worker. An exception
-    in either half re-raises here once both halves have ended. With fewer
-    than two blocks, while a graph may be built (outside ``no_grad``),
-    without a worker, or called from inside the worker, run(0, n) runs in
-    the calling thread alone."""
+    """run(lo, hi) over the blocks [lo, hi) of a list of n, dealt in about
+    _CHUNKS chunks of whole blocks to whichever of the calling thread and
+    the block worker is free. An exception in either thread re-raises here
+    once both have stopped. With fewer than two blocks, while a graph may
+    be built (outside ``no_grad``), without a worker, or called from inside
+    the worker, run(0, n) runs in the calling thread alone."""
     worker = _block_worker() if n >= 2 and not _GRAD_ENABLED else None
     if worker is None or threading.current_thread().name == _WORKER_NAME:
         run(0, n)
         return
-    half = n - n // 2
-    wait = worker.submit(run, half, n)
+    size = -(-n // _CHUNKS)
+    chunks, lock = iter(range(0, n, size)), threading.Lock()
+
+    def deal():
+        while True:
+            with lock:          # each chunk is drawn by exactly one thread
+                lo = next(chunks, None)
+            if lo is None:
+                return
+            run(lo, min(lo + size, n))
+
+    wait = worker.submit(deal)
     try:
-        run(0, half)
+        deal()
     finally:
         error = wait()
     if error is not None:
@@ -440,20 +447,24 @@ def _conv_out_side(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
+def _tap_rows(cin: int, cout: int) -> int:
+    """Rows per block of ``_tap_sum`` for cin source and cout output columns."""
+    return max(256, _BLOCK_ELEMS // max(cin, cout))
+
+
 def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: Sequence[np.ndarray],
              out: np.ndarray, epilogue: Optional[Callable]) -> None:
     """out[r] = sum over taps t of src[r + offsets[t]] @ mats[t], written in place.
 
     Every tap operand is a contiguous row slice of ``src``, so nothing is
-    copied. The taps run one block of rows at a time, so that the block's
-    output stays in cache while the taps add into it, and
+    copied. The taps run one block of rows at a time (``_tap_rows``), so
+    that the block's output stays in cache while the taps add into it, and
     ``epilogue(r0, r1)``, when given, runs on each block's rows [r0, r1)
     right after them. Per row the taps are summed in order, as
-    ``0 + t0 + t1 + ...``. The blocks are split between two threads
-    (``_split``).
+    ``0 + t0 + t1 + ...``. The blocks are dealt to two threads (``_split``).
     """
     n_rows, cout = out.shape
-    block = max(256, _BLOCK_ELEMS // max(src.shape[1], cout))
+    block = _tap_rows(src.shape[1], cout)
     starts = range(0, n_rows, block)
 
     def run(lo, hi):
@@ -471,27 +482,118 @@ def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: Sequence[np.ndarray]
     _split(run, len(starts))
 
 
-def _conv2d_strided(xp: np.ndarray, wd: np.ndarray, s: int, Ho: int, Wo: int):
-    """Strided conv over a padded input: one GEMM per tap on a strided view
-    of it. Returns the [B*Ho*Wo, Cout] tap sum and its backward, which maps
-    the output gradient to (padded input gradient, weight gradient)."""
-    B, Cin, Cout = xp.shape[0], xp.shape[3], wd.shape[0]
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    """A [B, H, W, C] map zero-padded by p on both spatial axes (x itself if p is 0)."""
+    if not p:
+        return x
+    B, H, W, C = x.shape
+    xp = np.zeros((B, H + 2 * p, W + 2 * p, C))
+    xp[:, p:p + H, p:p + W] = x
+    return xp
+
+
+def _taps_matrices(wd: np.ndarray) -> np.ndarray:
+    """The taps of a [Cout, Cin, kh, kw] kernel as contiguous [Cin, Cout]
+    matrices in tap order (a GEMM on the strided view of wd[:, :, ki, kj].T
+    gives the same bits)."""
+    Cout, Cin, kh, kw = wd.shape
+    return np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, Cin, Cout)
+
+
+def _grid_conv(src: np.ndarray, dims: tuple, offsets: Sequence[int], reach: int,
+               mats: np.ndarray, Ho: int, Wo: int, finish: Callable) -> np.ndarray:
+    """A conv's tap sum over a [B, Hg, Wg] grid, cropped to [B, Ho, Wo, Cout].
+
+    Grid row r = (b*Hg + i)*Wg + j reads tap t at row r + offsets[t] of the
+    flat source ``src``, so each tap is a contiguous slice of it. The last
+    ``reach`` rows hold no valid output and are never computed, and the
+    junk rows and columns (i >= Ho or j >= Wo) are skipped: inside the row
+    block that computed them, every box of valid positions
+    (``_valid_boxes``, an index of [B, Ho, Wo]) is copied to the output,
+    and ``finish(dst, box)`` adds the epilogue into that part ``dst`` of it.
+    """
+    B, Hg, Wg = dims
+    rows = B * Hg * Wg
+    n_rows = rows - reach
+    out = np.empty((rows, mats.shape[2]))
+    grid = out.reshape(B, Hg, Wg, -1)
+    # a grid without junk (a 1x1 kernel, no padding) is the output itself;
+    # otherwise the output comes after the grid, so that the grid and the
+    # padded input, both freed on return, can be one free run of the heap
+    y = grid if (Hg, Wg) == (Ho, Wo) else np.empty((B, Ho, Wo, mats.shape[2]))
+
+    def epilogue(r0, r1):
+        # one block is the whole output at once; a copy and an in-place add
+        # are faster than one add from the strided grid
+        whole = r1 - r0 == n_rows
+        for box in [slice(None)] if whole else _valid_boxes(r0, r1, Hg, Wg, Ho, Wo):
+            dst = y[box]
+            if y is not grid:
+                np.copyto(dst, grid[:, :Ho, :Wo] if whole else grid[box])
+            finish(dst, box)
+
+    _tap_sum(src, offsets, mats, out[:n_rows], epilogue)
+    return y
+
+
+def _conv2d_strided(x: np.ndarray, p: int, wd: np.ndarray, s: int, Ho: int, Wo: int,
+                    finish: Callable):
+    """Conv of stride s > 1 of x zero-padded by p. Returns the [B, Ho, Wo,
+    Cout] output, ``finish(out, slice(None))`` applied, and its backward,
+    which maps the output gradient to (padded input gradient, weight
+    gradient) with one GEMM per tap on a strided view of the padded input.
+
+    The forward of a stride-2 conv whose tap sum takes at least two blocks
+    reads its taps from a space-to-depth copy of the padded input: phase
+    (a, c) holds padded pixel (2u + a, 2v + c) at (u, v) of a [B, Hh, Wh]
+    grid, only the phases that a tap reads are made, and stacked flat they
+    make tap (ki, kj) of output (i, j) the grid row (i + ki//2, j + kj//2)
+    of phase (ki % 2, kj % 2), a fixed row offset (``_grid_conv``). Every
+    other forward is the per-tap GEMM loop of the backward.
+    """
+    B, H, W, Cin = x.shape
+    Cout, _, kh, kw = wd.shape
     taps = [(ki, kj, (slice(None), slice(ki, ki + s * Ho, s), slice(kj, kj + s * Wo, s)))
-            for ki in range(wd.shape[2]) for kj in range(wd.shape[3])]
-    out = np.zeros((B * Ho * Wo, Cout))
-    for ki, kj, tap in taps:
-        out += xp[tap].reshape(-1, Cin) @ wd[:, :, ki, kj].T
+            for ki in range(kh) for kj in range(kw)]
+    Hh, Wh = -(-(H + 2 * p) // 2), -(-(W + 2 * p) // 2)
+    reach = (kh - 1) // 2 * Wh + (kw - 1) // 2
+    xp = None
+    if s == 2 and B * Hh * Wh - reach > _tap_rows(Cin, Cout):
+        phases = sorted({(ki % 2, kj % 2) for ki, kj, _ in taps})
+        ph = np.zeros((len(phases), B, Hh, Wh, Cin))
+
+        def fill(lo, hi):
+            for k in range(lo, hi):
+                a, c = phases[k]
+                i0, j0 = (p - a + 1) // 2, (p - c + 1) // 2   # first phase row, column in x
+                part = x[:, 2 * i0 + a - p::2, 2 * j0 + c - p::2]
+                ph[k, :, i0:i0 + part.shape[1], j0:j0 + part.shape[2]] = part
+
+        _split(fill, len(phases))
+        n = B * Hh * Wh
+        offsets = [phases.index((ki % 2, kj % 2)) * n + ki // 2 * Wh + kj // 2
+                   for ki, kj, _ in taps]
+        out = _grid_conv(ph.reshape(-1, Cin), (B, Hh, Wh), offsets, reach, _taps_matrices(wd),
+                         Ho, Wo, finish)
+    else:
+        xp = _pad(x, p)
+        out = np.zeros((B * Ho * Wo, Cout))
+        for ki, kj, tap in taps:
+            out += xp[tap].reshape(-1, Cin) @ wd[:, :, ki, kj].T
+        out = out.reshape(B, Ho, Wo, Cout)
+        finish(out, slice(None))
 
     def bwd(g):
+        xpg = _pad(x, p) if xp is None else xp
         g2 = g.reshape(-1, Cout)
         gw = np.empty_like(wd)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros_like(xpg)
         for ki, kj, tap in taps:
-            gw[:, :, ki, kj] = g2.T @ xp[tap].reshape(-1, Cin)
+            gw[:, :, ki, kj] = g2.T @ xpg[tap].reshape(-1, Cin)
             gxp[tap] += (g2 @ wd[:, :, ki, kj]).reshape(B, Ho, Wo, Cin)
         return gxp, gw
 
-    return out.reshape(B, Ho, Wo, Cout), bwd
+    return out, bwd
 
 
 def _valid_boxes(r0: int, r1: int, Hp: int, Wp: int, Ho: int, Wo: int):
@@ -514,17 +616,11 @@ def _valid_boxes(r0: int, r1: int, Hp: int, Wp: int, Ho: int, Wo: int):
 
 
 def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int, finish: Callable):
-    """Stride-1 conv over a padded input, on its flat [B*Hp*Wp, Cin] rows.
-
-    Output row r = (b*Hp + i)*Wp + j of the padded grid reads tap (ki, kj)
-    at row r + ki*Wp + kj, so each tap is a contiguous slice of the one
-    flat buffer. Rows past the last valid output are never computed and
-    the junk rows and columns (i >= Ho or j >= Wo) are skipped: inside the
-    row block that computed them, every box of valid positions
-    (``_valid_boxes``, an index of [B, Ho, Wo]) is copied to the output,
-    and ``finish(dst, box)`` adds the epilogue into that part ``dst`` of
-    it. Returns the [B, Ho, Wo, Cout] output and the backward, which maps
-    the output gradient to (padded input gradient, weight gradient).
+    """Stride-1 conv over a padded input, on its flat [B*Hp*Wp, Cin] rows:
+    output row r = (b*Hp + i)*Wp + j of the padded grid reads tap (ki, kj)
+    at row r + ki*Wp + kj (``_grid_conv``, where ``finish`` runs). Returns
+    the [B, Ho, Wo, Cout] output and the backward, which maps the output
+    gradient to (padded input gradient, weight gradient).
     """
     B, Hp, Wp, Cin = xp.shape
     Cout, _, kh, kw = wd.shape
@@ -533,27 +629,8 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int, finish: Calla
     reach = offsets[-1]
     n_rows = rows - reach      # every row after the last valid output is junk
     xf = xp.reshape(rows, Cin)
-    # per-tap weights as contiguous [Cin, Cout] matrices (a GEMM on the
-    # strided view of wd[:, :, ki, kj].T gives the same bits)
-    taps_w = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(kh * kw, Cin, Cout)
-    out = np.empty((rows, Cout))
-    grid = out.reshape(B, Hp, Wp, Cout)
-    # a grid without junk (a 1x1 kernel, no padding) is the output itself;
-    # otherwise the output comes after the grid, so that the grid and the
-    # padded input, both freed on return, can be one free run of the heap
-    y = grid if (Hp, Wp) == (Ho, Wo) else np.empty((B, Ho, Wo, Cout))
-
-    def epilogue(r0, r1):
-        # one block is the whole output at once; a copy and an in-place add
-        # are faster than one add from the strided grid
-        whole = r1 - r0 == n_rows
-        for box in [slice(None)] if whole else _valid_boxes(r0, r1, Hp, Wp, Ho, Wo):
-            dst = y[box]
-            if y is not grid:
-                np.copyto(dst, grid[:, :Ho, :Wo] if whole else grid[box])
-            finish(dst, box)
-
-    _tap_sum(xf, offsets, taps_w, out[:n_rows], epilogue)
+    taps_w = _taps_matrices(wd)
+    y = _grid_conv(xf, (B, Hp, Wp), offsets, reach, taps_w, Ho, Wo, finish)
 
     def bwd(g):
         # output gradient on the padded grid, zero at the junk positions,
@@ -581,9 +658,13 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int)
     Stride 1 works on one flat zero-padded copy of the input, in which
     every tap is a contiguous row slice, in cache-sized blocks of output
     rows (``_conv2d_flat``), which crop the padded grid and add the bias
-    inside each block; larger strides run one GEMM per tap on a strided
-    view. The bias is added last, to the tap sum, so a biased conv is
-    bitwise the conv followed by a separate ``add``.
+    inside each block. Stride 2 does the same on a space-to-depth copy of
+    the padded input (``_conv2d_strided``) when its tap sum takes at least
+    two blocks (most paper-scale downsampling convs; no smoke or desk
+    map); other strided forwards, and every strided backward, run one
+    GEMM per tap on a strided view. The bias is added last, to the tap
+    sum, so a biased conv is bitwise the conv followed by a separate
+    ``add``.
 
     The stride-1 path against the per-tap loop on strided copies that it
     replaced (kept in the tests as ``reference_conv2d``): the taps are
@@ -592,7 +673,10 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int)
     input gradient are bitwise equal only where both GEMM sizes take the
     same kernel path, and within 1e-13 otherwise. The weight gradient's
     sum also runs over the zeros at the junk positions, so it agrees to
-    rounding (1e-12 in the tests), not bitwise. Reruns are bitwise.
+    rounding (1e-12 in the tests), not bitwise. Reruns are bitwise. The
+    stride-2 tap sum is bitwise the per-tap loop on the multi-block maps
+    it runs on; on maps of a few pixels it was seen to differ by 1e-14,
+    hence the gate.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D x and w, got {x.shape}, {w.shape}")
@@ -607,23 +691,16 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int)
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: output would be empty for x {x.shape}, kernel {w.shape}, "
                          f"stride {s}, padding {p}")
-    if p:
-        xp = np.zeros((B, H + 2 * p, W + 2 * p, Cin))
-        xp[:, p:p + H, p:p + W] = x.data
-    else:
-        xp = x.data
+    bd = None if b is None else b.data
+
+    def finish(dst, box):
+        if bd is not None:
+            dst += bd
+
     if s == 1:
-        bd = None if b is None else b.data
-
-        def finish(dst, box):
-            if bd is not None:
-                dst += bd
-
-        out, taps_bwd = _conv2d_flat(xp, w.data, Ho, Wo, finish)
+        out, taps_bwd = _conv2d_flat(_pad(x.data, p), w.data, Ho, Wo, finish)
     else:
-        out, taps_bwd = _conv2d_strided(xp, w.data, s, Ho, Wo)
-        if b is not None:
-            out += b.data
+        out, taps_bwd = _conv2d_strided(x.data, p, w.data, s, Ho, Wo, finish)
 
     def bwd(g):
         gxp, gw = taps_bwd(g)
@@ -714,20 +791,22 @@ def roll(x: Tensor, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _window_index(h: int, w: int, window: int, shift: int) -> tuple:
-    """Flat pixel of each token of the map rolled by -shift, tiled into windows.
+def _window_index(b: int, h: int, w: int, window: int, shift: int) -> tuple:
+    """Flat pixel of each token of b maps rolled by -shift, tiled into windows.
 
-    Token order is window row, window column, then row and column inside
-    the window (the order of the Swin partition). Returns the gather index
-    and its inverse permutation, both read-only.
+    Token order is image, window row, window column, then row and column
+    inside the window (the order of the Swin partition). Returns the
+    gather index into the [b*h*w] pixels and the inverse permutation of
+    one image's index, both read-only.
     """
     rows = (np.arange(h) + shift) % h
     cols = (np.arange(w) + shift) % w
     flat = rows[:, None] * w + cols[None, :]
     idx = flat.reshape(h // window, window, w // window, window).transpose(0, 2, 1, 3).ravel()
     inv = np.argsort(idx)
-    idx.flags.writeable = inv.flags.writeable = False
-    return idx, inv
+    tokens = (np.arange(b)[:, None] * (h * w) + idx).ravel()
+    tokens.flags.writeable = inv.flags.writeable = False
+    return tokens, inv
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -748,24 +827,33 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
-            attn: Optional[np.ndarray] = None, av: Optional[np.ndarray] = None) -> tuple:
-    """softmax(q @ k_t * scale) over the last axis and its product with v,
-    the softmax in place in the score array; both written into attn and av
-    when given. The same operations as ``s = (q @ k_t) * scale; e =
-    exp(s - max(s)); e / sum(e)``, so the same bits."""
-    a = np.matmul(q, k_t, out=attn)
-    a *= scale
-    a -= _row_max(a)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
-    return a, np.matmul(a, v, out=av)
+            attn: Optional[np.ndarray]) -> tuple:
+    """softmax(q @ k_t * scale) over the last axis, in place in the score
+    array (written into attn unless it is None), and its product with v.
+    The same operations as ``s = (q @ k_t) * scale; e = exp(s - max(s));
+    e / sum(e)``, so the same bits."""
+    attn = np.matmul(q, k_t, out=attn)
+    attn *= scale
+    attn -= _row_max(attn)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    return attn, attn @ v
 
 
 def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-                      wo: np.ndarray, heads: int, window: int, shift: int) -> tuple:
+                      wo: np.ndarray, heads: int, window: int, shift: int, keep: bool) -> tuple:
     """The forward of ``window_attention`` on arrays: (out, attention
     weights, bwd), where bwd maps the output gradient to the gradients of
-    (x, wq, wk, wv, wo). Shared by ``window_attention`` and ``swin_block``."""
+    (x, wq, wk, wv, wo); the weights and bwd are None unless ``keep``.
+    Shared by ``window_attention`` and ``swin_block``.
+
+    One loop over cache-sized blocks of whole windows does it all: gather
+    the block's tokens, project them to Q, K and V, attend, merge the
+    heads, project by wo and scatter the result into the output. The
+    blocks are dealt to two threads (``_split``). With ``keep`` the arrays
+    the backward reads are written into whole-map buffers; without it
+    each block's arrays are fresh and cache-sized.
+    """
     if xd.ndim != 4:
         raise ShapeError(f"window-attention: expected a [B, H, W, C] map, got {xd.shape}")
     b, h, w, c = xd.shape
@@ -782,43 +870,55 @@ def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.nda
     n = window * window
     nwin = b * (h // window) * (w // window)
     scale = float(1.0 / np.sqrt(dk))
-    idx, inv = _window_index(h, w, window, shift)
+    tokens, inv = _window_index(b, h, w, window, shift)
+    xf = xd.reshape(-1, c)
+    # a fresh C-ordered output, so the residual sums that swin_block adds
+    # into it keep the layout (and so the reduction order) of the composed
+    # chain's fresh ``add`` output; gx below keeps [:, inv], whose layout
+    # the layer-norm backward sums see
+    out = np.empty((b, h, w, cout))
+    out_rows = out.reshape(-1, cout)
+    # per window, what the backward reads: its tokens, their Q, K and V,
+    # the attention weights and the merged heads
+    kept = ((window, window, c), (window, window, inner), (window, window, inner),
+            (window, window, inner), (heads, n, n), (window, window, inner))
+    saved = [np.empty((nwin,) + shape) for shape in kept] if keep else None
+    step = max(1, _BLOCK_ELEMS // (n * max(heads * n, c, inner, cout)))
 
-    # the same numpy calls, on the same shapes, as the composed chain
-    # (partition, per-head matmuls, softmax, merge), so outputs are bitwise equal
-    xw = np.take(xd.reshape(b, h * w, c), idx, axis=1).reshape(nwin, window, window, c)
+    # the same numpy calls, on the same shapes per window, as the composed
+    # chain (partition, per-head matmuls, softmax, merge): bitwise equal.
+    # Each array goes into its slice of the saved ones or, without keep,
+    # into a fresh one (out=None), whose memory the next block reuses.
+    def run(lo, hi):
+        for w0 in range(lo * step, min(hi * step, nwin), step):
+            w1 = min(w0 + step, nwin)
+            k = w1 - w0
+            rows = tokens[w0 * n:w1 * n]
+            xw, q, kt, v, attn, ctx = [a[w0:w1] for a in saved] if keep else [None] * 6
+            # every index is valid, and "clip", unlike the default mode,
+            # writes straight into out instead of through a buffer
+            xw = xf.take(rows, axis=0, out=None if xw is None else xw.reshape(-1, c),
+                         mode="clip").reshape(k, window, window, c)
+            q = np.matmul(xw, wq, out=q)
+            kt = np.matmul(xw, wk, out=kt)
+            v = np.matmul(xw, wv, out=v)
+            attn, av = _attend(q.reshape(k, n, heads, dk).transpose(0, 2, 1, 3),
+                               kt.reshape(k, n, heads, dk).transpose(0, 2, 3, 1),
+                               v.reshape(k, n, heads, dk).transpose(0, 2, 1, 3), scale, attn)
+            ctx = np.empty((k, window, window, inner)) if ctx is None else ctx
+            np.copyto(ctx.reshape(k, n, heads, dk), av.transpose(0, 2, 1, 3))
+            out_rows[rows] = (ctx @ wo).reshape(-1, cout)
 
-    def heads_of(wd, axes):
-        return _stacked_matmul(xw, wd).reshape(nwin, n, heads, dk).transpose(axes)
-
-    q = heads_of(wq, (0, 2, 1, 3))               # [nW, h, n, dk]
-    k_t = heads_of(wk, (0, 2, 3, 1))             # [nW, h, dk, n]
-    v = heads_of(wv, (0, 2, 1, 3))
-    if nwin * heads * n * n <= _BLOCK_ELEMS:
-        attn, av = _attend(q, k_t, v, scale)
-    else:
-        # cache-sized blocks of windows, into the full arrays
-        attn = np.empty((nwin, heads, n, n))
-        av = np.empty((nwin, heads, n, dk))
-        step = max(1, _BLOCK_ELEMS // (heads * n * n))
-        starts = range(0, nwin, step)
-
-        def attend(lo, hi):
-            for w0 in starts[lo:hi]:
-                blk = slice(w0, w0 + step)
-                _attend(q[blk], k_t[blk], v[blk], scale, attn[blk], av[blk])
-
-        _split(attend, len(starts))
-    ctx = av.transpose(0, 2, 1, 3).reshape(nwin, window, window, inner)
-    # np.take, unlike indexing with [:, inv], returns a C-ordered array, so
-    # the residual sums that swin_block adds into it keep the layout (and
-    # so the reduction order) of the composed chain's fresh ``add`` output;
-    # gx below keeps [:, inv], whose layout the layer-norm backward sums see
-    out = np.take(_stacked_matmul(ctx, wo).reshape(b, h * w, cout), inv,
-                  axis=1).reshape(b, h, w, cout)
+    _split(run, -(-nwin // step))
+    if not keep:
+        return out, None, None
+    xw, q, k_t, v, attn, ctx = saved
+    q = q.reshape(nwin, n, heads, dk).transpose(0, 2, 1, 3)        # [nW, h, n, dk]
+    k_t = k_t.reshape(nwin, n, heads, dk).transpose(0, 2, 3, 1)    # [nW, h, dk, n]
+    v = v.reshape(nwin, n, heads, dk).transpose(0, 2, 1, 3)
 
     def bwd(g):
-        gw = np.take(g.reshape(b, h * w, cout), idx, axis=1).reshape(-1, cout)  # window order
+        gw = np.take(g.reshape(-1, cout), tokens, axis=0)      # window order
         g_wo = ctx.reshape(-1, inner).T @ gw
         g_ctx = (gw @ wo.T).reshape(nwin, n, heads, dk).transpose(0, 2, 1, 3)
         g_s = g_ctx @ np.swapaxes(v, -1, -2)           # the attention weights' gradient
@@ -856,9 +956,11 @@ def window_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     ``return_weights`` the attention weights [nW, heads, n, n] (windows
     in partition order) come back as an untracked second Tensor.
     """
+    parents = (x, wq, wk, wv, wo)
     out, attn, bwd = _window_attention(x.data, wq.data, wk.data, wv.data, wo.data,
-                                       heads, window, shift)
-    t = _make("window-attention", out, (x, wq, wk, wv, wo), bwd)
+                                       heads, window, shift,
+                                       return_weights or _graph_wanted(parents))
+    t = _make("window-attention", out, parents, bwd)
     if return_weights:
         return t, Tensor(attn)
     return t
@@ -1187,12 +1289,8 @@ def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor, 
     g1, g2, w1d, w2d = ln1_g.data, ln2_g.data, w1.data, w2.data
     a, xhat1, inv1 = _layer_norm_fwd(x.data, g1, ln1_b.data, keep, None)
     s, _, attn_bwd = _window_attention(a, wq.data, wk.data, wv.data, wo.data,
-                                       heads, window, shift)
-    # free the layer-norm output, the attention weights and, without a
-    # graph, the attention's saved arrays before the MLP allocates
-    del a, _
-    if not keep:
-        attn_bwd = None
+                                       heads, window, shift, keep)
+    del a, _       # free the layer-norm output and the weights before the MLP allocates
     s += x.data
     if t_bias is not None:
         s += t_bias.data

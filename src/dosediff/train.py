@@ -91,7 +91,7 @@ def load_split(data_dir) -> P.DatasetSplit:
     if not isinstance(d, dict):
         raise DataError(f"{manifest}: expected an object, got {type(d).__name__}")
     for key, kind in (("train", list), ("val", list), ("test", list), ("seed", int)):
-        if not isinstance(d.get(key), kind):
+        if not isinstance(d.get(key), kind) or isinstance(d.get(key), bool):
             raise DataError(f"{manifest}: {key!r} must be a {kind.__name__}")
     listed_in = {}
     for key in ("train", "val", "test"):

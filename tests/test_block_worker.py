@@ -1,10 +1,11 @@
 """The block worker: the blocked kernels split between two threads.
 
-A kernel's list of blocks is split in two halves, the second run by one
-persistent worker thread, only for a forward that builds no graph (under
-``no_grad``). Each half gets whole blocks or whole stacked matrices, so
-the bits are those of the serial loop. The ops below run above every
-split threshold; each is compared with the worker on and forced off.
+A kernel's list of blocks is dealt in chunks to the calling thread and
+one persistent worker thread, whichever is free, only for a forward that
+builds no graph (under ``no_grad``). Each chunk is whole blocks or whole
+stacked matrices, so the bits are those of the serial loop. The ops
+below run above every split threshold; each is compared with the worker
+on and forced off.
 """
 
 import json
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +26,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 class CountingWorker(T._BlockWorker):
     """A block worker of the tests' own (BLAS keeps its thread count) that
-    counts the halves submitted to it."""
+    counts the jobs submitted to it."""
 
     def __init__(self):
         super().__init__()
         self.submitted = 0
 
-    def submit(self, *args):
+    def submit(self, run):
         self.submitted += 1
-        return super().submit(*args)
+        return super().submit(run)
 
 
 def in_worker():
@@ -48,9 +50,9 @@ def leaves(rng, *shapes):
     return [T.Tensor(rng.standard_normal(s) * 0.3, requires_grad=True) for s in shapes]
 
 
-def conv2d_case(rng, shape, k, p):
+def conv2d_case(rng, shape, k, p, stride=1):
     x, w, b = leaves(rng, shape, (16, shape[3], k, k), (16,))
-    return lambda: T.conv2d(x, w, b, 1, p), [x, w, b]
+    return lambda: T.conv2d(x, w, b, stride, p), [x, w, b]
 
 
 def conv_block_case(rng):
@@ -83,6 +85,8 @@ CASES = {
     "conv2d-3x3-two-images": lambda rng: conv2d_case(rng, (2, 40, 40, 32), 3, 1),
     "conv2d-1x1": lambda rng: conv2d_case(rng, (1, 96, 96, 16), 1, 0),
     "conv2d-3x3-unpadded": lambda rng: conv2d_case(rng, (1, 80, 40, 32), 3, 0),
+    # a 66x66 phase grid, 4,289 rows: two tap-sum blocks of 4,096
+    "conv2d-3x3-stride-2": lambda rng: conv2d_case(rng, (1, 130, 130, 16), 3, 1, 2),
     "conv-block": conv_block_case,
     "layer-norm": layer_norm_case,
     "window-attention": window_attention_case,
@@ -121,41 +125,107 @@ def test_graph_building_work_runs_serially(worker, monkeypatch):
     assert worker.submitted == before
 
 
+def test_stride_2_phase_path_is_the_per_tap_path_bitwise(monkeypatch):
+    grid_convs = []
+    grid_conv = T._grid_conv
+    monkeypatch.setattr(T, "_grid_conv", lambda *a: grid_convs.append(a) or grid_conv(*a))
+    phase = forward_and_grads(CASES["conv2d-3x3-stride-2"], 0)
+    assert len(grid_convs) == 2       # the no-grad and the graph forward read the phases
+    # one tap-sum block for any map: the per-tap GEMM loop on strided views
+    monkeypatch.setattr(T, "_tap_rows", lambda cin, cout: 1 << 30)
+    per_tap = forward_and_grads(CASES["conv2d-3x3-stride-2"], 0)
+    assert len(grid_convs) == 2
+    for a, b in zip(phase[:2] + tuple(phase[2]), per_tap[:2] + tuple(per_tap[2])):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def dealt(n, run):
+    """_split(run, n) under no_grad, the caller's first chunk held until the
+    worker has taken one, so that both threads run chunks."""
+    worker_began = threading.Event()
+
+    def held(lo, hi):
+        if in_worker():
+            worker_began.set()
+        else:
+            worker_began.wait(30)
+        run(lo, hi)
+
+    with T.no_grad():
+        T._split(held, n)
+
+
+def test_every_block_runs_once_in_chunks(worker, monkeypatch):
+    monkeypatch.setattr(T, "_block_worker", lambda: worker)
+    seen = []
+    dealt(20, lambda lo, hi: seen.append((lo, hi, in_worker())))
+    # ceil(20 / 8) = 3 blocks a chunk, each chunk run once, by both threads
+    assert sorted((lo, hi) for lo, hi, _ in seen) == [(lo, min(lo + 3, 20))
+                                                     for lo in range(0, 20, 3)]
+    assert {by_worker for _, _, by_worker in seen} == {False, True}
+
+
+def test_chunks_are_drawn_once_under_fast_thread_switches(worker, monkeypatch):
+    monkeypatch.setattr(T, "_block_worker", lambda: worker)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        for n in range(2, 200):
+            seen = []
+            with T.no_grad():
+                T._split(lambda lo, hi: seen.extend(range(lo, hi)), n)
+            assert sorted(seen) == list(range(n))
+            assert time.monotonic() - start < 60
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_worker_exception_reraises_in_the_caller(worker, monkeypatch):
     monkeypatch.setattr(T, "_block_worker", lambda: worker)
+    ran = []
 
     def run(lo, hi):
         if in_worker():
             raise ValueError(f"blocks {lo}:{hi}")
+        ran.append((lo, hi))
 
-    with T.no_grad(), pytest.raises(ValueError, match="blocks 2:4"):
-        T._split(run, 4)
-    seen = []
-    with T.no_grad():
-        T._split(lambda lo, hi: seen.append((lo, hi, in_worker())), 5)
-    assert sorted(seen) == [(0, 3, False), (3, 5, True)]
+    with pytest.raises(ValueError, match=r"blocks \d+:\d+") as err:
+        dealt(8, run)
+    # the caller ran every chunk but the one that failed in the worker
+    lo, hi = map(int, err.value.args[0].split()[1].split(":"))
+    assert sorted(ran + [(lo, hi)]) == [(i, i + 1) for i in range(8)]
+
+    ended = []
+
+    def slow_worker(lo, hi):
+        if in_worker():
+            time.sleep(0.2)
+            ended.append((lo, hi))
+        else:
+            raise ValueError("in the caller")
+
+    with pytest.raises(ValueError, match="in the caller"):
+        dealt(2, slow_worker)
+    assert len(ended) == 1            # re-raised only once the worker's chunk had ended
 
 
 def test_split_inside_the_worker_runs_serially(worker, monkeypatch):
     monkeypatch.setattr(T, "_block_worker", lambda: worker)
     seen = []
 
-    def inner(lo, hi):
-        seen.append((lo, hi, in_worker()))
-
     def outer(lo, hi):
-        T._split(inner, 4)
+        by_worker = in_worker()
+        T._split(lambda a, b: seen.append((by_worker, a, b, in_worker())), 4)
 
-    def nested():
-        with T.no_grad():
-            T._split(outer, 2)
-
-    caller = threading.Thread(target=nested)
+    caller = threading.Thread(target=dealt, args=(2, outer))
     caller.start()
     caller.join(30)
     assert not caller.is_alive(), "a split inside the worker deadlocked"
-    # the caller's half split again; the worker's half ran its split alone
-    assert sorted(seen) == [(0, 2, False), (0, 4, True), (2, 4, True)]
+    # the worker's chunk ran its split alone; the caller's was dealt again,
+    # one block a chunk
+    assert [s for s in seen if s[0]] == [(True, 0, 4, True)]
+    assert sorted(s[1:3] for s in seen if not s[0]) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 WORKER_PROBE = """

@@ -1,11 +1,15 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dosediff import cli
 from dosediff import metrics as M
@@ -14,7 +18,7 @@ from dosediff import train as TR
 from dosediff.checkpoint import CKPT_FILE, load_checkpoint, save_checkpoint
 from dosediff.cli import main
 
-from test_config_checkpoint import (BAD_COUNT_HEADERS, bad_rng_state, drop_config,
+from test_config_checkpoint import (BAD_COUNT_HEADERS, ODD_VALUES, bad_rng_state, drop_config,
                                     drop_opt_step, rename_param, rewrite_checkpoint_header)
 
 
@@ -436,6 +440,63 @@ class TestDumpSchedule:
         assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def split_ws(tmp_path_factory):
+    """A generated data set of CFG, its config and its split manifest."""
+    tmp = tmp_path_factory.mktemp("split")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(CFG))
+    assert run(["gen-data", "--config", cfg, "--out", tmp / "data"]) == 0
+    return tmp, cfg, tmp / "data", json.loads((tmp / "data" / "split.json").read_text())
+
+
+SPLIT_KEYS = ("train", "val", "test", "seed")
+# case ids a hand-edited split may hold: odd values, any short text, and
+# names that are not plain file names
+ODD_IDS = st.one_of(ODD_VALUES, st.text(max_size=8),
+                    st.sampled_from(["", ".", "..", "a/b", "../x", "x\0"]))
+
+
+def mutate_split(d, data):
+    """One mutation of a split manifest: a key dropped or set to an odd
+    value, an id replaced by an odd one, an id listed again, or the whole
+    manifest replaced."""
+    how = data.draw(st.sampled_from(["drop", "odd", "id", "repeat", "whole"]))
+    key = data.draw(st.sampled_from(SPLIT_KEYS))
+    if how == "whole" or not isinstance(d, dict):
+        return data.draw(ODD_VALUES)
+    if how == "drop":
+        d.pop(key, None)
+    elif how == "odd" or not (isinstance(d.get(key), list) and d[key]):
+        d[key] = data.draw(ODD_VALUES)
+    elif how == "id":
+        d[key][data.draw(st.integers(0, len(d[key]) - 1))] = data.draw(ODD_IDS)
+    else:
+        into = data.draw(st.sampled_from([k for k in SPLIT_KEYS[:3] if isinstance(d.get(k), list)]))
+        d[into].append(data.draw(st.sampled_from(d[key])))
+    return d
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_mutated_split_runs_or_is_a_data_error(split_ws, data):
+    """One or two mutations of a valid ``split.json``: ``train`` either runs
+    or exits 3 with one ``data error:`` line, never a traceback."""
+    tmp, cfg, data_dir, split = split_ws
+    d = json.loads(json.dumps(split))
+    for _ in range(data.draw(st.integers(1, 2))):
+        d = mutate_split(d, data)
+    (data_dir / "split.json").write_text(json.dumps(d))
+    shutil.rmtree(tmp / "run", ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["train", "--config", cfg, "--data", data_dir, "--out", tmp / "run",
+                    "--steps", 1])
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 3 and len(lines) == 1 and lines[0].startswith("data error:")), \
+        (code, lines, d)
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -558,6 +619,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and long in err[0]
         assert not (tmp / "o").exists()
+
+    def test_name_near_the_limit_is_written(self, tmp_path):
+        """A legal name 5 bytes under the file system's name limit is
+        written; the temporary file it went through is gone."""
+        name = "s" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 9) + ".csv"
+        assert run(["dump-schedule", "--steps", 3, "--out", tmp_path / name]) == 0
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_text().startswith("t,")
 
     def test_numeric_failure_is_4(self, trained):
         tmp, cfg, data, ckpt = trained

@@ -7,10 +7,13 @@ change that moves a line, by design or by an upgrade, re-records it here
 and says which line moved and why in CHANGES.md.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from dosediff import tensor as T
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +44,49 @@ def test_model_digest_lines_are_pinned():
     moved = [label for label in PINNED if got[label] != PINNED[label]]
     assert not moved, "digest line moved: " + ", ".join(
         f"{label!r} {got[label]} (pinned {PINNED[label]})" for label in moved)
+
+
+def load_digest_script():
+    spec = importlib.util.spec_from_file_location("model_digest",
+                                                  ROOT / "scripts" / "model_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_blocked_wiring_runs_every_multi_block_path(monkeypatch):
+    """The ``blocked-128px`` line covers the multi-block paths: the phase
+    tap sum of the 128 -> 64 and 64 -> 32 px stride-2 convs and the window
+    attention at 64 px each take at least two blocks, in the loss's forward
+    (the gradients read what it saves) and in the no-grad ``eps_hat``."""
+    script = load_digest_script()
+    blocks = {}            # (op, graph) -> the most blocks one of its splits took
+    inside = []            # the op whose splits are being counted
+
+    def count_inside(name, label):
+        fn = getattr(T, name)
+
+        def wrapper(*args):
+            inside.append((label(*args), T._GRAD_ENABLED))
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(T, name, wrapper)
+
+    count_inside("conv2d", lambda x, w, b, stride, padding:
+                 f"stride-{stride} {w.shape[2]}x{w.shape[3]} conv at {x.shape[1]} px")
+    count_inside("_window_attention", lambda x, *rest: f"window attention at {x.shape[1]} px")
+    split = T._split
+
+    def counting_split(run, n):
+        if inside:
+            blocks[inside[-1]] = max(n, blocks.get(inside[-1], 0))
+        return split(run, n)
+
+    monkeypatch.setattr(T, "_split", counting_split)
+    script.digest(script.blocked_cfg(), 1)
+    for op in ["stride-2 3x3 conv at 128 px", "stride-2 3x3 conv at 64 px",
+               "window attention at 64 px"]:
+        for graph in (True, False):
+            assert blocks.get((op, graph), 0) >= 2, (op, graph, blocks)

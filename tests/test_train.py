@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -96,6 +97,16 @@ class TestGenerateDataset:
         ids = split.all_ids()
         assert sorted(ids) == [f"sample_{i:05d}" for i in range(5)]
         assert len(set(ids)) == 5
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "3", None])
+    def test_split_seed_must_be_an_int(self, dataset, seed):
+        cfg, data_dir = dataset
+        manifest = data_dir / "split.json"
+        d = json.loads(manifest.read_text())
+        d["seed"] = seed
+        manifest.write_text(json.dumps(d))
+        with pytest.raises(DataError, match="'seed' must be a int"):
+            load_split(data_dir)
 
 
 class TestTrainer:
