@@ -33,20 +33,22 @@ attention (gather, projections, softmax, output projection, scatter, all
 in one loop over blocks of whole windows) run one block at a time,
 bitwise the whole-array formulas.
 
-Threads: in a forward under ``no_grad``, the blocked kernels (the conv
-tap sums with their epilogue, layer norm, the window attention) and the
-Swin MLP of at least 2^24 multiply-adds deal their list of whole blocks
-or whole stacked matrices in about eight chunks to whichever of the
-calling thread and one persistent worker thread is free (``_split``).
-No numpy call changes shape, so the results are bitwise those of one
-thread, for any worker count and any dealing. The worker starts on the
-first such list of at least two blocks, and from then until the
-outermost ``no_grad`` ends OpenBLAS runs on one thread. Work that may
-build a graph, the backward included, runs in the calling thread alone
-with BLAS's own thread count: OpenBLAS at one thread and at two gives
-different bits for some large weight-gradient products. On a single
-CPU, or without OpenBLAS's thread API, every block runs in the calling
-thread.
+Threads: importing this module pins OpenBLAS to one thread for the rest
+of the process, whenever its thread API is found, and nothing undoes
+it; all parallelism comes from whole blocks instead. The blocked
+kernels (the conv tap sums with their epilogue, forward and input
+gradient, the phase copy of a stride-2 conv, layer norm, the window
+attention) and the Swin MLP of at least 2^24 multiply-adds deal their
+list of whole blocks or whole stacked matrices in about eight chunks to
+whichever of the calling thread and one persistent worker thread is
+free (``_split``), in a forward that builds a graph, in the backward
+and under ``no_grad`` alike. No numpy call changes shape, so results
+are bitwise those of one thread, whatever the number of CPUs, the
+worker and the dealing. They still depend on the CPU model and the BLAS
+build, as OpenBLAS picks its kernels per CPU. The worker starts on the
+first list of at least two blocks. On a single CPU every block runs in
+the calling thread; without OpenBLAS's thread API nothing is pinned,
+BLAS keeps its own thread count (and its bits) and the worker stays off.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-        if prev:
-            _unpin_blas()
 
 
 class Node:
@@ -206,7 +206,7 @@ _SPLIT_MACS = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# the block worker: a second thread for the blocked kernels
+# one BLAS thread, and the block worker: a second thread for the blocked kernels
 
 
 def _openblas(name: str):
@@ -265,43 +265,31 @@ class _BlockWorker:
         return wait
 
 
-_WORKER = None          # the _BlockWorker once started; False where none can run
-_BLAS_THREADS = None    # OpenBLAS's (get, set) of its thread count, found with the worker
-_BLAS_OWN = 0           # OpenBLAS's own thread count while it is pinned to one, else 0
+def _pin_blas() -> bool:
+    """Set OpenBLAS to one thread for the rest of the process; whether its
+    thread API was found."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is None:
+        return False
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
+    return True
+
+
+_BLAS_PINNED = _pin_blas()   # before the engine's first GEMM, never undone
+_WORKER = None               # the _BlockWorker once started; False where none can run
 
 
 def _block_worker() -> Optional[_BlockWorker]:
     """The block worker, started on first use, or None on a single CPU or
-    without OpenBLAS's thread API.
-
-    It pins OpenBLAS to one thread until the outermost ``no_grad`` ends
-    (``_unpin_blas``): a GEMM threaded by BLAS next to the worker, or BLAS
-    threads switched around each split, made a paper-scale sample slower
-    than no worker at all.
-    """
-    global _WORKER, _BLAS_THREADS, _BLAS_OWN
+    where OpenBLAS could not be pinned to one thread: a GEMM threaded by
+    BLAS next to the worker made a paper-scale sample slower than no
+    worker at all."""
+    global _WORKER
     if _WORKER is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        fns = [_openblas(f"{op}_num_threads") for op in ("get", "set")]
-        if (cpus or 1) < 2 or None in fns:
-            _WORKER = False
-        else:
-            fns[0].argtypes, fns[0].restype = (), ctypes.c_int
-            fns[1].argtypes, fns[1].restype = (ctypes.c_int,), None
-            _BLAS_THREADS = fns
-            _WORKER = _BlockWorker()
-    if _WORKER and not _BLAS_OWN:
-        _BLAS_OWN = _BLAS_THREADS[0]()
-        _BLAS_THREADS[1](1)
+        _WORKER = _BlockWorker() if _BLAS_PINNED and (cpus or 1) >= 2 else False
     return _WORKER or None
-
-
-def _unpin_blas() -> None:
-    """Give OpenBLAS back its own thread count if a split pinned it."""
-    global _BLAS_OWN
-    if _BLAS_OWN:
-        _BLAS_THREADS[1](_BLAS_OWN)
-        _BLAS_OWN = 0
 
 
 def _forget_worker() -> None:
@@ -322,10 +310,11 @@ def _split(run: Callable, n: int) -> None:
     """run(lo, hi) over the blocks [lo, hi) of a list of n, dealt in about
     _CHUNKS chunks of whole blocks to whichever of the calling thread and
     the block worker is free. An exception in either thread re-raises here
-    once both have stopped. With fewer than two blocks, while a graph may
-    be built (outside ``no_grad``), without a worker, or called from inside
-    the worker, run(0, n) runs in the calling thread alone."""
-    worker = _block_worker() if n >= 2 and not _GRAD_ENABLED else None
+    once both have stopped. A forward that builds a graph, a backward and a
+    no-grad forward are dealt alike. With fewer than two blocks, without a
+    worker, or called from inside the worker, run(0, n) runs in the
+    calling thread alone."""
+    worker = _block_worker() if n >= 2 else None
     if worker is None or threading.current_thread().name == _WORKER_NAME:
         run(0, n)
         return

@@ -162,14 +162,19 @@ def fit_step(model: DoseModel, batch, schedule: D.NoiseSchedule, rng: np.random.
     """One optimization step on ``batch`` = (x0, condition); returns the loss.
 
     Corrupts x0 and predicts the noise (``diffusion.training_step``), then
-    backpropagates and applies Adam. A non-finite loss raises
-    NumericFailure before any parameter changes.
+    backpropagates and applies Adam. A non-finite loss, or a non-finite
+    gradient (which names its parameter), raises NumericFailure before any
+    parameter or moment changes.
     """
     loss = D.training_step(model, batch, schedule, rng)
     value = float(loss.data)
     if not np.isfinite(value):
         raise NumericFailure(f"non-finite loss {value}")
-    adam_step(model.store, backward(loss, model.store.tensors()), lr, betas)
+    grads = backward(loss, model.store.tensors())
+    for name, g in zip(model.store.names(), grads):
+        if not np.isfinite(g).all():
+            raise NumericFailure(f"non-finite gradient of parameter {name!r}")
+    adam_step(model.store, grads, lr, betas)
     return value
 
 

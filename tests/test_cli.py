@@ -644,6 +644,25 @@ class TestExitCodes:
         assert run(["train", "--resume", poisoned, "--data", data,
                     "--out", tmp / "boom"]) == 4
 
+    def test_non_finite_gradient_is_4(self, ws, monkeypatch, capsys):
+        tmp, cfg = ws
+        run(["gen-data", "--config", cfg, "--out", tmp / "data"])
+        backward = TR.backward
+
+        def nan_gradient(loss, leaves):
+            grads = backward(loss, leaves)
+            grads[0].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(TR, "backward", nan_gradient)
+        capsys.readouterr()
+        assert run(["train", "--config", cfg, "--data", tmp / "data",
+                    "--out", tmp / "run"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: non-finite gradient "
+                                                   "of parameter ")
+        assert err[0].endswith(" at step 0")
+
     @pytest.mark.parametrize("edit", [lambda h: b"{not json", drop_config, bad_rng_state,
                                       drop_opt_step, rename_param],
                              ids=["invalid-json", "no-config", "bad-rng-state",

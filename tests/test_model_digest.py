@@ -2,7 +2,9 @@
 
 Each line is one SHA-256 over everything a model wiring computes (fresh
 parameters, a seeded loss, every gradient, a no-grad ``eps_hat``) or over
-a checkpoint round trip. The values depend on numpy and its BLAS build; a
+a checkpoint round trip. The values depend on numpy, its BLAS build and
+the CPU model, but not on the thread setup: the script prints the same
+lines on one CPU at one BLAS thread and with the block worker at two. A
 change that moves a line, by design or by an upgrade, re-records it here
 and says which line moved and why in CHANGES.md.
 """
@@ -12,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from dosediff import tensor as T
 
@@ -26,16 +30,27 @@ PINNED = {
     "attn-last2-no-projector":
         "1b4a305281be45c42de2abc05d1e62d50aa627268f84c15483c0d9ed9662a6a6",
     "desk.json": "5846c36e75c1de7110570c02f8b6eeb92eb4a0ddf948732227a8bdd503e66eb4",
-    # recorded at 40d579a, before the blocked kernels split across two threads
-    "blocked-128px": "05191bb0d48fd49dd5f6487093ca0a71d4f8b0e10ec1bedff3102e0abb69fa06",
+    # re-recorded when OpenBLAS was pinned to one thread for the whole process:
+    # at two BLAS threads three stride-1 conv weight gradients had other bits
+    "blocked-128px": "3624d4e9b9f8d1e6bdd7d08c32d37e5185269be26ce1030c8b88591c35d814ff",
     "desk.json checkpoint": "4c6a3ffad664782a8f5d5d2dee861bf10c53ca15f6fde2f8963ca83e2cbb098b",
 }
 
 
-def test_model_digest_lines_are_pinned():
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "model_digest.py")],
+# runs the digest script on one CPU of the child's affinity, set before
+# numpy or dosediff is imported, so that no block worker can start
+ONE_CPU = """
+import os, runpy, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.argv = [sys.argv[1]]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def assert_pinned(argv, **env):
+    out = subprocess.run([sys.executable, *argv, str(ROOT / "scripts" / "model_digest.py")],
                          capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env})
     got = {}
     for line in out.stdout.splitlines():
         digest, label = line.split(" ", 1)
@@ -44,6 +59,19 @@ def test_model_digest_lines_are_pinned():
     moved = [label for label in PINNED if got[label] != PINNED[label]]
     assert not moved, "digest line moved: " + ", ".join(
         f"{label!r} {got[label]} (pinned {PINNED[label]})" for label in moved)
+
+
+def test_model_digest_lines_are_pinned():
+    assert_pinned([])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_and_one_blas_thread_print_the_pinned_lines():
+    assert_pinned(["-c", ONE_CPU], OPENBLAS_NUM_THREADS="1")
+
+
+def test_two_blas_threads_on_every_cpu_print_the_pinned_lines():
+    assert_pinned([], OPENBLAS_NUM_THREADS="2")
 
 
 def load_digest_script():

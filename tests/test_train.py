@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dosediff import metrics as M
+from dosediff import train as TR
 from dosediff.checkpoint import load_checkpoint
 from dosediff.config import FusionStrategy, config_from_dict
 from dosediff.train import (DataError, NumericFailure, Trainer, case_seed_key, fit_step,
@@ -177,6 +178,33 @@ class TestTrainer:
         with np.errstate(invalid="ignore"), pytest.raises(NumericFailure, match="non-finite"):
             Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "run").run()
         assert not (tmp_path / "run" / "ckpt_final.bin").exists()
+
+    def test_a_non_finite_gradient_names_its_parameter_and_changes_nothing(
+            self, dataset, tmp_path, monkeypatch):
+        cfg, data_dir = dataset
+        trainer = Trainer(cfg, train_cases(cfg, data_dir), tmp_path / "run")
+        store = trainer.model.store
+        name = store.names()[len(store.names()) // 2]
+        calls, before = [], []
+        backward = TR.backward
+
+        def nan_at_third_step(loss, leaves):
+            grads = backward(loss, leaves)
+            calls.append(None)
+            if len(calls) == 3:     # a finite loss, Adam's moments nonzero by now
+                before.extend([store.step] + [a.copy() for n, p in store.items()
+                                              for a in (p.data, store.m[n], store.v[n])])
+                grads[store.names().index(name)].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(TR, "backward", nan_at_third_step)
+        with pytest.raises(NumericFailure) as err:
+            trainer.run()
+        assert str(err.value) == f"non-finite gradient of parameter {name!r} at step 2"
+        after = [store.step] + [a for n, p in store.items()
+                                for a in (p.data, store.m[n], store.v[n])]
+        assert before[0] == after[0] == 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before[1:], after[1:]))
 
     def test_intermediate_checkpoint_resume(self, dataset, tmp_path):
         cfg, data_dir = dataset
