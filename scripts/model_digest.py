@@ -47,11 +47,12 @@ def smoke_cfg(fusion: str, use_projector: bool) -> ModelConfig:
 
 def blocked_cfg() -> ModelConfig:
     """128 px, base 16, a batch of one, whose kernels run in more than one
-    block: the stage-1 conv blocks run 5 tap-sum blocks and blocked layer
-    norms; the stride-2 convs 128 -> 64 px (16 -> 32 channels) and 64 -> 32
-    px (32 -> 64) read their taps from the phase copy in 3 and 2 tap-sum
-    blocks; the 64 px, 32-channel Swin blocks run their window attention
-    in 2 blocks of 128 windows and a 2^24 multiply-add MLP. Each of these
+    block: the stage-1 conv blocks run 5 tap-sum blocks and layer norms in
+    4 blocks of 32 image rows; the stride-2 convs 128 -> 64 px (16 -> 32
+    channels) and 64 -> 32 px (32 -> 64) read their taps from the phase
+    copy in 3 and 2 tap-sum blocks; the 64 px, 32-channel Swin blocks run
+    their window attention in 2 blocks of 128 windows and their MLP (128
+    hidden channels) in 8 blocks of 8 image rows. Each of these
     runs in the loss's forward, whose saved arrays the gradients read, and
     in the no-grad ``eps_hat``."""
     return ModelConfig(image_size=128, oar_count=3, base_channels=16,

@@ -28,20 +28,21 @@ residual, time bias, layer norm, MLP with ReLU, residual), bitwise its
 composed chain; it shares one layer-norm forward (``_layer_norm_fwd``)
 with ``layer_norm`` and ``conv_block`` and one window-attention kernel
 (``_window_attention``) with ``window_attention``. On maps larger than
-one cache-sized block, layer norm (alone or fused) and the window
+one cache-sized block, layer norm (alone or fused), the window
 attention (gather, projections, softmax, output projection, scatter, all
-in one loop over blocks of whole windows) run one block at a time,
-bitwise the whole-array formulas.
+in one body per block of whole windows) and the Swin MLP run one block
+at a time, bitwise the whole-array formulas.
 
 Threads: importing this module pins OpenBLAS to one thread for the rest
 of the process, whenever its thread API is found, and nothing undoes
-it; all parallelism comes from whole blocks instead. The blocked
-kernels (the conv tap sums with their epilogue, forward and input
+it; all parallelism comes from whole blocks instead. Every blocked
+kernel (the conv tap sums with their epilogue, forward and input
 gradient, the phase copy of a stride-2 conv, layer norm, the window
-attention) and the Swin MLP of at least 2^24 multiply-adds deal their
-list of whole blocks or whole stacked matrices in about eight chunks to
-whichever of the calling thread and one persistent worker thread is
-free (``_split``), in a forward that builds a graph, in the backward
+attention, the Swin MLP) hands one helper, ``_split``, its list of
+whole blocks (row slices, image and row pairs, phase indices) and the
+body that runs one of them; ``_split`` deals the list in about eight
+chunks to whichever of the calling thread and one persistent worker
+thread is free, in a forward that builds a graph, in the backward
 and under ``no_grad`` alike. No numpy call changes shape, so results
 are bitwise those of one thread, whatever the number of CPUs, the
 worker and the dealing. They still depend on the CPU model and the BLAS
@@ -201,9 +202,6 @@ _BLOCK_ELEMS = 65536
 # block keeps the composed chain's bits
 _LN_EPS = 1e-5
 
-# multiply-adds from which the Swin MLP is split between the two threads
-_SPLIT_MACS = 1 << 24
-
 
 # ---------------------------------------------------------------------------
 # one BLAS thread, and the block worker: a second thread for the blocked kernels
@@ -306,28 +304,35 @@ if hasattr(os, "register_at_fork"):     # a forked child has no worker thread
 _CHUNKS = 8
 
 
-def _split(run: Callable, n: int) -> None:
-    """run(lo, hi) over the blocks [lo, hi) of a list of n, dealt in about
-    _CHUNKS chunks of whole blocks to whichever of the calling thread and
-    the block worker is free. An exception in either thread re-raises here
-    once both have stopped. A forward that builds a graph, a backward and a
-    no-grad forward are dealt alike. With fewer than two blocks, without a
-    worker, or called from inside the worker, run(0, n) runs in the
-    calling thread alone."""
-    worker = _block_worker() if n >= 2 else None
+def _rows(n: int, step: int) -> list:
+    """The row slices [0, step), [step, 2 step), ... that tile [0, n) in
+    order; only the last may be short."""
+    return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+
+
+def _split(body: Callable, blocks: Sequence) -> None:
+    """body(block) once for each of a list of whole blocks, dealt in about
+    _CHUNKS chunks of consecutive blocks to whichever of the calling thread
+    and the block worker is free. An exception in either thread re-raises
+    here once both have stopped. A forward that builds a graph, a backward
+    and a no-grad forward are dealt alike. With fewer than two blocks,
+    without a worker, or called from inside the worker, every block runs
+    in the calling thread, in order."""
+    worker = _block_worker() if len(blocks) >= 2 else None
     if worker is None or threading.current_thread().name == _WORKER_NAME:
-        run(0, n)
+        for block in blocks:
+            body(block)
         return
-    size = -(-n // _CHUNKS)
-    chunks, lock = iter(range(0, n, size)), threading.Lock()
+    chunks, lock = iter(_rows(len(blocks), -(-len(blocks) // _CHUNKS))), threading.Lock()
 
     def deal():
         while True:
             with lock:          # each chunk is drawn by exactly one thread
-                lo = next(chunks, None)
-            if lo is None:
+                chunk = next(chunks, None)
+            if chunk is None:
                 return
-            run(lo, min(lo + size, n))
+            for block in blocks[chunk]:
+                body(block)
 
     wait = worker.submit(deal)
     try:
@@ -442,33 +447,22 @@ def _tap_rows(cin: int, cout: int) -> int:
 
 
 def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: Sequence[np.ndarray],
-             out: np.ndarray, epilogue: Optional[Callable]) -> None:
-    """out[r] = sum over taps t of src[r + offsets[t]] @ mats[t], written in place.
+             out: np.ndarray, rows: slice) -> None:
+    """out[r] = sum over taps t of src[r + offsets[t]] @ mats[t] for the rows
+    r of one block, written in place.
 
     Every tap operand is a contiguous row slice of ``src``, so nothing is
-    copied. The taps run one block of rows at a time (``_tap_rows``), so
-    that the block's output stays in cache while the taps add into it, and
-    ``epilogue(r0, r1)``, when given, runs on each block's rows [r0, r1)
-    right after them. Per row the taps are summed in order, as
-    ``0 + t0 + t1 + ...``. The blocks are dealt to two threads (``_split``).
+    copied, and the block's output stays in cache while the taps add into
+    it. Per row the taps are summed in order, as ``0 + t0 + t1 + ...``.
+    Callers deal blocks of ``_tap_rows`` rows to two threads (``_split``)
+    and run their epilogue on each block right after its taps.
     """
-    n_rows, cout = out.shape
-    block = _tap_rows(src.shape[1], cout)
-    starts = range(0, n_rows, block)
-
-    def run(lo, hi):
-        tmp = np.empty((min(block, n_rows), cout))
-        for r0 in starts[lo:hi]:
-            r1 = min(r0 + block, n_rows)
-            acc, part = out[r0:r1], tmp[:r1 - r0]
-            np.matmul(src[r0 + offsets[0]:r1 + offsets[0]], mats[0], out=acc)
-            for off, m in zip(offsets[1:], mats[1:]):
-                np.matmul(src[r0 + off:r1 + off], m, out=part)
-                acc += part
-            if epilogue is not None:
-                epilogue(r0, r1)
-
-    _split(run, len(starts))
+    r0, r1 = rows.start, rows.stop
+    acc, part = out[rows], np.empty((r1 - r0, out.shape[1]))
+    np.matmul(src[r0 + offsets[0]:r1 + offsets[0]], mats[0], out=acc)
+    for off, m in zip(offsets[1:], mats[1:]):
+        np.matmul(src[r0 + off:r1 + off], m, out=part)
+        acc += part
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
@@ -494,12 +488,14 @@ def _grid_conv(src: np.ndarray, dims: tuple, offsets: Sequence[int], reach: int,
     """A conv's tap sum over a [B, Hg, Wg] grid, cropped to [B, Ho, Wo, Cout].
 
     Grid row r = (b*Hg + i)*Wg + j reads tap t at row r + offsets[t] of the
-    flat source ``src``, so each tap is a contiguous slice of it. The last
-    ``reach`` rows hold no valid output and are never computed, and the
-    junk rows and columns (i >= Ho or j >= Wo) are skipped: inside the row
-    block that computed them, every box of valid positions
-    (``_valid_boxes``, an index of [B, Ho, Wo]) is copied to the output,
-    and ``finish(dst, box)`` adds the epilogue into that part ``dst`` of it.
+    flat source ``src``, so each tap is a contiguous slice of it. The tap
+    sum runs one block of ``_tap_rows`` rows at a time (``_tap_sum``), the
+    blocks dealt to two threads (``_split``). The last ``reach`` rows hold
+    no valid output and are never computed, and the junk rows and columns
+    (i >= Ho or j >= Wo) are skipped: inside the row block that computed
+    them, every box of valid positions (``_valid_boxes``, an index of
+    [B, Ho, Wo]) is copied to the output, and ``finish(dst, box)`` adds
+    the epilogue into that part ``dst`` of it.
     """
     B, Hg, Wg = dims
     rows = B * Hg * Wg
@@ -511,17 +507,19 @@ def _grid_conv(src: np.ndarray, dims: tuple, offsets: Sequence[int], reach: int,
     # padded input, both freed on return, can be one free run of the heap
     y = grid if (Hg, Wg) == (Ho, Wo) else np.empty((B, Ho, Wo, mats.shape[2]))
 
-    def epilogue(r0, r1):
+    def body(block):
+        _tap_sum(src, offsets, mats, out, block)
         # one block is the whole output at once; a copy and an in-place add
         # are faster than one add from the strided grid
-        whole = r1 - r0 == n_rows
-        for box in [slice(None)] if whole else _valid_boxes(r0, r1, Hg, Wg, Ho, Wo):
+        whole = block.stop - block.start == n_rows
+        for box in [slice(None)] if whole else _valid_boxes(block.start, block.stop,
+                                                            Hg, Wg, Ho, Wo):
             dst = y[box]
             if y is not grid:
                 np.copyto(dst, grid[:, :Ho, :Wo] if whole else grid[box])
             finish(dst, box)
 
-    _tap_sum(src, offsets, mats, out[:n_rows], epilogue)
+    _split(body, _rows(n_rows, _tap_rows(src.shape[1], mats.shape[2])))
     return y
 
 
@@ -551,14 +549,13 @@ def _conv2d_strided(x: np.ndarray, p: int, wd: np.ndarray, s: int, Ho: int, Wo: 
         phases = sorted({(ki % 2, kj % 2) for ki, kj, _ in taps})
         ph = np.zeros((len(phases), B, Hh, Wh, Cin))
 
-        def fill(lo, hi):
-            for k in range(lo, hi):
-                a, c = phases[k]
-                i0, j0 = (p - a + 1) // 2, (p - c + 1) // 2   # first phase row, column in x
-                part = x[:, 2 * i0 + a - p::2, 2 * j0 + c - p::2]
-                ph[k, :, i0:i0 + part.shape[1], j0:j0 + part.shape[2]] = part
+        def fill(k):
+            a, c = phases[k]
+            i0, j0 = (p - a + 1) // 2, (p - c + 1) // 2   # first phase row, column in x
+            part = x[:, 2 * i0 + a - p::2, 2 * j0 + c - p::2]
+            ph[k, :, i0:i0 + part.shape[1], j0:j0 + part.shape[2]] = part
 
-        _split(fill, len(phases))
+        _split(fill, range(len(phases)))
         n = B * Hh * Wh
         offsets = [phases.index((ki % 2, kj % 2)) * n + ki // 2 * Wh + kj // 2
                    for ki, kj, _ in taps]
@@ -632,8 +629,9 @@ def _conv2d_flat(xp: np.ndarray, wd: np.ndarray, Ho: int, Wo: int, finish: Calla
             gw[:, :, ki, kj] = g_rows.T @ xf[off:off + n_rows]
         # input row e gathers output row e - off of each tap, in tap order
         gxp = np.empty((rows, Cin))
-        _tap_sum(gf, [reach - off for off in offsets], taps_w.transpose(0, 2, 1).copy(), gxp,
-                 None)
+        g_offsets, g_mats = [reach - off for off in offsets], taps_w.transpose(0, 2, 1).copy()
+        _split(lambda block: _tap_sum(gf, g_offsets, g_mats, gxp, block),
+               _rows(rows, _tap_rows(Cout, Cin)))
         return gxp.reshape(B, Hp, Wp, Cin), gw
 
     return y, bwd
@@ -836,7 +834,7 @@ def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.nda
     (x, wq, wk, wv, wo); the weights and bwd are None unless ``keep``.
     Shared by ``window_attention`` and ``swin_block``.
 
-    One loop over cache-sized blocks of whole windows does it all: gather
+    One body per cache-sized block of whole windows does it all: gather
     the block's tokens, project them to Q, K and V, attend, merge the
     heads, project by wo and scatter the result into the output. The
     blocks are dealt to two threads (``_split``). With ``keep`` the arrays
@@ -878,27 +876,25 @@ def _window_attention(xd: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.nda
     # chain (partition, per-head matmuls, softmax, merge): bitwise equal.
     # Each array goes into its slice of the saved ones or, without keep,
     # into a fresh one (out=None), whose memory the next block reuses.
-    def run(lo, hi):
-        for w0 in range(lo * step, min(hi * step, nwin), step):
-            w1 = min(w0 + step, nwin)
-            k = w1 - w0
-            rows = tokens[w0 * n:w1 * n]
-            xw, q, kt, v, attn, ctx = [a[w0:w1] for a in saved] if keep else [None] * 6
-            # every index is valid, and "clip", unlike the default mode,
-            # writes straight into out instead of through a buffer
-            xw = xf.take(rows, axis=0, out=None if xw is None else xw.reshape(-1, c),
-                         mode="clip").reshape(k, window, window, c)
-            q = np.matmul(xw, wq, out=q)
-            kt = np.matmul(xw, wk, out=kt)
-            v = np.matmul(xw, wv, out=v)
-            attn, av = _attend(q.reshape(k, n, heads, dk).transpose(0, 2, 1, 3),
-                               kt.reshape(k, n, heads, dk).transpose(0, 2, 3, 1),
-                               v.reshape(k, n, heads, dk).transpose(0, 2, 1, 3), scale, attn)
-            ctx = np.empty((k, window, window, inner)) if ctx is None else ctx
-            np.copyto(ctx.reshape(k, n, heads, dk), av.transpose(0, 2, 1, 3))
-            out_rows[rows] = (ctx @ wo).reshape(-1, cout)
+    def body(wins):
+        k = wins.stop - wins.start
+        rows = tokens[wins.start * n:wins.stop * n]
+        xw, q, kt, v, attn, ctx = [a[wins] for a in saved] if keep else [None] * 6
+        # every index is valid, and "clip", unlike the default mode,
+        # writes straight into out instead of through a buffer
+        xw = xf.take(rows, axis=0, out=None if xw is None else xw.reshape(-1, c),
+                     mode="clip").reshape(k, window, window, c)
+        q = np.matmul(xw, wq, out=q)
+        kt = np.matmul(xw, wk, out=kt)
+        v = np.matmul(xw, wv, out=v)
+        attn, av = _attend(q.reshape(k, n, heads, dk).transpose(0, 2, 1, 3),
+                           kt.reshape(k, n, heads, dk).transpose(0, 2, 3, 1),
+                           v.reshape(k, n, heads, dk).transpose(0, 2, 1, 3), scale, attn)
+        ctx = np.empty((k, window, window, inner)) if ctx is None else ctx
+        np.copyto(ctx.reshape(k, n, heads, dk), av.transpose(0, 2, 1, 3))
+        out_rows[rows] = (ctx @ wo).reshape(-1, cout)
 
-    _split(run, -(-nwin // step))
+    _split(body, _rows(nwin, step))
     if not keep:
         return out, None, None
     xw, q, k_t, v, attn, ctx = saved
@@ -1063,11 +1059,10 @@ def _mean_vector(n: int) -> np.ndarray:
     return avg
 
 
-def _norm_block(xb: np.ndarray, gam: np.ndarray, bet: np.ndarray,
-                xc: Optional[np.ndarray] = None, y: Optional[np.ndarray] = None,
-                inv: Optional[np.ndarray] = None) -> tuple:
+def _norm_block(xb: np.ndarray, gam: np.ndarray, bet: np.ndarray, xc: Optional[np.ndarray],
+                y: Optional[np.ndarray], inv: Optional[np.ndarray]) -> tuple:
     """Layer norm of xb over its last axis: (xhat * gam + bet, xhat,
-    1/sqrt(var + _LN_EPS)), written into xc, y and inv when given.
+    1/sqrt(var + _LN_EPS)), written into xc, y and inv (None: new arrays).
 
     The operations of ``xhat = (x - mean) * (1 / sqrt(var + _LN_EPS)); xhat *
     gam + bet``, the means as stacked matrix-vector products (one GEMV per
@@ -1112,40 +1107,32 @@ def _layer_norm_fwd(xd: np.ndarray, gam: np.ndarray, bet: np.ndarray, keep: bool
     is written there instead and y is that view.
 
     A map larger than a cache-sized block runs one block of whole [W, C]
-    matrices at a time (``_norm_block``), split between two threads
+    matrices at a time (``_norm_block``), the blocks dealt to two threads
     (``_split``), bitwise the formula on the whole array; blocks run per
     image when writing into ``relu_into``, whose images need not be one
-    row run. Shared by ``layer_norm``,
-    ``conv_block`` and ``swin_block``.
+    row run. Shared by ``layer_norm``, ``conv_block`` and ``swin_block``.
     """
     if xd.size <= _BLOCK_ELEMS:
-        y, xhat, inv = _norm_block(xd, gam, bet)
+        y, xhat, inv = _norm_block(xd, gam, bet, None, None, None)
         if relu_into is not None:
             y = np.maximum(y, 0.0, out=relu_into)
         return (y, xhat, inv) if keep else (y, None, None)
     # [images, rows, W, C]; without relu_into all leading axes are one row run
     x4 = xd if relu_into is not None else xd.reshape((1, -1) + ((1,) + xd.shape)[-2:])
     m, h, w, n = x4.shape
-    step = max(1, _BLOCK_ELEMS // (w * n))
     y = relu_into if relu_into is not None else np.empty(x4.shape)
     xhat = np.empty(x4.shape) if keep else None
     inv = np.empty(x4.shape[:-1] + (1,)) if keep else None
-    rows = (min(step, h), w, n)
-    blocks = [(i, slice(r0, r0 + step)) for i in range(m) for r0 in range(0, h, step)]
 
-    def run(lo, hi):
-        xc_buf = None if keep else np.empty(rows)
-        y_buf = np.empty(rows) if relu_into is not None else None
-        for blk in blocks[lo:hi]:
-            xb = x4[blk]
-            k = len(xb)
-            yb, _, _ = _norm_block(xb, gam, bet, xhat[blk] if keep else xc_buf[:k],
-                                   y[blk] if y_buf is None else y_buf[:k],
-                                   inv[blk] if keep else None)
-            if y_buf is not None:
-                np.maximum(yb, 0.0, out=y[blk])
+    def body(block):
+        yb, _, _ = _norm_block(x4[block], gam, bet, xhat[block] if keep else None,
+                               None if relu_into is not None else y[block],
+                               inv[block] if keep else None)
+        if relu_into is not None:
+            np.maximum(yb, 0.0, out=y[block])
 
-    _split(run, len(blocks))
+    rows = _rows(h, max(1, _BLOCK_ELEMS // (w * n)))
+    _split(body, [(i, r) for i in range(m) for r in rows])
     if relu_into is not None:
         return y, xhat, inv
     return (y.reshape(xd.shape), xhat.reshape(xd.shape) if keep else None,
@@ -1256,7 +1243,11 @@ def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor, 
     the arrays the chain allocates, and the backward is hand-written; every
     element sees the same IEEE operations as the composed chain, so the
     forward and every gradient are bitwise equal to it. As in
-    ``conv_block``, x is a parent twice, the residual term first.
+    ``conv_block``, x is a parent twice, the residual term first. Layer
+    norm and window attention run blocked (``_layer_norm_fwd``,
+    ``_window_attention``); so does the MLP with its residual, in blocks
+    of whole image rows, when its hidden layer spans at least two
+    cache-sized blocks.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"swin-block: expected a [B, H, W, C] map, got {x.shape}")
@@ -1295,13 +1286,17 @@ def swin_block(x: Tensor, ln1_g: Tensor, ln1_b: Tensor, wq: Tensor, wk: Tensor, 
         ob += sb
         return rb, ob
 
-    if y.size * hidden < _SPLIT_MACS:
+    # blocks of whole image rows, [W, C] matrices, whose widest array (the
+    # hidden layer) holds about _BLOCK_ELEMS elements
+    B, H, W = y.shape[:3]
+    blocks = _rows(B * H, max(1, _BLOCK_ELEMS // (W * max(C, hidden))))
+    if len(blocks) < 2:
         r, out = mlp(y, None, None, s)
     else:
-        # stacks of whole image rows, [B*H] matrices [W, C], into full arrays
+        # [B*H] stacked matrices [W, C], into full arrays
         r, out = np.empty(y.shape[:-1] + (hidden,)), np.empty_like(s)
         rows = [arr.reshape((-1,) + arr.shape[2:]) for arr in (y, r, out, s)]
-        _split(lambda lo, hi: mlp(*(arr[lo:hi] for arr in rows)), len(rows[0]))
+        _split(lambda block: mlp(*(arr[block] for arr in rows)), blocks)
 
     def bwd(g):
         g_r, g_w2 = _row_stack_grads(r, w2d, g)
@@ -1326,7 +1321,7 @@ def _reduce_axes(axis, ndim):
     return (axis % ndim,)
 
 
-def _sum(x: Tensor, axis=None) -> Tensor:
+def _sum(x: Tensor, axis) -> Tensor:
     axes = _reduce_axes(axis, x.data.ndim)
     out = x.data.sum(axis=axes)
     in_shape = x.shape

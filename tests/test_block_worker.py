@@ -1,11 +1,12 @@
 """The block worker: the blocked kernels split between two threads.
 
-OpenBLAS runs one thread for the whole process, and a kernel's list of
-blocks is dealt in chunks to the calling thread and one persistent
-worker thread, whichever is free, in a no-grad forward, a forward that
-builds a graph and the backward alike. Each chunk is whole blocks or
-whole stacked matrices, so the bits are those of the serial loop. The
-ops below run above every split threshold; each is compared with the
+OpenBLAS runs one thread for the whole process, and every blocked kernel
+hands ``_split`` its list of whole blocks and a body that runs one of
+them. The list is dealt in chunks to the calling thread and one
+persistent worker thread, whichever is free, in a no-grad forward, a
+forward that builds a graph and the backward alike. Each block is whole
+rows, windows or stacked matrices, so the bits are those of the serial
+loop. The ops below take at least two blocks; each is compared with the
 worker on and forced off.
 """
 
@@ -67,7 +68,7 @@ def layer_norm_case(rng):
 
 
 def window_attention_case(rng):
-    # 4096 tokens x 64 x 64: every projection is a 2^24 multiply-add product
+    # 256 windows of 16 tokens and 64 channels: 4 blocks of 64 windows
     ps = leaves(rng, (1, 64, 64, 64), *[(64, 64)] * 4)
     return lambda: T.window_attention(*ps, 4, 4, 2), ps
 
@@ -139,29 +140,53 @@ def test_stride_2_phase_path_is_the_per_tap_path_bitwise(monkeypatch):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def dealt(n, run):
-    """_split(run, n), the caller's first chunk held until the worker has
-    taken one, so that both threads run chunks."""
+def dealt(blocks, body):
+    """_split(body, blocks), the caller's first block held until the worker
+    has taken one, so that both threads run chunks."""
     worker_began = threading.Event()
 
-    def held(lo, hi):
+    def held(block):
         if in_worker():
             worker_began.set()
         else:
             worker_began.wait(30)
-        run(lo, hi)
+        body(block)
 
-    T._split(held, n)
+    T._split(held, blocks)
+
+
+@pytest.mark.parametrize("n, step", [(0, 4), (1, 1), (7, 1), (7, 3), (8, 4), (5, 9),
+                                     (4289, 4096)])
+def test_row_blocks_tile_the_rows_in_order(n, step):
+    blocks = T._rows(n, step)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+    # only the last block is short
+    assert all(b.stop - b.start == step for b in blocks[:-1])
+    assert all(0 < b.stop - b.start <= step for b in blocks)
+
+
+def test_fewer_than_two_blocks_run_in_the_caller_without_the_worker(monkeypatch):
+    def no_worker():
+        raise AssertionError("_split asked for the worker")
+
+    monkeypatch.setattr(T, "_block_worker", no_worker)
+    seen = []
+    T._split(lambda block: seen.append((block, in_worker())), [slice(0, 5)])
+    T._split(lambda block: seen.append((block, in_worker())), [])
+    assert seen == [(slice(0, 5), False)]
 
 
 def test_every_block_runs_once_in_chunks(worker, monkeypatch):
     monkeypatch.setattr(T, "_block_worker", lambda: worker)
     seen = []
-    dealt(20, lambda lo, hi: seen.append((lo, hi, in_worker())))
-    # ceil(20 / 8) = 3 blocks a chunk, each chunk run once, by both threads
-    assert sorted((lo, hi) for lo, hi, _ in seen) == [(lo, min(lo + 3, 20))
-                                                     for lo in range(0, 20, 3)]
-    assert {by_worker for _, _, by_worker in seen} == {False, True}
+    dealt(list(range(20)), lambda block: seen.append((block, in_worker())))
+    assert sorted(block for block, _ in seen) == list(range(20))
+    # ceil(20 / 8) = 3 blocks a chunk; each chunk runs whole, in order, in one thread
+    for lo in range(0, 20, 3):
+        chunk = [(block, by_worker) for block, by_worker in seen if lo <= block < lo + 3]
+        assert [block for block, _ in chunk] == list(range(lo, min(lo + 3, 20)))
+        assert len({by_worker for _, by_worker in chunk}) == 1
+    assert {by_worker for _, by_worker in seen} == {False, True}
 
 
 def test_chunks_are_drawn_once_under_fast_thread_switches(worker, monkeypatch):
@@ -172,7 +197,7 @@ def test_chunks_are_drawn_once_under_fast_thread_switches(worker, monkeypatch):
         start = time.monotonic()
         for n in range(2, 200):
             seen = []
-            T._split(lambda lo, hi: seen.extend(range(lo, hi)), n)
+            T._split(seen.append, range(n))
             assert sorted(seen) == list(range(n))
             assert time.monotonic() - start < 60
     finally:
@@ -183,28 +208,29 @@ def test_worker_exception_reraises_in_the_caller(worker, monkeypatch):
     monkeypatch.setattr(T, "_block_worker", lambda: worker)
     ran = []
 
-    def run(lo, hi):
+    def body(block):
         if in_worker():
-            raise ValueError(f"blocks {lo}:{hi}")
-        ran.append((lo, hi))
+            raise ValueError(f"block {block}")
+        ran.append(block)
 
-    with pytest.raises(ValueError, match=r"blocks \d+:\d+") as err:
-        dealt(8, run)
-    # the caller ran every chunk but the one that failed in the worker
-    lo, hi = map(int, err.value.args[0].split()[1].split(":"))
-    assert sorted(ran + [(lo, hi)]) == [(i, i + 1) for i in range(8)]
+    with pytest.raises(ValueError, match=r"block \d+") as err:
+        dealt(list(range(8)), body)
+    # one block a chunk: the caller ran every block but the one that failed
+    # in the worker
+    failed = int(err.value.args[0].split()[1])
+    assert sorted(ran + [failed]) == list(range(8))
 
     ended = []
 
-    def slow_worker(lo, hi):
+    def slow_worker(block):
         if in_worker():
             time.sleep(0.2)
-            ended.append((lo, hi))
+            ended.append(block)
         else:
             raise ValueError("in the caller")
 
     with pytest.raises(ValueError, match="in the caller"):
-        dealt(2, slow_worker)
+        dealt([0, 1], slow_worker)
     assert len(ended) == 1            # re-raised only once the worker's chunk had ended
 
 
@@ -212,18 +238,18 @@ def test_split_inside_the_worker_runs_serially(worker, monkeypatch):
     monkeypatch.setattr(T, "_block_worker", lambda: worker)
     seen = []
 
-    def outer(lo, hi):
+    def outer(block):
         by_worker = in_worker()
-        T._split(lambda a, b: seen.append((by_worker, a, b, in_worker())), 4)
+        T._split(lambda inner: seen.append((by_worker, inner, in_worker())), range(4))
 
-    caller = threading.Thread(target=dealt, args=(2, outer))
+    caller = threading.Thread(target=dealt, args=([0, 1], outer))
     caller.start()
     caller.join(30)
     assert not caller.is_alive(), "a split inside the worker deadlocked"
-    # the worker's chunk ran its split alone; the caller's was dealt again,
-    # one block a chunk
-    assert [s for s in seen if s[0]] == [(True, 0, 4, True)]
-    assert sorted(s[1:3] for s in seen if not s[0]) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    # the worker's block ran its split alone, in order; the caller's was
+    # dealt again, one block a chunk
+    assert [s for s in seen if s[0]] == [(True, i, True) for i in range(4)]
+    assert sorted(s[1] for s in seen if not s[0]) == [0, 1, 2, 3]
 
 
 WORKER_PROBE = """

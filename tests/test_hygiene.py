@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level ``_private`` name is left with no user, no module reads
 another module's private name, the program imports nothing but the
-standard library and numpy, and the number of parameters with a default
-value does not grow.
+standard library and numpy, the number of parameters with a default
+value does not grow, and in the engine only ``_split`` asks for the
+block worker.
 
 No linter is a dependency of the project, so these are ``ast`` scans. A
 module-level import counts as used when the name it binds appears as a
@@ -214,7 +215,7 @@ def test_scan_finds_a_foreign_private_read(tmp_path):
 
 # Function parameters in the package that have a default value. Lower it
 # when a default goes; a new one must replace an old one.
-SETTABLE_PARAMETERS = 17
+SETTABLE_PARAMETERS = 13
 
 
 def settable_parameters(paths) -> int:
@@ -238,3 +239,31 @@ def test_scan_counts_settable_parameters(tmp_path):
                    "class K:\n    def m(self, x=None, y=()):\n        pass\n\n"
                    "g = lambda z=0: z\n\nasync def h(q, r=3):\n    pass\n")
     assert settable_parameters([mod]) == 6
+
+
+def worker_callers(path: Path) -> list:
+    """The top-level definitions of a module, other than ``_split``, that
+    call ``_block_worker``: every blocked kernel must deal its blocks
+    through the one loop of ``_split``."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == "_split":
+            continue
+        out += [f"{path.name}:{node.lineno}: {getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_block_worker"]
+    return out
+
+
+def test_only_split_calls_the_block_worker():
+    assert worker_callers(SRC / "tensor.py") == []
+
+
+def test_scan_finds_a_block_worker_caller(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("def _split(body, blocks):\n    return _block_worker()\n\n"
+                   "def kernel(x):\n    def run():\n        return _block_worker()\n"
+                   "    return run, _split\n\nclass K:\n    def m(self):\n"
+                   "        _block_worker()\n\nW = _block_worker\n")
+    assert worker_callers(mod) == ["m.py:6: kernel", "m.py:11: K"]

@@ -84,11 +84,12 @@ def load_digest_script():
 
 def test_blocked_wiring_runs_every_multi_block_path(monkeypatch):
     """The ``blocked-128px`` line covers the multi-block paths: the phase
-    tap sum of the 128 -> 64 and 64 -> 32 px stride-2 convs and the window
-    attention at 64 px each take at least two blocks, in the loss's forward
-    (the gradients read what it saves) and in the no-grad ``eps_hat``."""
+    tap sum of the 128 -> 64 and 64 -> 32 px stride-2 convs, the layer norm
+    at 128 px and the window attention and the Swin MLP at 64 px each take
+    at least two blocks, in the loss's forward (the gradients read what it
+    saves) and in the no-grad ``eps_hat``."""
     script = load_digest_script()
-    blocks = {}            # (op, graph) -> the most blocks one of its splits took
+    most = {}              # (op, graph) -> the most blocks one of its splits took
     inside = []            # the op whose splits are being counted
 
     def count_inside(name, label):
@@ -104,17 +105,21 @@ def test_blocked_wiring_runs_every_multi_block_path(monkeypatch):
 
     count_inside("conv2d", lambda x, w, b, stride, padding:
                  f"stride-{stride} {w.shape[2]}x{w.shape[3]} conv at {x.shape[1]} px")
+    count_inside("_layer_norm_fwd", lambda x, *rest: f"layer norm at {x.shape[1]} px")
     count_inside("_window_attention", lambda x, *rest: f"window attention at {x.shape[1]} px")
+    # the Swin block's own split, once its layer norms and attention are
+    # counted apart, is its MLP's
+    count_inside("swin_block", lambda x, *rest: f"Swin MLP at {x.shape[1]} px")
     split = T._split
 
-    def counting_split(run, n):
+    def counting_split(body, blocks):
         if inside:
-            blocks[inside[-1]] = max(n, blocks.get(inside[-1], 0))
-        return split(run, n)
+            most[inside[-1]] = max(len(blocks), most.get(inside[-1], 0))
+        return split(body, blocks)
 
     monkeypatch.setattr(T, "_split", counting_split)
     script.digest(script.blocked_cfg(), 1)
     for op in ["stride-2 3x3 conv at 128 px", "stride-2 3x3 conv at 64 px",
-               "window attention at 64 px"]:
+               "layer norm at 128 px", "window attention at 64 px", "Swin MLP at 64 px"]:
         for graph in (True, False):
-            assert blocks.get((op, graph), 0) >= 2, (op, graph, blocks)
+            assert most.get((op, graph), 0) >= 2, (op, graph, most)
