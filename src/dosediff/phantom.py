@@ -133,14 +133,18 @@ def beam_dose(body: np.ndarray, center: Tuple[float, float], angle: float,
     Both are nondecreasing in y and x, so the pixels whose sample lies in
     the box form a rectangle and the step is one slice-add. Each index
     moves monotonically with k, so once a step's rectangle is empty every
-    later one is too and the march stops there.
+    later one is too and the march stops there. Every step's row and
+    column indices come from one ``rint`` over all k.
 
-    This is exact, not an approximation: every body pixel receives the
-    same body values, computed with the same float expressions, added in
-    the same k order as a per-pixel march over the whole frame; the
-    samples skipped (outside the box) would each add +0.0, which leaves a
-    sum starting at +0.0 unchanged. The result is bitwise equal to
-    marching every pixel.
+    This is exact, not an approximation. ``body`` is a 0/1 mask, so a
+    depth is a count of body samples: the march gathers them from a uint8
+    copy of the body and adds them in integers, and converts the counts
+    to float64 once. Every body pixel counts the same samples, at the same
+    float-computed indices, as a per-pixel march over the whole frame
+    (the samples skipped, outside the box, are 0). A count is at most
+    ceil(hypot(h, w)), far below 2^53, and a float sum of 0.0s and 1.0s
+    starting at +0.0 is that same integer in any order, so the result is
+    bitwise equal to marching every pixel in float64.
     """
     h, w = body.shape
     cy, cx = center
@@ -153,18 +157,18 @@ def beam_dose(body: np.ndarray, center: Tuple[float, float], angle: float,
     if mu > 0.0 and body.any():
         rows, cols = np.flatnonzero(body.any(axis=1)), np.flatnonzero(body.any(axis=0))
         y0, y1, x0, x1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-        body_f = body.astype(np.float64)
-        box_depth = depth[y0:y1, x0:x1]
-        yv = np.arange(y0, y1, dtype=np.float64)
-        xv = np.arange(x0, x1, dtype=np.float64)
-        for k in range(1, int(np.ceil(np.hypot(h, w))) + 1):
-            iy = np.rint(yv - k * uy).astype(np.int64)
-            ix = np.rint(xv - k * ux).astype(np.int64)
+        body_u8 = body.astype(np.uint8)
+        count = np.zeros((y1 - y0, x1 - x0), dtype=np.int32)
+        k = np.arange(1, int(np.ceil(np.hypot(h, w))) + 1, dtype=np.float64)[:, None]
+        iys = np.rint(np.arange(y0, y1, dtype=np.float64) - k * uy).astype(np.int64)
+        ixs = np.rint(np.arange(x0, x1, dtype=np.float64) - k * ux).astype(np.int64)
+        for iy, ix in zip(iys, ixs):
             r0, r1 = np.searchsorted(iy, (y0, y1))
             c0, c1 = np.searchsorted(ix, (x0, x1))
             if r0 == r1 or c0 == c1:
                 break
-            box_depth[r0:r1, c0:c1] += body_f[np.ix_(iy[r0:r1], ix[c0:c1])]
+            count[r0:r1, c0:c1] += body_u8[iy[r0:r1]][:, ix[c0:c1]]   # rows, then columns
+        depth[y0:y1, x0:x1] = count
 
     return lateral * np.exp(-mu * depth) * body
 

@@ -15,9 +15,11 @@ optional bias are one node each for an affine layer, bitwise equal to
 the product followed by a separate bias ``add``. A stride-1 ``conv2d``
 reads every kernel tap as a contiguous row slice of one flat zero-padded
 copy of its input and sums the tap GEMMs one cache-sized block of rows
-at a time; a stride-2 one of at least two such blocks does the same on a
+at a time, each tap added into the block's output by OpenBLAS's
+``cblas_dgemm`` itself (beta = 1), bitwise numpy's product then ``+=``;
+a stride-2 one of at least two such blocks does the same on a
 space-to-depth copy; see :func:`conv2d` for what that means for bitwise
-results.
+results and which products stay on numpy.
 ``window_attention`` is a fused op: the whole shifted-window multi-head
 attention of a Swin block in one node, with a hand-written backward.
 ``conv_block`` is one too: a pre-norm conv residual block (layer norm,
@@ -43,13 +45,15 @@ whole blocks (row slices, image and row pairs, phase indices) and the
 body that runs one of them; ``_split`` deals the list in about eight
 chunks to whichever of the calling thread and one persistent worker
 thread is free, in a forward that builds a graph, in the backward
-and under ``no_grad`` alike. No numpy call changes shape, so results
-are bitwise those of one thread, whatever the number of CPUs, the
-worker and the dealing. They still depend on the CPU model and the BLAS
-build, as OpenBLAS picks its kernels per CPU. The worker starts on the
-first list of at least two blocks. On a single CPU every block runs in
-the calling thread; without OpenBLAS's thread API nothing is pinned,
-BLAS keeps its own thread count (and its bits) and the worker stays off.
+and under ``no_grad`` alike. No numpy or BLAS call changes shape, so
+results are bitwise those of one thread, whatever the number of CPUs,
+the worker and the dealing. They still depend on the CPU model and the
+BLAS build, as OpenBLAS picks its kernels per CPU. The tap sums'
+``cblas_dgemm`` calls go through ctypes, which releases the interpreter
+lock as numpy does. The worker starts on the first list of at least two
+blocks. On a single CPU every block runs in the calling thread; without
+OpenBLAS's thread API nothing is pinned, BLAS keeps its own thread count
+(and its bits) and the worker stays off.
 """
 
 from __future__ import annotations
@@ -208,9 +212,10 @@ _LN_EPS = 1e-5
 
 
 def _openblas(name: str):
-    """The C function ``name`` (e.g. "set_num_threads") of the OpenBLAS that
-    numpy loaded, or None: looked up among the process's mapped libraries
-    (Linux) under the prefixes and suffixes of OpenBLAS builds."""
+    """The C function ``name`` (e.g. "set_num_threads", "cblas_dgemm") of
+    the OpenBLAS that numpy loaded, or None: looked up among the process's
+    mapped libraries (Linux) under the prefixes and suffixes of OpenBLAS
+    builds (``scipy_openblas_set_num_threads64_``, ``scipy_cblas_dgemm64_``)."""
     try:
         with open("/proc/self/maps") as f:
             maps = f.read()
@@ -221,9 +226,9 @@ def _openblas(name: str):
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix in ("scipy_openblas", "openblas"):
+        for prefix in ("scipy_openblas_", "openblas_", "scipy_", ""):
             for suffix in ("64_", ""):
-                fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+                fn = getattr(lib, f"{prefix}{name}{suffix}", None)
                 if fn is not None:
                     return fn
     return None
@@ -274,7 +279,22 @@ def _pin_blas() -> bool:
     return True
 
 
+def _dgemm_binding():
+    """OpenBLAS's ``cblas_dgemm`` with its argument types declared, or None
+    where it or the build's integer width (``get_config``) is not found."""
+    dgemm, config = _openblas("cblas_dgemm"), _openblas("get_config")
+    if dgemm is None or config is None:
+        return None
+    config.argtypes, config.restype = (), ctypes.c_char_p
+    n = ctypes.c_int64 if b"USE64BITINT" in config() else ctypes.c_int
+    e, d, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+    dgemm.argtypes = (e, e, e, n, n, n, d, p, n, p, n, d, p, n)
+    dgemm.restype = None
+    return dgemm
+
+
 _BLAS_PINNED = _pin_blas()   # before the engine's first GEMM, never undone
+_DGEMM = _dgemm_binding()    # called by _tap_sum alone
 _WORKER = None               # the _BlockWorker once started; False where none can run
 
 
@@ -441,28 +461,73 @@ def _conv_out_side(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
+# the largest tap K (source channels) that _tap_sum accumulates inside BLAS.
+# OpenBLAS adds a product into C one K block at a time, so a beta = 1 GEMM
+# rounds as numpy's product then += only while K fits one block: up to
+# K = 384 on OpenBLAS 0.3.31's SkylakeX kernels, not at 385. 256 covers
+# every tap K of the shipped configs but the paper decoder's 512-channel
+# input, which keeps numpy's loop.
+_GEMM_K = 256
+
+# the fewest output elements per block for which _tap_sum goes through the
+# binding: below it a ctypes call costs more than the += it saves
+_GEMM_MIN_OUT = 4096
+
+# alpha and beta of the tap GEMMs, converted once
+_ONE, _ZERO = ctypes.c_double(1.0), ctypes.c_double(0.0)
+
+
 def _tap_rows(cin: int, cout: int) -> int:
     """Rows per block of ``_tap_sum`` for cin source and cout output columns."""
     return max(256, _BLOCK_ELEMS // max(cin, cout))
 
 
-def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: Sequence[np.ndarray],
-             out: np.ndarray, rows: slice) -> None:
+def _tap_sum(src: np.ndarray, offsets: Sequence[int], mats: np.ndarray, out: np.ndarray,
+             rows: slice) -> None:
     """out[r] = sum over taps t of src[r + offsets[t]] @ mats[t] for the rows
-    r of one block, written in place.
+    r of one block, written in place; mats is [taps, K, N].
 
     Every tap operand is a contiguous row slice of ``src``, so nothing is
     copied, and the block's output stays in cache while the taps add into
     it. Per row the taps are summed in order, as ``0 + t0 + t1 + ...``.
     Callers deal blocks of ``_tap_rows`` rows to two threads (``_split``)
     and run their epilogue on each block right after its taps.
+
+    The taps accumulate inside BLAS: OpenBLAS's ``cblas_dgemm`` (``_DGEMM``)
+    writes the first tap with beta = 0 and adds every later one with
+    beta = 1, straight into the block's output rows. Each product is formed
+    as numpy's matmul forms it and added into the output once, so the sum
+    is bitwise numpy's matmul into a scratch block followed by ``+=``,
+    without the scratch and the extra pass. numpy's loop runs instead where
+    the binding is missing, where it would round otherwise (one row or one
+    column, N = 1 being the head's forward: numpy calls gemv there, which
+    sums in another order; K above ``_GEMM_K``), for blocks of fewer than
+    ``_GEMM_MIN_OUT`` outputs (tiny desk maps, where a ctypes call costs
+    more than it saves), and for operands its pointers cannot reach.
     """
     r0, r1 = rows.start, rows.stop
-    acc, part = out[rows], np.empty((r1 - r0, out.shape[1]))
-    np.matmul(src[r0 + offsets[0]:r1 + offsets[0]], mats[0], out=acc)
-    for off, m in zip(offsets[1:], mats[1:]):
-        np.matmul(src[r0 + off:r1 + off], m, out=part)
-        acc += part
+    _, K, N = mats.shape
+    sa = src.strides[0]
+    if (_DGEMM is None or r1 - r0 < 2 or N == 1 or K > _GEMM_K
+            or (r1 - r0) * N < _GEMM_MIN_OUT
+            or src.dtype != np.float64 or src.strides[1] != 8 or src.shape[1] != K
+            or out.dtype != np.float64 or out.strides[1] != 8 or out.shape[1] != N
+            or mats.dtype != np.float64 or not mats.flags.c_contiguous
+            or r0 + min(offsets) < 0 or r1 + max(offsets) > len(src) or r1 > len(out)):
+        acc, part = out[rows], np.empty((r1 - r0, N))
+        np.matmul(src[r0 + offsets[0]:r1 + offsets[0]], mats[0], out=acc)
+        for off, m in zip(offsets[1:], mats[1:]):
+            np.matmul(src[r0 + off:r1 + off], m, out=part)
+            acc += part
+        return
+    # pointers and integers converted once per block, not per tap
+    a, b, c = src.ctypes.data + r0 * sa, mats.ctypes.data, out.ctypes.data + r0 * out.strides[0]
+    n = _DGEMM.argtypes[3]
+    m_, k_, n_, lda, ldc = n(r1 - r0), n(K), n(N), n(sa // 8), n(out.strides[0] // 8)
+    beta = _ZERO
+    for off in offsets:   # row-major, no transposes: C = A @ B + beta C
+        _DGEMM(101, 111, 111, m_, n_, k_, _ONE, a + off * sa, lda, b, n_, beta, c, ldc)
+        b, beta = b + 8 * K * N, _ONE
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
@@ -652,6 +717,16 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor], stride: int, padding: int)
     GEMM per tap on a strided view. The bias is added last, to the tap
     sum, so a biased conv is bitwise the conv followed by a separate
     ``add``.
+
+    The tap sums of the stride-1 forward, of its input gradient and of the
+    stride-2 phase path accumulate inside BLAS: one OpenBLAS
+    ``cblas_dgemm`` per tap adds its product straight into the block's
+    output (``_tap_sum``), bitwise numpy's matmul into a scratch block
+    followed by ``+=``. Products it would round otherwise stay on numpy:
+    one output column (the 1-channel head's forward; numpy calls gemv
+    there), tap K above 256 (OpenBLAS then adds a product into the output
+    one K block at a time), and a one-row block. So do blocks of fewer than
+    4,096 outputs, where the ctypes call costs more than it saves.
 
     The stride-1 path against the per-tap loop on strided copies that it
     replaced (kept in the tests as ``reference_conv2d``): the taps are

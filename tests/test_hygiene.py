@@ -3,7 +3,7 @@ no module-level ``_private`` name is left with no user, no module reads
 another module's private name, the program imports nothing but the
 standard library and numpy, the number of parameters with a default
 value does not grow, and in the engine only ``_split`` asks for the
-block worker.
+block worker and only ``_tap_sum`` calls the dgemm binding.
 
 No linter is a dependency of the project, so these are ``ast`` scans. A
 module-level import counts as used when the name it binds appears as a
@@ -241,23 +241,24 @@ def test_scan_counts_settable_parameters(tmp_path):
     assert settable_parameters([mod]) == 6
 
 
-def worker_callers(path: Path) -> list:
-    """The top-level definitions of a module, other than ``_split``, that
-    call ``_block_worker``: every blocked kernel must deal its blocks
-    through the one loop of ``_split``."""
+def callers(path: Path, callee: str, owner) -> list:
+    """The top-level definitions of a module, other than ``owner`` (a name,
+    or None for none), that call ``callee`` by name: every blocked kernel must deal its blocks
+    through the one loop of ``_split``, and only ``_tap_sum``, which
+    checks the operands it passes as pointers, may call the dgemm binding."""
     out = []
     for top in ast.parse(path.read_text()).body:
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == "_split":
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == owner:
             continue
         out += [f"{path.name}:{node.lineno}: {getattr(top, 'name', '<module>')}"
                 for node in ast.walk(top)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_block_worker"]
+                and node.func.id == callee]
     return out
 
 
 def test_only_split_calls_the_block_worker():
-    assert worker_callers(SRC / "tensor.py") == []
+    assert callers(SRC / "tensor.py", "_block_worker", "_split") == []
 
 
 def test_scan_finds_a_block_worker_caller(tmp_path):
@@ -266,4 +267,20 @@ def test_scan_finds_a_block_worker_caller(tmp_path):
                    "def kernel(x):\n    def run():\n        return _block_worker()\n"
                    "    return run, _split\n\nclass K:\n    def m(self):\n"
                    "        _block_worker()\n\nW = _block_worker\n")
-    assert worker_callers(mod) == ["m.py:6: kernel", "m.py:11: K"]
+    assert callers(mod, "_block_worker", "_split") == ["m.py:6: kernel", "m.py:11: K"]
+
+
+def test_only_tap_sum_calls_the_dgemm_binding():
+    tensor = SRC / "tensor.py"
+    assert callers(tensor, "_DGEMM", "_tap_sum") == []
+    assert callers(tensor, "_DGEMM", None)        # _tap_sum itself does
+
+
+def test_scan_finds_a_dgemm_binding_caller(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("_DGEMM = _dgemm_binding()\n\n"
+                   "def _tap_sum(src):\n    if _DGEMM is None:\n        return\n"
+                   "    _DGEMM(101, src)\n\n"
+                   "def conv(x):\n    return [_DGEMM(x) for _ in x]\n\n"
+                   "_DGEMM(0)\nG = _DGEMM\n")
+    assert callers(mod, "_DGEMM", "_tap_sum") == ["m.py:9: conv", "m.py:11: <module>"]

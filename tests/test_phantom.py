@@ -176,6 +176,15 @@ class TestBeamDoseMatchesPerPixelMarch:
         args = (body, (9.5, 13.0), angle, 3.0, 0.3)
         assert_bitwise(P.beam_dose(*args), reference_beam_dose(*args))
 
+    @pytest.mark.parametrize("angle", [np.pi / 4, float(np.random.default_rng(30).uniform(0, 2 * np.pi))])
+    def test_longest_march_bitwise(self, angle):
+        """A full 256 px body, the longest march: at pi/4 it runs 361 of the
+        ceil(hypot(256, 256)) = 363 steps before its rectangle empties, and
+        the depth counted along the diagonal reaches 361 body samples."""
+        body = np.ones((256, 256), dtype=bool)
+        args = (body, (127.5, 127.5), angle, P.SIGMA_FRACTION * 256, P.MU_PER_PIXEL)
+        assert_bitwise(P.beam_dose(*args), reference_beam_dose(*args))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_phantom_body_bitwise(self, seed):
         """The generator's own bodies, centroids and beams at 64 px."""
